@@ -113,9 +113,7 @@ class MonomialIdeal:
             if isinstance(g, str):
                 out.append(_monomial_from_text(g, n))
             else:
-                if not isinstance(g, list) or len(g) != n + 1:
-                    raise ParseError(f"exponent vector {g!r} must have length n+1")
-                out.append(Monomial(g))
+                out.append(monomial_from_exponents(g, n))
         return cls(n, out)
 
     @classmethod
@@ -131,6 +129,16 @@ class MonomialIdeal:
                 continue
             gens.append(_monomial_from_text(chunk, n))
         return cls(n, gens)
+
+
+def monomial_from_exponents(exps, n):
+    """Monomial from a JSON exponent vector [e0, ..., en]; ParseError if malformed."""
+    if not isinstance(exps, list) or len(exps) != n + 1:
+        raise ParseError(f"exponent vector {exps!r} must have length n+1")
+    try:
+        return Monomial(exps)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad exponent vector {exps!r}: {exc}") from exc
 
 
 def _monomial_from_text(text, n):
@@ -183,13 +191,24 @@ def borel_leq(a: Monomial, b: Monomial) -> bool:
 
 
 def is_strongly_stable(J: MonomialIdeal) -> bool:
-    """Check closure of the basis under increasing moves (suffices by transitivity)."""
+    """Check closure of the basis under increasing moves (suffices by transitivity).
+
+    A moved generator is most often another generator, so it is looked up
+    in the set of generator exponents before the membership test.
+    """
     n = J.n
+    gens = {g.exps for g in J.gens}
     for g in J.gens:
-        for i in g.support():
+        exps = g.exps
+        for i in range(n):
+            if not exps[i]:
+                continue
             for j in range(i + 1, n + 1):
-                moved = g / Monomial.variable(n, i) * Monomial.variable(n, j)
-                if not J.contains(moved):
+                moved = list(exps)
+                moved[i] -= 1
+                moved[j] += 1
+                moved = tuple(moved)
+                if moved not in gens and not J.contains(Monomial(moved)):
                     return False
     return True
 

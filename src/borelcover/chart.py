@@ -18,7 +18,7 @@ from . import linalg
 from .borel import BorelChartIdeal, MonomialIdeal, enumerate_borel_saturated
 from .errors import (IterationCapError, MathDomainError, NotInChartError)
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
-                      chart_constants)
+                      chart_constants, interpolate_hilbert_function)
 from .ring import Monomial, XPoly, apply_change_of_coords, monomials_of_degree
 
 
@@ -174,18 +174,29 @@ def initial_monomials_gauss(forms) -> MonomialIdeal:
     return MonomialIdeal(forms[0].n, [cols[c] for c in pivots])
 
 
+def _check_bound(bound):
+    if bound < 1:
+        raise MathDomainError("bound must be at least 1")
+
+
+_MAX_DRAWS = 1000
+
+
 def _draw_invertible(rng, n, bound):
-    while True:
+    """Integer matrix with entries in [-bound, bound] and nonzero determinant."""
+    for _ in range(_MAX_DRAWS):
         g = tuple(tuple(rng.randint(-bound, bound) for _ in range(n + 1))
                   for _ in range(n + 1))
         if linalg.det([list(r) for r in g]) != 0:
             return g
+    raise IterationCapError(
+        f"no invertible matrix with entries in [-{bound}, {bound}] "
+        f"after {_MAX_DRAWS} draws")
 
 
 def random_coordinate_change(n, seed, bound=10):
     """Seeded random integer matrix with nonzero determinant; deterministic."""
-    if bound < 1:
-        raise MathDomainError("bound must be at least 1")
+    _check_bound(bound)
     return _draw_invertible(random.Random(seed), n, bound)
 
 
@@ -219,24 +230,9 @@ def hilbert_polynomial_of_forms(gens, max_shift=40) -> HilbertPoly:
         raise MathDomainError("cannot infer a Hilbert polynomial from the zero ideal")
     gens = [g for g in gens if g]
     n = gens[0].n
-    cache = {}
-
-    def hf(t):
-        if t not in cache:
-            cache[t] = ambient_dimension(n, t) - dimension_in_degree(gens, t)
-        return cache[t]
-
-    t0 = max(g.degree for g in gens)
-    for shift in range(max_shift):
-        base = t0 + shift
-        try:
-            poly = HilbertPoly.from_values(
-                [(base + k, hf(base + k)) for k in range(n + 1)])
-        except MathDomainError:
-            continue
-        if all(poly.evaluate(t) == hf(t) for t in range(base + n + 1, base + n + 3)):
-            return poly
-    raise MathDomainError("Hilbert function of the ideal did not stabilize")
+    return interpolate_hilbert_function(
+        lambda t: ambient_dimension(n, t) - dimension_in_degree(gens, t),
+        max(g.degree for g in gens), n, max_shift)
 
 
 @dataclass(frozen=True)
@@ -271,6 +267,7 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     tried in order of increasing regularity of the saturation.  A fixed g may
     be supplied, in which case no redraws happen.
     """
+    _check_bound(bound)
     constants, sats, basis = _chart_search_setup(gens, max_ambient, max_nodes)
     rng = random.Random(seed)
     tried = 0

@@ -14,7 +14,8 @@ import json
 import sys
 
 from . import cover, fixtures, oracle
-from .borel import MonomialIdeal, enumerate_borel_saturated, truncate
+from .borel import (MonomialIdeal, enumerate_borel_saturated,
+                    monomial_from_exponents, truncate)
 from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
                     pluecker_coordinate)
 from .errors import MathDomainError, ParseError, ScaleCapError
@@ -50,8 +51,7 @@ def _forms_arg(text):
         if isinstance(item, str):
             f = parse_xpoly(item, n)
         elif isinstance(item, list):
-            from .ring import Monomial
-            f = XPoly.from_monomial(Monomial(item))
+            f = XPoly.from_monomial(monomial_from_exponents(item, n))
         else:
             raise ParseError(f"bad generator {item!r}")
         if not f.is_scalar():

@@ -297,31 +297,70 @@ def hilbert_function(J, t) -> int:
     return sum(1 for m in monomials_of_degree(J.n, t) if not J.contains(m))
 
 
-def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
-    """Hilbert polynomial of S/J for a proper monomial ideal J.
+def borel_dim_at(J, t) -> int:
+    """dim J_t of a strongly stable J by the Eliahou-Kervaire count.
 
-    Interpolates the Hilbert function at n+1 consecutive points and verifies
-    agreement at two more; the base point starts at the largest generator
-    degree and is bumped until verification succeeds.
+    Every degree-t monomial of J factors uniquely as u * g with g a minimal
+    generator and max(u) <= min(g), so
+
+        dim J_t = sum_{g in G(J), |g| <= t} C(t - |g| + min(g), min(g)).
+
+    The generator 1 admits every cofactor; its min is taken to be n.  The
+    caller guarantees strong stability: the count is wrong for other ideals.
     """
     n = J.n
-    if J.contains_one():
-        raise MathDomainError("Hilbert polynomial of the unit ideal")
-    t0 = max((g.degree() for g in J.gens), default=0)
+    total = 0
+    for g in J.gens:
+        d = g.degree()
+        if d <= t:
+            k = g.min_var() if d else n
+            total += math.comb(t - d + k, k)
+    return total
+
+
+def interpolate_hilbert_function(hf, t0, n, max_shift) -> HilbertPoly:
+    """Polynomial of degree <= n that the function hf eventually agrees with.
+
+    Interpolates hf at n+1 consecutive points and verifies agreement at two
+    more; the base point starts at t0 and is bumped until verification
+    succeeds, at most max_shift times.  Each value of hf is computed once.
+    """
     cache = {}
 
-    def hf(t):
+    def value(t):
         if t not in cache:
-            cache[t] = hilbert_function(J, t)
+            cache[t] = hf(t)
         return cache[t]
 
     for shift in range(max_shift):
         base = t0 + shift
         try:
-            poly = HilbertPoly.from_values([(base + k, hf(base + k)) for k in range(n + 1)])
+            poly = HilbertPoly.from_values(
+                [(base + k, value(base + k)) for k in range(n + 1)])
         except MathDomainError:
             continue
-        checks = range(base + n + 1, base + n + 3)
-        if all(poly.evaluate(t) == hf(t) for t in checks):
+        if all(poly.evaluate(t) == value(t) for t in range(base + n + 1, base + n + 3)):
             return poly
     raise MathDomainError("Hilbert function did not stabilize to a polynomial")
+
+
+def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
+    """Hilbert polynomial of S/J for a proper monomial ideal J.
+
+    For a strongly stable J the Eliahou-Kervaire count of dim J_t is a
+    polynomial in t from the largest generator degree t0 on, so n+1 values
+    from t0 determine it exactly.  Any other monomial ideal goes through
+    interpolate_hilbert_function on the brute-force Hilbert function.
+    """
+    from .borel import is_strongly_stable  # borel imports this module
+
+    n = J.n
+    if J.contains_one():
+        raise MathDomainError("Hilbert polynomial of the unit ideal")
+    t0 = max((g.degree() for g in J.gens), default=0)
+    if is_strongly_stable(J):
+        return HilbertPoly.from_values(
+            [(t, ambient_dimension(n, t) - borel_dim_at(J, t))
+             for t in range(t0, t0 + n + 1)])
+    return interpolate_hilbert_function(lambda t: hilbert_function(J, t),
+                                        t0, n, max_shift)

@@ -23,14 +23,15 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     saturate, star_decompose, truncate)
 from .chart import coefficient_matrix, span_in_degree
 from .errors import MathDomainError, NotInChartError, ReductionCapError
-from .hilbert import (ChartConstants, ambient_dimension, chart_constants,
-                      hilbert_polynomial)
+from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
+                      chart_constants, hilbert_polynomial)
 from .ring import Monomial, ParamPoly, XPoly, specialize
 from . import linalg
 
@@ -58,11 +59,16 @@ class MarkedTemplate:
             out.extend((i, j) for j in range(1, len(tail) + 1))
         return out
 
+    @cached_property
+    def head_index(self):
+        """Position of each head in `heads`."""
+        return {h: i for i, h in enumerate(self.heads)}
+
     def poly_for(self, head):
-        for h, f in zip(self.heads, self.polys):
-            if h == head:
-                return f
-        raise MathDomainError(f"{head} is not a head of this template")
+        i = self.head_index.get(head)
+        if i is None:
+            raise MathDomainError(f"{head} is not a head of this template")
+        return self.polys[i]
 
 
 def _validate_saturated_borel(Jsat):
@@ -70,6 +76,23 @@ def _validate_saturated_borel(Jsat):
         raise MathDomainError(f"{Jsat} is not strongly stable")
     if saturate(Jsat) != Jsat:
         raise MathDomainError(f"{Jsat} is not saturated")
+    if Jsat.contains_one():
+        raise MathDomainError("the unit ideal has no Hilbert polynomial")
+
+
+def _validate_level(Jsat, m):
+    """Preconditions shared by template and embedding_dimension.
+
+    Jsat is saturated and Borel, and m >= rho - 1 unless the truncation at m
+    leaves Jsat unchanged, which happens exactly when no generator has degree
+    below m.
+    """
+    _validate_saturated_borel(Jsat)
+    if m < 0:
+        raise MathDomainError("truncation level must be non-negative")
+    if m < rho(Jsat) - 1 and m > Jsat.min_gen_degree():
+        raise MathDomainError(
+            f"truncation level {m} is below rho-1 = {rho(Jsat) - 1} and changes the ideal")
 
 
 def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
@@ -78,13 +101,8 @@ def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
     Valid for m >= rho - 1, and also below that when the truncation does not
     differ from the saturation (the template is then the same object).
     """
-    _validate_saturated_borel(Jsat)
-    if m < 0:
-        raise MathDomainError("truncation level must be non-negative")
+    _validate_level(Jsat, m)
     T = truncate(Jsat, m)
-    if m < rho(Jsat) - 1 and T != Jsat:
-        raise MathDomainError(
-            f"truncation level {m} is below rho-1 = {rho(Jsat) - 1} and changes the ideal")
     heads = T.gens
     tails = []
     polys = []
@@ -196,8 +214,9 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
         level = depth.get(target, 1)
         max_chain = max(max_chain, level)
         eta, beta = star_decompose(target, T)
-        h = h - tpl.poly_for(beta).times_monomial(eta).scale(c)
-        for tail in tpl.tails[tpl.heads.index(beta)]:
+        i = tpl.head_index[beta]
+        h = h - tpl.polys[i].times_monomial(eta).scale(c)
+        for tail in tpl.tails[i]:
             new_mon = tail * eta
             if T.contains(new_mon):
                 depth[new_mon] = max(depth.get(new_mon, 0), level + 1)
@@ -265,8 +284,21 @@ def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest",
 
 
 def embedding_dimension(Jsat: MonomialIdeal, m: int) -> int:
-    """Number of parameters of the template over Jsat_{>=m}."""
-    return template(Jsat, m).num_vars
+    """Number of parameters of the template over Jsat_{>=m}, without building it.
+
+    A head h carries one parameter per degree-|h| monomial outside the
+    truncation, N(|h|) - dim Jsat_{|h|} of them.  The heads are the
+    dim Jsat_m monomials of degree m and the generators of Jsat above
+    degree m; every dimension comes from the Eliahou-Kervaire count.
+    """
+    _validate_level(Jsat, m)
+    n = Jsat.n
+
+    def outside(d):
+        return ambient_dimension(n, d) - borel_dim_at(Jsat, d)
+
+    return (borel_dim_at(Jsat, m) * outside(m)
+            + sum(outside(g.degree()) for g in Jsat.gens if g.degree() > m))
 
 
 def bounds(Jsat: MonomialIdeal, m: int):

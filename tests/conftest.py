@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from borelcover.borel import MonomialIdeal
+from borelcover.borel import MonomialIdeal, up_moves
 from borelcover.ring import Monomial, parse_xpoly
 
 
@@ -61,3 +62,30 @@ def borel_leq_partial_sums(a: Monomial, b: Monomial) -> bool:
         if tb < ta:
             return False
     return True
+
+
+@st.composite
+def monomial_ideals(draw, max_n=3, max_gens=3, max_degree=4):
+    """A monomial ideal of P^n, n <= max_n, on a few monomials of positive degree."""
+    n = draw(st.integers(1, max_n))
+    gens = []
+    for _ in range(draw(st.integers(1, max_gens))):
+        d = draw(st.integers(1, max_degree))
+        variables = draw(st.lists(st.integers(0, n), min_size=d, max_size=d))
+        gens.append(Monomial([variables.count(i) for i in range(n + 1)]))
+    return MonomialIdeal(n, gens)
+
+
+def borel_closure(J):
+    """The ideal on every monomial that increasing moves reach from a generator."""
+    seen = set(J.gens)
+    frontier = list(J.gens)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for u in up_moves(m):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return MonomialIdeal(J.n, seen)

@@ -2,6 +2,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, borel_leq,
                               enumerate_borel_in_g, enumerate_borel_saturated,
@@ -13,7 +15,8 @@ from borelcover.hilbert import chart_constants, hilbert_polynomial, \
     parse_hilbert_poly
 from borelcover.ring import Monomial, monomials_of_degree
 
-from conftest import borel_leq_partial_sums, mono
+from conftest import (borel_closure, borel_leq_partial_sums, monomial_ideals,
+                      mono)
 
 
 class TestMonomialIdeal:
@@ -39,6 +42,8 @@ class TestMonomialIdeal:
             MonomialIdeal.from_json_dict({"gens": []})
         with pytest.raises(ParseError):
             MonomialIdeal.from_json_dict({"n": 2, "gens": [[1, 2]]})
+        with pytest.raises(ParseError):
+            MonomialIdeal.from_json_dict({"n": 2, "gens": [[0, -1, 1]]})
 
     def test_text_parse(self):
         J = MonomialIdeal.parse("(x2^2, x2*x1, x1^3)", 2)
@@ -87,6 +92,15 @@ class TestStability:
                 for m in J.monomials_at(t)
                 for u in up_moves(m))
             assert closed == is_strongly_stable(J)
+
+    @settings(deadline=None)
+    @given(st.one_of(monomial_ideals(), monomial_ideals().map(borel_closure)))
+    def test_matches_degreewise_closure_on_random_ideals(self, J):
+        closed = all(J.contains(u)
+                     for t in range(J.max_gen_degree() + 2)
+                     for m in J.monomials_at(t)
+                     for u in up_moves(m))
+        assert closed == is_strongly_stable(J)
 
 
 class TestSaturation:

@@ -5,7 +5,7 @@ import pytest
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
-from borelcover.chart import (all_charts, borel_open_set,
+from borelcover.chart import (_draw_invertible, all_charts, borel_open_set,
                               chart_form, coefficient_matrix, degree_basis,
                               hilbert_polynomial_of_forms,
                               in_hilb, initial_monomials_gauss,
@@ -139,6 +139,11 @@ class TestRandomCoordinateChange:
         for seed in range(10):
             g = random_coordinate_change(2, seed, bound=1)
             assert linalg.det([list(r) for r in g]) != 0
+
+    def test_singular_draws_are_capped(self):
+        # entries in [0, 0] are always singular; the draw gives up
+        with pytest.raises(IterationCapError):
+            _draw_invertible(random.Random(0), 2, 0)
 
     def test_explicit_shear_is_invertible(self, g_shear):
         assert linalg.det([list(r) for r in g_shear]) != 0

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from borelcover.borel import MonomialIdeal
 from borelcover.cli import main
 
@@ -146,6 +148,20 @@ class TestExitCodes:
     def test_math_domain_error(self, capsys):
         code, _, err = run(capsys, "gotzmann", "--n", "2", "--hp", "t^2")
         assert code == 3 and err
+
+    @pytest.mark.parametrize("bound", ["0", "-2"])
+    def test_open_set_rejects_bound_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":["x2^2","x1^2"]}', "--bound", bound)
+        assert code == 3 and not out and "bound must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("marked-scheme", "--sat", '{"n":2,"gens":[[0,-1,1]]}', "--m", "2"),
+        ("open-set", "--ideal", '{"n":2,"gens":[[0,-1,2],[0,2,0]]}'),
+    ])
+    def test_negative_exponent_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "negative exponent" in err
 
     def test_scale_cap(self, capsys):
         # the large stretch family stays behind the cap flags

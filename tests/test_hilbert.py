@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import given, settings
 
+from borelcover import hilbert
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
-                              enumerate_borel_saturated, regularity, truncate)
+                              enumerate_borel_saturated, is_strongly_stable,
+                              regularity, truncate)
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                ParseError)
-from borelcover.hilbert import (HilbertPoly, ambient_dimension, chart_constants,
-                                gotzmann_number, gotzmann_representation,
-                                hilbert_function, hilbert_polynomial,
+from borelcover.hilbert import (HilbertPoly, ambient_dimension, borel_dim_at,
+                                chart_constants, gotzmann_number,
+                                gotzmann_representation, hilbert_function,
+                                hilbert_polynomial, interpolate_hilbert_function,
                                 parse_hilbert_poly)
 from borelcover.ring import Monomial
+
+from conftest import borel_closure, monomial_ideals
 
 
 class TestHilbertPoly:
@@ -83,6 +89,37 @@ class TestHilbertPolynomial:
     def test_unit_ideal_rejected(self):
         with pytest.raises(MathDomainError):
             hilbert_polynomial(MonomialIdeal(2, [Monomial((0, 0, 0))]))
+
+    def test_borel_ideals_skip_the_hilbert_function(self, lex_cubic, monkeypatch):
+        def refuse(J, t):
+            raise AssertionError("brute-force Hilbert function called")
+
+        monkeypatch.setattr(hilbert, "hilbert_function", refuse)
+        assert hilbert_polynomial(lex_cubic) == parse_hilbert_poly("3*t")
+
+    def test_non_borel_ideal(self):
+        # S/(x0^2) has Hilbert function N(t) - N(t-2) = 2t + 1
+        J = MonomialIdeal.parse("x0^2", 2)
+        assert not is_strongly_stable(J)
+        assert hilbert_polynomial(J) == parse_hilbert_poly("2*t+1")
+
+
+class TestEliahouKervaire:
+    def test_unit_ideal_counts_everything(self):
+        one = MonomialIdeal(3, [Monomial((0, 0, 0, 0))])
+        assert [borel_dim_at(one, t) for t in range(4)] == [
+            ambient_dimension(3, t) for t in range(4)]
+
+    @settings(deadline=None)
+    @given(monomial_ideals().map(borel_closure))
+    def test_matches_brute_force(self, J):
+        assert is_strongly_stable(J)
+        n = J.n
+        for t in range(regularity(J) + n + 3):
+            assert ambient_dimension(n, t) - borel_dim_at(J, t) == hilbert_function(J, t)
+        brute = interpolate_hilbert_function(
+            lambda t: hilbert_function(J, t), J.max_gen_degree(), n, 80)
+        assert hilbert_polynomial(J) == brute
 
 
 class TestGotzmann:

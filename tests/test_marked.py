@@ -1,6 +1,7 @@
 import pytest
 
-from borelcover.borel import MonomialIdeal, regularity, truncate
+from borelcover.borel import (MonomialIdeal, enumerate_borel_saturated,
+                              regularity, rho, truncate)
 from borelcover.errors import MathDomainError, ReductionCapError
 from borelcover.hilbert import chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
@@ -203,6 +204,25 @@ class TestDimensionsAndBounds:
         assert bounds(j1sat, 3) == (28, 2)
         with pytest.raises(MathDomainError):
             bounds(j1sat, 2)
+
+    @pytest.mark.parametrize("n, hp", [(2, "4"), (2, "7"), (3, "3*t"), (3, "2*t+2")])
+    def test_embedding_dimension_counts_template_parameters(self, n, hp):
+        c = chart_constants(hp, n)
+        for sat in enumerate_borel_saturated(n, c.p):
+            for m in {max(rho(sat) - 1, 0), regularity(sat), c.r}:
+                assert embedding_dimension(sat, m) == template(sat, m).num_vars
+
+    @pytest.mark.parametrize("build", [template, embedding_dimension])
+    @pytest.mark.parametrize("sat, m", [
+        (truncate(MonomialIdeal.parse("x2^2, x2*x1, x1^3", 2), 4), 4),  # not saturated
+        (MonomialIdeal.parse("x1", 2), 1),                               # not Borel
+        (MonomialIdeal.parse("x3, x2^2, x2*x1^3, x1^4", 3), 2),          # below rho-1
+        (MonomialIdeal.parse("x2^2, x2*x1, x1^3", 2), -1),               # negative level
+        (MonomialIdeal(2, [Monomial((0, 0, 0))]), 1),                    # unit ideal
+    ])
+    def test_embedding_dimension_rejects_what_template_rejects(self, build, sat, m):
+        with pytest.raises(MathDomainError):
+            build(sat, m)
 
     def test_naive_minor_count(self):
         assert naive_minor_count(chart_constants(4, 2)) == 1_379_420_565_600
