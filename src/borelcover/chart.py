@@ -1,11 +1,11 @@
 """Grassmannian charts via exact linear algebra.
 
 Coefficient matrices of linear systems of forms, Plucker coordinates of a
-monomial chart (maximal minors by fraction-free determinants), the chart form
-of an ideal (reduced row echelon against the chart's head columns), Gaussian
-initial monomials, the Hilbert-scheme membership test at the Gotzmann level,
-and the seeded random-coordinate search that locates an arbitrary ideal in a
-Borel chart.
+monomial chart (maximal minors by fraction-free determinants), marked slices
+and the chart form of an ideal (reduced row echelon against the head columns
+of a monomial ideal), Gaussian initial monomials, the Hilbert-scheme
+membership test at the Gotzmann level, and the seeded random-coordinate
+search that locates an arbitrary ideal in a Borel chart.
 """
 
 from __future__ import annotations
@@ -126,41 +126,45 @@ class ChartPoint:
     chart: MonomialIdeal
     marked_set: tuple
 
-    def tails(self):
-        out = []
-        for head, f in zip(self.chart.gens, self.marked_set):
-            out.append([(m, c) for m, c in f.terms if m != head])
-        return out
+
+def marked_slice(forms, T: MonomialIdeal, t):
+    """Marked polynomials of the degree-t span of the forms over T.
+
+    Row reduces the coefficient matrix against the columns [T_t | N(T)_t];
+    the reduced row pivoted on x^a in T_t is the marked polynomial
+    x^a - sum c * x^g with tail supported on N(T)_t.  Returns a dict
+    x^a -> marked polynomial.  Raises MathDomainError when the span's
+    dimension differs from dim T_t and NotInChartError when some pivot falls
+    outside T_t (the Plucker coordinate of T_t vanishes on the span).
+    """
+    inside = T.monomials_at(t)
+    columns = inside + T.sous_escalier_at(t)
+    rows, _ = coefficient_matrix(forms, columns)
+    R, pivots = linalg.rref(rows)
+    if len(pivots) != len(inside):
+        raise MathDomainError(
+            f"span has dimension {len(pivots)}, chart expects {len(inside)}")
+    if pivots != list(range(len(inside))):
+        raise NotInChartError(
+            f"Plucker coordinate of {T} vanishes on the degree-{t} slice")
+    return {mon: XPoly(T.n, [(columns[j], R[i][j])
+                             for j in range(len(columns)) if R[i][j]], t)
+            for i, mon in enumerate(inside)}
 
 
 def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
     """Unique marked-set presentation of span(forms) over the chart J.
 
-    Row reduces the coefficient matrix with the B_J columns leading; the
-    reduced rows are the marked polynomials x^a - sum c * x^g with tails
-    supported outside J.  Raises NotInChartError when the Plucker coordinate
-    of J vanishes.
+    The marked polynomials are the degree-r marked slice of the span, in the
+    order of B_J.  Raises NotInChartError when the Plucker coordinate of J
+    vanishes.
     """
     r = _single_degree_chart(J)
     d = _common_degree(forms)
     if d != r:
         raise MathDomainError(f"forms of degree {d} against a degree-{r} chart")
-    n = forms[0].n
-    s = len(J.gens)
-    tails = J.sous_escalier_at(r)
-    columns = list(J.gens) + tails
-    rows, _ = coefficient_matrix(forms, columns)
-    R, pivots = linalg.rref(rows)
-    if len(pivots) != s:
-        raise MathDomainError(
-            f"span has dimension {len(pivots)}, chart expects {s}")
-    if pivots != list(range(s)):
-        raise NotInChartError(f"Plucker coordinate of {J} vanishes on this ideal")
-    marked = []
-    for i in range(s):
-        marked.append(XPoly(n, [(columns[j], R[i][j])
-                               for j in range(len(columns)) if R[i][j]], r))
-    return ChartPoint(chart=J, marked_set=tuple(marked))
+    marked = marked_slice(forms, J, r)
+    return ChartPoint(chart=J, marked_set=tuple(marked[h] for h in J.gens))
 
 
 def initial_monomials_gauss(forms) -> MonomialIdeal:
@@ -249,13 +253,21 @@ def _chart_search_setup(gens, max_ambient, max_nodes):
     n = gens[0].n
     p = hilbert_polynomial_of_forms(gens)
     constants = chart_constants(p, n)
-    sats = enumerate_borel_saturated(n, p, max_ambient, max_nodes)
+    charts = [BorelChartIdeal.from_saturation(sat, constants.r)
+              for sat in enumerate_borel_saturated(n, p, max_ambient, max_nodes)]
     basis = degree_basis(gens, constants.r)
     if len(basis) != constants.s:
         raise MathDomainError(
             f"dim I_{constants.r} = {len(basis)} but q(r) = {constants.s}; "
             "the ideal does not define a point of this Hilbert scheme")
-    return constants, sats, basis
+    return constants, charts, basis
+
+
+def _charts_containing(basis, g, charts):
+    """Lazily yield the charts, in order, that contain the span of basis after g."""
+    transformed = [apply_change_of_coords(f, g) for f in basis]
+    return (chart for chart in charts
+            if pluecker_coordinate(transformed, chart.chart) != 0)
 
 
 def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
@@ -268,18 +280,16 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     be supplied, in which case no redraws happen.
     """
     _check_bound(bound)
-    constants, sats, basis = _chart_search_setup(gens, max_ambient, max_nodes)
+    constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
     rng = random.Random(seed)
     tried = 0
     while tried < max_tries:
         tried += 1
         gm = g if g is not None else _draw_invertible(rng, gens[0].n, bound)
-        transformed = [apply_change_of_coords(f, gm) for f in basis]
-        for sat in sats:
-            chart = BorelChartIdeal.from_saturation(sat, constants.r)
-            if pluecker_coordinate(transformed, chart.chart) != 0:
-                return OpenSetResult(g=gm, chart=chart, tried=tried,
-                                     constants=constants)
+        chart = next(_charts_containing(basis, gm, charts), None)
+        if chart is not None:
+            return OpenSetResult(g=gm, chart=chart, tried=tried,
+                                 constants=constants)
         if g is not None:
             raise NotInChartError(
                 "the supplied change of coordinates lands in no Borel chart")
@@ -289,11 +299,5 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
 
 def all_charts(gens, g, max_ambient=120, max_nodes=2_000_000):
     """Every Borel chart (for the ideal's Hilbert polynomial) containing I^g."""
-    constants, sats, basis = _chart_search_setup(gens, max_ambient, max_nodes)
-    transformed = [apply_change_of_coords(f, g) for f in basis]
-    found = []
-    for sat in sats:
-        chart = BorelChartIdeal.from_saturation(sat, constants.r)
-        if pluecker_coordinate(transformed, chart.chart) != 0:
-            found.append(chart)
-    return found
+    _, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
+    return list(_charts_containing(basis, g, charts))

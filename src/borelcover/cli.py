@@ -17,11 +17,11 @@ from . import cover, fixtures, oracle
 from .borel import (MonomialIdeal, enumerate_borel_saturated,
                     monomial_from_exponents, truncate)
 from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
-                    pluecker_coordinate)
+                    pluecker_coordinate, random_coordinate_change)
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import chart_constants, parse_hilbert_poly
 from .marked import is_marked_basis, scheme_equations
-from .ring import XPoly, parse_xpoly
+from .ring import XPoly, apply_change_of_coords, parse_xpoly
 
 
 def _load_json_arg(text):
@@ -117,7 +117,6 @@ def cmd_open_set(args):
     g = tuple(tuple(row) for row in _load_json_arg(args.g)) if args.g else None
     if args.all_charts:
         if g is None:
-            from .chart import random_coordinate_change
             g = random_coordinate_change(n, args.seed, args.bound)
         charts = all_charts(forms, g, args.max_ambient, args.max_nodes)
         payload = {"g": [list(r) for r in g],
@@ -140,11 +139,15 @@ def cmd_open_set(args):
     return 0
 
 
-def cmd_chart_form(args):
+def _chart_args(args):
+    """The chart J and a basis of the ideal's degree-r slice, r the degree of J."""
     _, forms = _forms_arg(args.ideal)
     J = _monomial_ideal_arg(args.chart)
-    r = J.max_gen_degree()
-    basis = degree_basis(forms, r)
+    return J, degree_basis(forms, J.max_gen_degree())
+
+
+def cmd_chart_form(args):
+    J, basis = _chart_args(args)
     point = chart_form(basis, J)
     payload = {"chart": J.to_json_dict(),
                "marked_set": [str(f) for f in point.marked_set]}
@@ -153,10 +156,7 @@ def cmd_chart_form(args):
 
 
 def cmd_pluecker(args):
-    _, forms = _forms_arg(args.ideal)
-    J = _monomial_ideal_arg(args.chart)
-    r = J.max_gen_degree()
-    basis = degree_basis(forms, r)
+    J, basis = _chart_args(args)
     value = pluecker_coordinate(basis, J)
     payload = {"chart": J.to_json_dict(), "pluecker": str(value)}
     _emit(payload, args.json, str(value))
@@ -165,7 +165,7 @@ def cmd_pluecker(args):
 
 def cmd_marked_scheme(args):
     sat = _monomial_ideal_arg(args.sat)
-    S = scheme_equations(sat, args.m, strategy=args.strategy, threads=args.threads)
+    S = scheme_equations(sat, args.m, strategy=args.strategy)
     payload = {
         "m": S.m,
         "num_vars": S.num_vars,
@@ -204,8 +204,8 @@ def cmd_check_basis(args):
 def cmd_atlas(args):
     p = parse_hilbert_poly(args.hp)
     A = cover.atlas(args.n, p, with_equations=args.with_equations,
-                    m_choice=args.m, threads=args.threads,
-                    max_ambient=args.max_ambient, max_nodes=args.max_nodes)
+                    m_choice=args.m, max_ambient=args.max_ambient,
+                    max_nodes=args.max_nodes)
     text = json.dumps(A.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -263,7 +263,6 @@ def _certify_quartic():
     res = borel_open_set(forms, g=record["g"])
     sat_ok = res.chart.saturation == MonomialIdeal.parse(
         record["chart_saturation"], n)
-    from .ring import apply_change_of_coords
     basis = degree_basis(forms, res.constants.r)
     transformed = [apply_change_of_coords(f, record["g"]) for f in basis]
     point = chart_form(transformed, res.chart.chart)
@@ -392,7 +391,6 @@ def build_parser():
     p.add_argument("--m", type=int, required=True, help="truncation level")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--strategy", choices=("largest", "smallest"), default="largest")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_marked_scheme)
 
     p = sub.add_parser("check-basis",
@@ -408,7 +406,6 @@ def build_parser():
     add_common(p, hp=True, as_json=False)
     p.add_argument("--with-equations", action="store_true")
     p.add_argument("--m", choices=("rho", "reg", "gotzmann"), default="reg")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="write the atlas to this file")
     p.set_defaults(func=cmd_atlas)
 

@@ -139,7 +139,7 @@ class Atlas:
         return out
 
 
-def atlas(n, p, with_equations=False, m_choice="reg", threads=1,
+def atlas(n, p, with_equations=False, m_choice="reg",
           max_ambient=120, max_nodes=2_000_000) -> Atlas:
     """Full Borel atlas of the Hilbert scheme for (n, p)."""
     p = coerce_hilbert_poly(p)
@@ -154,8 +154,7 @@ def atlas(n, p, with_equations=False, m_choice="reg", threads=1,
         equations = None
         if with_equations:
             equations = scheme_equations(chart.saturation,
-                                         _m_value(m_choice, chart, constants),
-                                         threads=threads)
+                                         _m_value(m_choice, chart, constants))
         charts.append(AtlasChart(chart=chart, dims=dims, equations=equations))
     bases = [entry.chart.chart for entry in charts]
     gluing = tuple(tuple(gluing_degree(a, b) for b in bases) for a in bases)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import linalg
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
-from .ring import monomials_of_degree
 
 
 def binom(m, k):
@@ -294,7 +293,7 @@ def hilbert_function(J, t) -> int:
     """Number of degree-t monomials outside the monomial ideal J."""
     if t < 0:
         raise MathDomainError("Hilbert function requested at negative degree")
-    return sum(1 for m in monomials_of_degree(J.n, t) if not J.contains(m))
+    return len(J.sous_escalier_at(t))
 
 
 def borel_dim_at(J, t) -> int:

@@ -20,7 +20,6 @@ truncation levels.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,12 +27,11 @@ from math import comb
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     saturate, star_decompose, truncate)
-from .chart import coefficient_matrix, span_in_degree
+from .chart import dimension_in_degree, marked_slice, span_in_degree
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       chart_constants, hilbert_polynomial)
 from .ring import Monomial, ParamPoly, XPoly, specialize
-from . import linalg
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ class SchemeIdeal:
 
 
 def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest",
-                     step_cap=None, threads=1) -> SchemeIdeal:
+                     step_cap=None) -> SchemeIdeal:
     """Defining ideal of the marked scheme of Jsat_{>=m}.
 
     Reduces every Eliahou-Kervaire S-polynomial to its normal form and
@@ -250,15 +248,8 @@ def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest",
     """
     tpl = template(Jsat, m)
     pairs = ek_spairs(tpl.ideal)
-
-    def reduce_pair(pair):
-        return reduce(spair_polynomial(pair, tpl), tpl, strategy, step_cap)
-
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(reduce_pair, pairs))
-    else:
-        results = [reduce_pair(pair) for pair in pairs]
+    results = [reduce(spair_polynomial(pair, tpl), tpl, strategy, step_cap)
+               for pair in pairs]
 
     gens = []
     seen = set()
@@ -362,42 +353,24 @@ def is_marked_basis(G, T: MonomialIdeal, constants: ChartConstants | None = None
     if constants is None:
         constants = chart_constants(hilbert_polynomial(T), T.n)
     lo = T.min_gen_degree()
-    for t in range(lo, constants.r + 2):
-        forms = span_in_degree(G, t)
-        got = 0
-        if forms:
-            rows, _ = coefficient_matrix(forms)
-            got = linalg.rank(rows)
-        if got != T.dim_at(t):
-            return False
-    return True
+    return all(dimension_in_degree(G, t) == T.dim_at(t)
+               for t in range(lo, constants.r + 2))
 
 
 def marked_set_from_ideal(gens, T: MonomialIdeal):
     """Marked-set coordinates of an explicit ideal over the truncation T.
 
-    For each head degree, row reduces the corresponding slice of the ideal
-    against the columns [T_t monomials | N(T)_t]; the rows pivoted on the
-    basis monomials are the marked polynomials.  Fails when some pivot falls
-    outside T_t (the ideal is not in this chart).
+    Takes the marked slice of the ideal in each head degree t and keeps the
+    marked polynomials of the generators of T.  Raises NotInChartError when
+    some pivot falls outside T_t (the ideal is not in this chart) and
+    MathDomainError when a slice's dimension differs from dim T_t.
     """
-    n = T.n
     out = {}
     for t in sorted({g.degree() for g in T.gens}):
         forms = span_in_degree(gens, t)
         if not forms:
             raise NotInChartError(f"ideal has no elements in degree {t}")
-        inside = T.monomials_at(t)
-        columns = inside + T.sous_escalier_at(t)
-        rows, _ = coefficient_matrix(forms, columns)
-        R, pivots = linalg.rref(rows)
-        if len(pivots) != len(inside) or pivots != list(range(len(inside))):
-            raise NotInChartError(
-                f"degree-{t} slice does not reduce to the chart's heads")
-        for i, mon in enumerate(inside):
-            if mon in T.gens:
-                out[mon] = XPoly(n, [(columns[j], R[i][j])
-                                     for j in range(len(columns)) if R[i][j]], t)
+        out.update(marked_slice(forms, T, t))
     return [out[h] for h in T.gens]
 
 

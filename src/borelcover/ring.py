@@ -354,10 +354,6 @@ def _format_cterm(coeff, cm):
 # Homogeneous forms in the x-variables
 # ---------------------------------------------------------------------------
 
-def _is_zero_coeff(c):
-    return not c
-
-
 class XPoly:
     """Homogeneous form in x_0..x_n.
 
@@ -379,7 +375,7 @@ class XPoly:
                 c = Fraction(c)
             prev = acc.get(mon)
             c = c if prev is None else prev + c
-            if _is_zero_coeff(c):
+            if not c:
                 acc.pop(mon, None)
             else:
                 acc[mon] = c
@@ -409,11 +405,6 @@ class XPoly:
             if m == mon:
                 return c
         return Fraction(0)
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise MathDomainError("zero form has no leading monomial")
-        return self.terms[0][0]
 
     def _check(self, other):
         if self.n != other.n:
@@ -455,7 +446,7 @@ class XPoly:
         return NotImplemented
 
     def scale(self, c):
-        if _is_zero_coeff(c):
+        if not c:
             return XPoly.zero(self.n, self.degree)
         return XPoly(self.n, [(m, k * c) for m, k in self.terms], self.degree)
 
@@ -465,13 +456,6 @@ class XPoly:
 
     def is_scalar(self):
         return all(isinstance(c, Fraction) for _, c in self.terms)
-
-    def param_variables(self):
-        seen = set()
-        for _, c in self.terms:
-            if isinstance(c, ParamPoly):
-                seen.update(c.variables())
-        return sorted(seen)
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.n == other.n

@@ -8,13 +8,14 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
 from borelcover.chart import (_draw_invertible, all_charts, borel_open_set,
                               chart_form, coefficient_matrix, degree_basis,
                               hilbert_polynomial_of_forms,
-                              in_hilb, initial_monomials_gauss,
+                              in_hilb, initial_monomials_gauss, marked_slice,
                               pluecker_coordinate, random_coordinate_change,
                               row_space_basis)
 from borelcover.errors import (IterationCapError, MathDomainError,
                                NotInChartError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial, \
     parse_hilbert_poly
+from borelcover.marked import marked_set_from_ideal
 from borelcover import linalg
 from borelcover.ring import (XPoly, apply_change_of_coords, parse_xpoly)
 
@@ -78,6 +79,14 @@ class TestChartForm:
         with pytest.raises(NotInChartError):
             chart_form(_monomial_forms(T2), T1)
 
+    def test_wrong_dimension_is_a_domain_error(self, j1sat):
+        T = truncate(j1sat, 4)
+        forms = _monomial_forms(T)
+        for bad in (forms[:5], forms[:-1] + forms[:1]):
+            with pytest.raises(MathDomainError) as exc:
+                chart_form(bad, T)
+            assert not isinstance(exc.value, NotInChartError)
+
     def test_reference_coefficient_matrix(self, two_quadrics, g_shear):
         # the reduced matrix is the identity block on the chart columns with
         # a single 1/2 entry in the tail block
@@ -98,6 +107,32 @@ class TestChartForm:
         stacked = list(transformed) + list(point.marked_set)
         rows, _ = coefficient_matrix(stacked)
         assert linalg.rank(rows) == len(J.gens)
+
+
+class TestMarkedSlice:
+    def test_chart_form_agrees_with_marked_set_from_ideal(self, two_quadrics,
+                                                          g_shear):
+        basis = degree_basis(two_quadrics, 4)
+        transformed = [apply_change_of_coords(f, g_shear) for f in basis]
+        points = [(transformed, c.chart)
+                  for c in all_charts(two_quadrics, g_shear)]
+        two_points = [parse_xpoly(s, 2) for s in TWO_POINTS]
+        for gens in (two_quadrics, two_points):
+            for seed in range(6):
+                res = borel_open_set(gens, seed=seed)
+                basis = degree_basis(gens, res.constants.r)
+                points.append(([apply_change_of_coords(f, res.g) for f in basis],
+                               res.chart.chart))
+        for forms, J in points:
+            assert chart_form(forms, J).marked_set == \
+                tuple(marked_set_from_ideal(forms, J))
+
+    def test_keys_are_the_ideal_slice(self, j1sat):
+        T = truncate(j1sat, 3)
+        forms = [XPoly.from_monomial(m) for m in T.monomials_at(4)]
+        marked = marked_slice(forms, T, 4)
+        assert list(marked) == T.monomials_at(4)
+        assert all(f == XPoly.from_monomial(m) for m, f in marked.items())
 
 
 class TestGaussianInitialMonomials:
@@ -223,6 +258,22 @@ class TestBorelOpenSet:
         charts = all_charts(two_quadrics, g_shear)
         sats = [c.saturation for c in charts]
         assert j1sat in sats
+
+    def test_found_chart_is_the_first_containing_chart(self, two_quadrics,
+                                                       g_shear):
+        three_points = [parse_xpoly(s, 2) for s in ("x2*x1", "x2*x0", "x1*x0")]
+        rng = random.Random(7)
+        gs = [g_shear] + [_draw_invertible(rng, 2, 3) for _ in range(4)]
+        most = 0
+        for gens in (two_quadrics, three_points):
+            for g in gs:
+                charts = all_charts(gens, g)
+                most = max(most, len(charts))
+                regs = [c.regularity_sat for c in charts]
+                assert regs == sorted(regs)
+                if charts:
+                    assert borel_open_set(gens, g=g).chart == charts[0]
+        assert most >= 2
 
     def test_bad_override_raises(self, two_quadrics):
         ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -157,10 +157,6 @@ class TestSchemeEquations:
             for g in S.generators:
                 assert g.constant_term() == 0
 
-    def test_threads_do_not_change_output(self, j1sat):
-        assert scheme_equations(j1sat, 3).generators == \
-            scheme_equations(j1sat, 3, threads=4).generators
-
 
 def hilbert_polynomial_degree(p):
     from borelcover.hilbert import parse_hilbert_poly
