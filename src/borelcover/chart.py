@@ -4,8 +4,10 @@ Coefficient matrices of linear systems of forms, Plucker coordinates of a
 monomial chart (maximal minors by fraction-free determinants), marked slices
 and the chart form of an ideal (reduced row echelon against the head columns
 of a monomial ideal), Gaussian initial monomials, the Hilbert-scheme
-membership test at the Gotzmann level, and the seeded random-coordinate
-search that locates an arbitrary ideal in a Borel chart.
+membership test at the Gotzmann level, the Hilbert polynomial of a system
+of forms (certified by Gotzmann persistence from exact ranks), and the
+seeded random-coordinate search that locates an arbitrary ideal in a Borel
+chart.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import linalg
 from .borel import BorelChartIdeal, MonomialIdeal, enumerate_borel_saturated
 from .errors import (IterationCapError, MathDomainError, NotInChartError)
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
-                      chart_constants, interpolate_hilbert_function)
+                      certified_hilbert_polynomial, chart_constants)
 from .ring import Monomial, XPoly, apply_change_of_coords, monomials_of_degree
 
 
@@ -229,14 +231,19 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
 
 
 def hilbert_polynomial_of_forms(gens, max_shift=40) -> HilbertPoly:
-    """Hilbert polynomial of S/(gens) by exact interpolation of corank values."""
+    """Hilbert polynomial of S/(gens), certified by Gotzmann persistence.
+
+    The Hilbert function is the corank of the exact span in each degree from
+    the largest generator degree on, up to the first degree of maximal
+    growth; see hilbert.certified_hilbert_polynomial.
+    """
     if not gens or all(not g for g in gens):
         raise MathDomainError("cannot infer a Hilbert polynomial from the zero ideal")
     gens = [g for g in gens if g]
     n = gens[0].n
-    return interpolate_hilbert_function(
+    return certified_hilbert_polynomial(
         lambda t: ambient_dimension(n, t) - dimension_in_degree(gens, t),
-        max(g.degree for g in gens), n, max_shift)
+        max(g.degree for g in gens), max_shift)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ The Gotzmann number is extracted from the unique representation
     p(t) = sum_{i=1..r} C(t + a_i - i + 1, a_i),   a_1 >= a_2 >= ... >= 0,
 
 built greedily; r is the number of summands.
+
+Hilbert polynomials come from one of two exact sources: the
+Eliahou-Kervaire count for strongly stable ideals, and otherwise a Hilbert
+function certified by Gotzmann persistence (certified_hilbert_polynomial),
+which stops at the first degree of maximal growth in Macaulay's sense.
 """
 
 from __future__ import annotations
@@ -317,30 +322,47 @@ def borel_dim_at(J, t) -> int:
     return total
 
 
-def interpolate_hilbert_function(hf, t0, n, max_shift) -> HilbertPoly:
-    """Polynomial of degree <= n that the function hf eventually agrees with.
+def macaulay_representation(c, t):
+    """The k_i of c = C(k_t, t) + C(k_{t-1}, t-1) + ... + C(k_j, j).
 
-    Interpolates hf at n+1 consecutive points and verifies agreement at two
-    more; the base point starts at t0 and is bumped until verification
-    succeeds, at most max_shift times.  Each value of hf is computed once.
+    The unique representation with k_t > k_{t-1} > ... > k_j >= j >= 1,
+    built greedily; returned as (i, k_i) pairs from i = t down.  Requires
+    c >= 0 and t >= 1; c = 0 has the empty representation.
     """
-    cache = {}
+    out = []
+    i = t
+    while c > 0:
+        k = i
+        while math.comb(k + 1, i) <= c:
+            k += 1
+        out.append((i, k))
+        c -= math.comb(k, i)
+        i -= 1
+    return out
 
-    def value(t):
-        if t not in cache:
-            cache[t] = hf(t)
-        return cache[t]
 
-    for shift in range(max_shift):
-        base = t0 + shift
-        try:
-            poly = HilbertPoly.from_values(
-                [(base + k, value(base + k)) for k in range(n + 1)])
-        except MathDomainError:
-            continue
-        if all(poly.evaluate(t) == value(t) for t in range(base + n + 1, base + n + 3)):
-            return poly
-    raise MathDomainError("Hilbert function did not stabilize to a polynomial")
+def certified_hilbert_polynomial(hf, t0, max_shift) -> HilbertPoly:
+    """Hilbert polynomial of S/I from its Hilbert function hf, with proof.
+
+    I must be generated in degrees <= t0.  For t = t0, t0+1, ... the growth
+    HF(t+1) is compared with Macaulay's bound HF(t)^<t> = sum C(k_i+1, i+1),
+    where HF(t) = sum C(k_i, i) in degree t.  At the first t where the bound
+    is reached, Gotzmann's persistence theorem gives HF(t+s) =
+    sum C(k_i + s, i + s) for every s >= 0, so the Hilbert polynomial is
+    sum_i C(u + k_i - t, k_i - i).  Each value of hf is computed once; at
+    most max_shift degrees are tried before MathDomainError.
+    """
+    t = max(t0, 1)
+    cur = hf(t)
+    for _ in range(max_shift):
+        nxt = hf(t + 1)
+        rep = macaulay_representation(cur, t)
+        if nxt == sum(math.comb(k + 1, i + 1) for i, k in rep):
+            return sum((HilbertPoly.binomial_shift(k - i, k - t) for i, k in rep),
+                       HilbertPoly.zero())
+        t, cur = t + 1, nxt
+    raise MathDomainError(
+        f"Hilbert function reached no maximal growth within {max_shift} degrees")
 
 
 def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
@@ -349,7 +371,7 @@ def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
     For a strongly stable J the Eliahou-Kervaire count of dim J_t is a
     polynomial in t from the largest generator degree t0 on, so n+1 values
     from t0 determine it exactly.  Any other monomial ideal goes through
-    interpolate_hilbert_function on the brute-force Hilbert function.
+    certified_hilbert_polynomial on the brute-force Hilbert function.
     """
     from .borel import is_strongly_stable  # borel imports this module
 
@@ -361,5 +383,5 @@ def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
         return HilbertPoly.from_values(
             [(t, ambient_dimension(n, t) - borel_dim_at(J, t))
              for t in range(t0, t0 + n + 1)])
-    return interpolate_hilbert_function(lambda t: hilbert_function(J, t),
-                                        t0, n, max_shift)
+    return certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
+                                        t0, max_shift)

@@ -102,10 +102,11 @@ def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
     _validate_level(Jsat, m)
     T = truncate(Jsat, m)
     heads = T.gens
+    outside = {d: T.sous_escalier_at(d) for d in {h.degree() for h in heads}}
     tails = []
     polys = []
     for i, head in enumerate(heads, start=1):
-        tail = T.sous_escalier_at(head.degree())
+        tail = outside[head.degree()]
         terms = [(head, Fraction(1))]
         terms.extend((g, -ParamPoly.var((i, j)))
                      for j, g in enumerate(tail, start=1))

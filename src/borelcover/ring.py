@@ -16,6 +16,7 @@ package and the order in which tail monomials are indexed.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -505,7 +506,11 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
     """Image of f under the substitution x_i -> sum_j g[i][j] * x_j.
 
     g must be an invertible (n+1) x (n+1) rational matrix; the image of a
-    homogeneous form is homogeneous of the same degree.
+    homogeneous form is homogeneous of the same degree.  With g = G / D for
+    an integer matrix G, the image of x^e under G is memoized as
+    image(x^e / x_i) * (row i of G), i the least index with e_i > 0, in
+    integer coefficients; the images are combined with the coefficients of f
+    (Fractions or ParamPolys) per target monomial and scaled by D^-d once.
     """
     n = f.n
     rows = [list(map(Fraction, row)) for row in g]
@@ -513,27 +518,35 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
     if linalg.det(rows) == 0:
         raise MathDomainError("singular change of coordinates")
-    images = [
-        XPoly(n, [(Monomial.variable(n, j), rows[i][j])
-                  for j in range(n + 1) if rows[i][j]], 1)
-        for i in range(n + 1)
-    ]
-    powers = [{0: XPoly(n, [(Monomial.one(n), Fraction(1))], 0)} for _ in range(n + 1)]
+    D = math.lcm(*(q.denominator for row in rows for q in row))
+    G = [[(j, int(q * D)) for j, q in enumerate(row) if q] for row in rows]
+    images = {(0,) * (n + 1): {(0,) * (n + 1): 1}}
 
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
+    def image(e):
+        img = images.get(e)
+        if img is None:
+            i = next(k for k, x in enumerate(e) if x)
+            img = {}
+            for m, a in image(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
+                for j, b in G[i]:
+                    key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    img[key] = img.get(key, 0) + a * b
+            images[e] = img
+        return img
 
-    out = XPoly.zero(n, f.degree)
+    acc = {}
     for mon, c in f.terms:
-        prod = XPoly(n, [(Monomial.one(n), Fraction(1))], 0)
-        for i, e in enumerate(mon.exps):
-            if e:
-                prod = prod * power(i, e)
-        out = out + prod.scale(c)
-    return out
+        for m, a in image(mon.exps).items():
+            if not a:
+                continue
+            prev = acc.get(m)
+            v = c * a if prev is None else prev + c * a
+            if v:
+                acc[m] = v
+            else:
+                acc.pop(m, None)
+    scale = Fraction(1, D ** f.degree)
+    return XPoly(n, [(Monomial(m), v * scale) for m, v in acc.items()], f.degree)
 
 
 def specialize(f: XPoly, assignment) -> XPoly:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
@@ -18,6 +20,8 @@ from borelcover.hilbert import chart_constants, hilbert_polynomial, \
 from borelcover.marked import marked_set_from_ideal
 from borelcover import linalg
 from borelcover.ring import (XPoly, apply_change_of_coords, parse_xpoly)
+
+from conftest import borel_closure, monomial_ideals
 
 TWO_POINTS = [
     "x0^2 - x0*x2", "x1^2 - x1*x2", "x2^2 - x0*x2 - x1*x2", "x0*x1",
@@ -220,6 +224,29 @@ class TestHilbertPolynomialOfForms:
         transformed = [apply_change_of_coords(f, g_shear) for f in two_quadrics]
         assert hilbert_polynomial_of_forms(transformed) == \
             hilbert_polynomial_of_forms(two_quadrics)
+
+    def test_three_cubics_without_common_zero(self):
+        # Hilbert function 6, 3, 1, 0, 0 from degree 2: interpolating it gave
+        # 1/2*t^2-15/2*t+28; the polynomial is 0
+        forms = [parse_xpoly(s, 2) for s in (
+            "2*x2*x1^2 - x1^2*x0 - x1*x0^2",
+            "-2*x2^2*x1 - 2*x1^3 - 2*x2^2*x0 - x2*x0^2 - x0^3",
+            "-3*x2^3 + x2^2*x1 - x2^2*x0 + x2*x1*x0 + 3*x1*x0^2 - x0^3")]
+        assert hilbert_polynomial_of_forms(forms).is_zero()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(monomial_ideals(max_n=2, max_degree=3),
+                     monomial_ideals(max_n=3, max_degree=2)).map(borel_closure))
+    def test_matches_eliahou_kervaire_on_borel_closures(self, J):
+        assert hilbert_polynomial_of_forms(_monomial_forms(J)) == \
+            hilbert_polynomial(J)
+
+    @settings(deadline=None, max_examples=25)
+    @given(monomial_ideals(max_gens=2, max_degree=2), st.integers(0, 2 ** 32))
+    def test_invariant_under_integer_coordinate_change(self, J, seed):
+        g = random_coordinate_change(J.n, seed, bound=3)
+        transformed = [apply_change_of_coords(f, g) for f in _monomial_forms(J)]
+        assert hilbert_polynomial_of_forms(transformed) == hilbert_polynomial(J)
 
 
 class TestBorelOpenSet:

@@ -149,6 +149,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "gotzmann", "--n", "2", "--hp", "t^2")
         assert code == 3 and err
 
+    def test_zero_hilbert_polynomial(self, capsys):
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":[[3,0,0],[0,3,0],[0,0,3]]}')
+        assert code == 3 and not out and "zero Hilbert polynomial" in err
+
     @pytest.mark.parametrize("bound", ["0", "-2"])
     def test_open_set_rejects_bound_below_one(self, capsys, bound):
         code, out, err = run(capsys, "open-set", "--ideal",

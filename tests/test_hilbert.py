@@ -7,10 +7,11 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               regularity, truncate)
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                ParseError)
-from borelcover.hilbert import (HilbertPoly, ambient_dimension, borel_dim_at,
+from borelcover.hilbert import (HilbertPoly, ambient_dimension, binom,
+                                borel_dim_at, certified_hilbert_polynomial,
                                 chart_constants, gotzmann_number,
                                 gotzmann_representation, hilbert_function,
-                                hilbert_polynomial, interpolate_hilbert_function,
+                                hilbert_polynomial, macaulay_representation,
                                 parse_hilbert_poly)
 from borelcover.ring import Monomial
 
@@ -103,6 +104,62 @@ class TestHilbertPolynomial:
         assert not is_strongly_stable(J)
         assert hilbert_polynomial(J) == parse_hilbert_poly("2*t+1")
 
+    @pytest.mark.parametrize("text", ["x0^3, x1^3, x2^3", "x0^4, x1^4, x2^4"])
+    def test_artinian_complete_intersection_is_zero(self, text):
+        # the Hilbert function 1, 3, 6, 7, 6, 3, 1, 0, ... of (x0^3, x1^3, x2^3)
+        # fits a quadratic on 6, 3, 1, 0, 0; only the zeros count
+        J = MonomialIdeal.parse(text, 2)
+        assert not is_strongly_stable(J)
+        assert hilbert_polynomial(J) == HilbertPoly.zero()
+        assert str(hilbert_polynomial(J)) == "0"
+
+
+def _recording(hf):
+    """hf together with the list of degrees it was asked for."""
+    asked = []
+
+    def wrapped(t):
+        asked.append(t)
+        return hf(t)
+
+    return wrapped, asked
+
+
+class TestCertifiedHilbertPolynomial:
+    def test_macaulay_representation(self):
+        # 7 = C(4,3) + C(3,2), 4 = C(4,4) + C(3,3) + C(2,2) + C(1,1)
+        assert macaulay_representation(7, 3) == [(3, 4), (2, 3)]
+        assert macaulay_representation(4, 4) == [(4, 4), (3, 3), (2, 2), (1, 1)]
+        assert macaulay_representation(0, 5) == []
+        for t in range(1, 6):
+            for c in range(60):
+                rep = macaulay_representation(c, t)
+                assert sum(binom(k, i) for i, k in rep) == c
+                assert all(k1 > k2 for (_, k1), (_, k2) in zip(rep, rep[1:]))
+                assert all(k >= i >= 1 for i, k in rep)
+
+    def test_stops_at_the_first_maximal_growth(self):
+        # S/(x0^3, x1^3, x2^3) first keeps its growth maximal from 7 to 8
+        J = MonomialIdeal.parse("x0^3, x1^3, x2^3", 2)
+        hf, asked = _recording(lambda t: hilbert_function(J, t))
+        assert certified_hilbert_polynomial(hf, 3, 80).is_zero()
+        assert asked == list(range(3, 9))
+
+    def test_cap(self):
+        # N(t) - 1 in P^2 grows past Macaulay's bound at every step, so
+        # nothing is certified and the cap must stop the search
+        with pytest.raises(MathDomainError):
+            certified_hilbert_polynomial(lambda t: ambient_dimension(2, t) - 1, 1, 10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(monomial_ideals())
+    def test_agrees_with_the_function_after_the_certificate(self, J):
+        hf, asked = _recording(lambda t: hilbert_function(J, t))
+        poly = certified_hilbert_polynomial(hf, J.max_gen_degree(), 80)
+        t1 = max(asked) - 1
+        for t in range(t1, t1 + J.n + 3):
+            assert poly.evaluate(t) == hilbert_function(J, t)
+
 
 class TestEliahouKervaire:
     def test_unit_ideal_counts_everything(self):
@@ -117,8 +174,8 @@ class TestEliahouKervaire:
         n = J.n
         for t in range(regularity(J) + n + 3):
             assert ambient_dimension(n, t) - borel_dim_at(J, t) == hilbert_function(J, t)
-        brute = interpolate_hilbert_function(
-            lambda t: hilbert_function(J, t), J.max_gen_degree(), n, 80)
+        brute = certified_hilbert_polynomial(
+            lambda t: hilbert_function(J, t), J.max_gen_degree(), 80)
         assert hilbert_polynomial(J) == brute
 
 

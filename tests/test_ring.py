@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from borelcover import linalg
 from borelcover.errors import MathDomainError, ParseError
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              degrevlex_cmp, degrevlex_key, monomials_of_degree,
@@ -113,6 +116,58 @@ class TestChangeOfCoords:
             inv = [[linalg.det(_minor(g, j, i)) * (-1) ** (i + j) / det
                     for j in range(3)] for i in range(3)]
             assert apply_change_of_coords(apply_change_of_coords(f, g), inv) == f
+
+
+def naive_change_of_coords(f, g):
+    """Substitution by one XPoly product per variable power, as a test oracle."""
+    n = f.n
+    images = [XPoly(n, [(Monomial.variable(n, j), Fraction(g[i][j]))
+                        for j in range(n + 1) if g[i][j]], 1)
+              for i in range(n + 1)]
+    out = XPoly.zero(n, f.degree)
+    for mon, c in f.terms:
+        prod = XPoly(n, [(Monomial.one(n), Fraction(1))], 0)
+        for i, e in enumerate(mon.exps):
+            for _ in range(e):
+                prod = prod * images[i]
+        out = out + prod.scale(c)
+    return out
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def rational_forms(draw, params=False):
+    """(f, g): a form of degree <= 4 in P^n, n <= 3, and an invertible rational g."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                         max_size=6, unique=True))
+    if params:
+        coeff = st.builds(lambda q, i, j: q * ParamPoly.var((i, j)) + 1,
+                          rationals, st.integers(1, 3), st.integers(1, 3))
+    else:
+        coeff = rationals
+    f = XPoly(n, [(m, draw(coeff)) for m in mons], d)
+    g = draw(st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
+                      min_size=n + 1, max_size=n + 1)
+             .filter(lambda rows: linalg.det(rows) != 0))
+    return f, g
+
+
+class TestChangeOfCoordsAgainstNaive:
+    @settings(deadline=None, max_examples=60)
+    @given(rational_forms())
+    def test_rational_forms(self, fg):
+        f, g = fg
+        assert apply_change_of_coords(f, g) == naive_change_of_coords(f, g)
+
+    @settings(deadline=None, max_examples=40)
+    @given(rational_forms(params=True))
+    def test_parametric_forms(self, fg):
+        f, g = fg
+        assert apply_change_of_coords(f, g) == naive_change_of_coords(f, g)
 
 
 def _minor(g, i, j):
