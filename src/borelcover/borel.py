@@ -101,13 +101,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            n = int(data["n"])
-            gens = data["gens"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed ideal JSON: {exc}") from exc
-        if not isinstance(gens, list):
-            raise ParseError("ideal JSON field 'gens' must be a list")
+        n, gens = ideal_json_fields(data)
         out = []
         for g in gens:
             if isinstance(g, str):
@@ -131,14 +125,33 @@ class MonomialIdeal:
         return cls(n, gens)
 
 
+def ideal_json_fields(data):
+    """(n, gens) of ideal JSON {"n": N, "gens": [...]}; ParseError if malformed.
+
+    n must be a non-negative JSON integer: bools, floats and strings are
+    refused rather than coerced.
+    """
+    try:
+        n, gens = data["n"], data["gens"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed ideal JSON: {exc}") from exc
+    if type(n) is not int or n < 0:
+        raise ParseError(f"ideal JSON field 'n' must be a non-negative integer, got {n!r}")
+    if not isinstance(gens, list):
+        raise ParseError("ideal JSON field 'gens' must be a list")
+    return n, gens
+
+
 def monomial_from_exponents(exps, n):
     """Monomial from a JSON exponent vector [e0, ..., en]; ParseError if malformed."""
     if not isinstance(exps, list) or len(exps) != n + 1:
         raise ParseError(f"exponent vector {exps!r} must have length n+1")
-    try:
-        return Monomial(exps)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad exponent vector {exps!r}: {exc}") from exc
+    for e in exps:
+        if type(e) is not int:
+            raise ParseError(f"bad exponent vector {exps!r}: {e!r} is not an integer")
+        if e < 0:
+            raise ParseError(f"bad exponent vector {exps!r}: negative exponent {e}")
+    return Monomial(exps)
 
 
 def _monomial_from_text(text, n):

@@ -15,7 +15,7 @@ import sys
 
 from . import cover, fixtures, oracle
 from .borel import (MonomialIdeal, enumerate_borel_saturated,
-                    monomial_from_exponents, truncate)
+                    ideal_json_fields, monomial_from_exponents, truncate)
 from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
                     pluecker_coordinate, random_coordinate_change)
 from .errors import MathDomainError, ParseError, ScaleCapError
@@ -40,12 +40,7 @@ def _monomial_ideal_arg(text) -> MonomialIdeal:
 
 def _forms_arg(text):
     """Polynomial ideal: {"n": N, "gens": [<exponent vector> | "<poly>", ...]}."""
-    data = _load_json_arg(text)
-    try:
-        n = int(data["n"])
-        raw = data["gens"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ideal JSON: {exc}") from exc
+    n, raw = ideal_json_fields(_load_json_arg(text))
     forms = []
     for item in raw:
         if isinstance(item, str):
@@ -193,7 +188,7 @@ def cmd_check_basis(args):
     sat = _monomial_ideal_arg(args.sat)
     T = truncate(sat, args.m)
     data = _load_json_arg(args.set)
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
         raise ParseError("--set expects a JSON list of polynomial strings")
     G = [parse_xpoly(s, sat.n) for s in data]
     ok = is_marked_basis(G, T)

@@ -20,10 +20,11 @@ truncation levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from operator import add
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     saturate, star_decompose, truncate)
@@ -45,6 +46,10 @@ class MarkedTemplate:
     heads: tuple
     tails: tuple                  # tails[i] lists N(T)_{deg head_i}, descending
     polys: tuple                  # polys[i] = F_{heads[i]}
+    _members: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _stars: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def num_vars(self):
@@ -67,6 +72,23 @@ class MarkedTemplate:
         if i is None:
             raise MathDomainError(f"{head} is not a head of this template")
         return self.polys[i]
+
+    def members_at(self, d):
+        """Exponent tuples of the degree-d monomials of the truncation."""
+        out = self._members.get(d)
+        if out is None:
+            out = frozenset(m.exps for m in self.ideal.monomials_at(d))
+            self._members[d] = out
+        return out
+
+    def star(self, exps):
+        """(eta exponents, head position) of the star decomposition x^eta * head."""
+        out = self._stars.get(exps)
+        if out is None:
+            eta, beta = star_decompose(Monomial(exps), self.ideal)
+            out = (eta.exps, self.head_index[beta])
+            self._stars[exps] = out
+        return out
 
 
 def _validate_saturated_borel(Jsat):
@@ -185,40 +207,56 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
     never a silent truncation.  max_chain records the longest cascade of
     rewrites in which each reduced monomial was introduced by the previous
     step.
+
+    The form is held as a dict from exponent tuples to coefficients while it
+    is rewritten: membership in T is a lookup in the template's per-degree
+    member set, star decompositions are memoized on the template, and each
+    coefficient is updated with the same Fraction / ParamPoly arithmetic as
+    XPoly subtraction, so the result and its coefficient types are those of
+    repeated ``h - c * x^e * F_b``.  One XPoly is built at the end.
     """
     if strategy not in ("largest", "smallest"):
         raise MathDomainError(f"unknown reduction strategy {strategy!r}")
-    T = tpl.ideal
+    if h.n != tpl.ideal.n:
+        raise MathDomainError("form and template live in different ambient rings")
     if step_cap is None:
         step_cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
-    depth = {}
-    for mon, _ in h.terms:
-        if T.contains(mon):
-            depth[mon] = 1
+    pick = min if strategy == "largest" else max
+    members = tpl.members_at(h.degree)
+    acc = {mon.exps: c for mon, c in h.terms}
+    inside = {e for e in acc if e in members}
+    depth = dict.fromkeys(inside, 1)
     steps = 0
     max_chain = 0
-    while True:
-        target = None
-        terms = h.terms if strategy == "largest" else tuple(reversed(h.terms))
-        for mon, coeff in terms:
-            if T.contains(mon):
-                target, c = mon, coeff
-                break
-        if target is None:
-            return ReductionResult(poly=h, steps=steps, max_chain=max_chain)
+    while inside:
+        target = pick(inside)
         steps += 1
         if steps > step_cap:
             raise ReductionCapError(
                 f"reduction exceeded {step_cap} steps; precondition violated")
         level = depth.get(target, 1)
         max_chain = max(max_chain, level)
-        eta, beta = star_decompose(target, T)
-        i = tpl.head_index[beta]
-        h = h - tpl.polys[i].times_monomial(eta).scale(c)
-        for tail in tpl.tails[i]:
-            new_mon = tail * eta
-            if T.contains(new_mon):
-                depth[new_mon] = max(depth.get(new_mon, 0), level + 1)
+        eta, i = tpl.star(target)
+        c = acc.pop(target)
+        inside.discard(target)
+        for g, k in tpl.polys[i].terms:
+            mon = tuple(map(add, g.exps, eta))
+            if mon == target:
+                continue
+            prev = acc.get(mon)
+            v = -(k * c) if prev is None else prev + (-(k * c))
+            if v:
+                acc[mon] = v
+            else:
+                del acc[mon]
+            if mon in members:
+                depth[mon] = max(depth.get(mon, 0), level + 1)
+                if v:
+                    inside.add(mon)
+                else:
+                    inside.discard(mon)
+    poly = XPoly(h.n, [(Monomial(e), c) for e, c in acc.items()], h.degree)
+    return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ Three layers, all immutable and hashable:
 * ``Monomial`` -- an exponent tuple over the ambient variables x_0 < ... < x_n;
 * ``ParamPoly`` -- a sparse polynomial with rational coefficients in the chart
   parameters ``C[i,j]``, kept in a canonical term order so ``==`` and ``hash``
-  agree with mathematical equality;
+  agree with mathematical equality.  Terms are made canonical once at the
+  boundary: ``ParamPoly(...)`` normalises outside input, while ``+``, ``-``
+  and ``*`` merge already canonical operands into a dict, drop zeros and
+  sort once, without normalising every term again;
 * ``XPoly`` -- a homogeneous form in the x-variables whose coefficients are
   either ``Fraction`` scalars or ``ParamPoly`` values.
 
@@ -198,6 +201,13 @@ class ParamPoly:
         self.terms = tuple(sorted(acc.items(), key=_term_sort_key))
 
     @classmethod
+    def _from_canonical(cls, terms):
+        """Wrap terms that are already canonical (merged, nonzero, sorted)."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -235,12 +245,17 @@ class ParamPoly:
         other = _coerce_param(other)
         if other is NotImplemented:
             return NotImplemented
-        return ParamPoly(self.terms + other.terms)
+        acc = dict(self.terms)
+        for cm, c in other.terms:
+            v = acc.pop(cm, 0) + c
+            if v:
+                acc[cm] = v
+        return ParamPoly._from_canonical(tuple(sorted(acc.items(), key=_term_sort_key)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly([(cm, -c) for cm, c in self.terms])
+        return ParamPoly._from_canonical(tuple((cm, -c) for cm, c in self.terms))
 
     def __sub__(self, other):
         other = _coerce_param(other)
@@ -253,7 +268,10 @@ class ParamPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ParamPoly([(cm, c * other) for cm, c in self.terms])
+            if not other:
+                return ParamPoly.zero()
+            return ParamPoly._from_canonical(
+                tuple((cm, c * other) for cm, c in self.terms))
         if not isinstance(other, ParamPoly):
             return NotImplemented
         acc = {}
@@ -261,7 +279,8 @@ class ParamPoly:
             for cm2, c2 in other.terms:
                 cm = _cmon_mul(cm1, cm2)
                 acc[cm] = acc.get(cm, 0) + c1 * c2
-        return ParamPoly(acc.items())
+        return ParamPoly._from_canonical(
+            tuple(sorted(((cm, c) for cm, c in acc.items() if c), key=_term_sort_key)))
 
     __rmul__ = __mul__
 

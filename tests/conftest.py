@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from borelcover.borel import MonomialIdeal, up_moves
 from borelcover.ring import Monomial, parse_xpoly
+
+# Exact arithmetic makes example run times uneven, so no test has a deadline;
+# each property bounds its work through max_examples and its strategies.
+settings.register_profile("borelcover", deadline=None)
+settings.load_profile("borelcover")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, borel_leq,
@@ -44,6 +44,11 @@ class TestMonomialIdeal:
             MonomialIdeal.from_json_dict({"n": 2, "gens": [[1, 2]]})
         with pytest.raises(ParseError):
             MonomialIdeal.from_json_dict({"n": 2, "gens": [[0, -1, 1]]})
+
+    @pytest.mark.parametrize("n", [-1, 1.5, True, "2", None])
+    def test_json_ambient_index_is_a_natural_number(self, n):
+        with pytest.raises(ParseError):
+            MonomialIdeal.from_json_dict({"n": n, "gens": []})
 
     def test_text_parse(self):
         J = MonomialIdeal.parse("(x2^2, x2*x1, x1^3)", 2)
@@ -93,7 +98,6 @@ class TestStability:
                 for u in up_moves(m))
             assert closed == is_strongly_stable(J)
 
-    @settings(deadline=None)
     @given(st.one_of(monomial_ideals(), monomial_ideals().map(borel_closure)))
     def test_matches_degreewise_closure_on_random_ideals(self, J):
         closed = all(J.contains(u)

@@ -234,14 +234,14 @@ class TestHilbertPolynomialOfForms:
             "-3*x2^3 + x2^2*x1 - x2^2*x0 + x2*x1*x0 + 3*x1*x0^2 - x0^3")]
         assert hilbert_polynomial_of_forms(forms).is_zero()
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(st.one_of(monomial_ideals(max_n=2, max_degree=3),
                      monomial_ideals(max_n=3, max_degree=2)).map(borel_closure))
     def test_matches_eliahou_kervaire_on_borel_closures(self, J):
         assert hilbert_polynomial_of_forms(_monomial_forms(J)) == \
             hilbert_polynomial(J)
 
-    @settings(deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(monomial_ideals(max_gens=2, max_degree=2), st.integers(0, 2 ** 32))
     def test_invariant_under_integer_coordinate_change(self, J, seed):
         g = random_coordinate_change(J.n, seed, bound=3)

@@ -168,7 +168,104 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "negative exponent" in err
 
+    @pytest.mark.parametrize("items", ["[1]", '["x2*x1", null]', '[["x2"]]'])
+    def test_check_basis_set_entries_must_be_strings(self, capsys, items):
+        code, out, err = run(capsys, "check-basis", "--sat",
+                             '{"n":2,"gens":[[0,0,1],[0,3,0]]}', "--m", "3",
+                             "--set", items)
+        assert code == 2 and not out and "polynomial strings" in err
+
+    @pytest.mark.parametrize("n", ["-1", "1.5", "true", '"2"'])
+    @pytest.mark.parametrize("command, flag, extra", [
+        ("marked-scheme", "--sat", ("--m", "1")),
+        ("check-basis", "--sat", ("--m", "1", "--set", "[]")),
+        ("open-set", "--ideal", ()),
+    ])
+    def test_ambient_index_must_be_a_natural_number(self, capsys, n, command,
+                                                     flag, extra):
+        ideal = '{"n":%s,"gens":[[0,1],[1,0]]}' % n
+        code, out, err = run(capsys, command, flag, ideal, *extra)
+        assert code == 2 and not out and "'n' must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("exps", ["[0,1.5,0]", "[0,true,0]"])
+    def test_exponents_must_be_integers(self, capsys, exps):
+        code, out, err = run(capsys, "marked-scheme", "--sat",
+                             '{"n":2,"gens":[%s,[0,0,1]]}' % exps, "--m", "1")
+        assert code == 2 and not out and "is not an integer" in err
+
     def test_scale_cap(self, capsys):
         # the large stretch family stays behind the cap flags
         code, _, err = run(capsys, "borel-list", "--n", "3", "--hp", "7*t-5")
         assert code == 4 and err
+
+
+# stdout of `marked-scheme --format json` on two charts, pinned byte for byte;
+# both strategies print the same generators here
+MARKED_SCHEME_GOLDEN = {
+    ('{"n":2,"gens":["x2^2","x2*x1","x1^3"]}', "2"): (
+        '{"bound_count": null, "bound_degree": null, "generators":'
+        ' ["-C[2,1]^2*C[2,2] - C[2,1]^2*C[3,1] - C[1,1]*C[2,2] + C[1,1]*C[3,1]'
+        ' + C[1,2]*C[2,1] - 2*C[2,1]*C[2,3] + C[1,3]",'
+        ' "-C[2,1]*C[2,2]^2 - C[2,1]^2*C[3,2] + C[1,1]*C[3,2] - C[2,2]*C[2,3]'
+        ' - C[2,4]",'
+        ' "-C[2,1]*C[2,2]*C[2,3] - C[2,1]^2*C[3,3] + C[1,1]*C[3,3] +'
+        ' C[1,2]*C[2,3] - C[1,3]*C[2,2] - C[2,1]*C[2,4] - C[2,3]^2 + C[1,4]",'
+        ' "-C[2,1]*C[2,2]*C[2,4] - C[2,1]^2*C[3,4] + C[1,1]*C[3,4] +'
+        ' C[1,2]*C[2,4] - C[1,4]*C[2,2] - C[2,3]*C[2,4]",'
+        ' "C[2,1]*C[2,2]^2 + C[2,1]^2*C[3,2] - C[1,1]*C[3,2] + C[2,2]*C[2,3] +'
+        ' C[2,4]",'
+        ' "2*C[2,1]*C[2,2]*C[3,2] - C[2,2]^2*C[3,1] + C[2,2]^3 - C[1,2]*C[3,2]'
+        ' - C[2,2]*C[3,3] + C[2,3]*C[3,2] - C[3,4]",'
+        ' "C[2,1]*C[2,2]*C[3,3] + C[2,1]*C[2,3]*C[3,2] - C[2,2]*C[2,3]*C[3,1]'
+        ' + C[2,2]^2*C[2,3] - C[1,3]*C[3,2] + C[2,1]*C[3,4] + C[2,2]*C[2,4] -'
+        ' C[2,4]*C[3,1]",'
+        ' "C[2,1]*C[2,2]*C[3,4] + C[2,1]*C[2,4]*C[3,2] - C[2,2]*C[2,4]*C[3,1]'
+        ' + C[2,2]^2*C[2,4] - C[1,4]*C[3,2] + C[2,3]*C[3,4] - C[2,4]*C[3,3]"],'
+        ' "m": 2, "max_chain": 2, "max_degree": 3, "num_vars": 12,'
+        ' "spair_count": 2}'
+        '\n'),
+    ('{"n":2,"gens":["x2","x1^3"]}', "3"): (
+        '{"bound_count": 27, "bound_degree": 2, "generators": ["C[1,1]*C[4,1]'
+        ' - C[2,1]*C[3,1] - C[2,2]*C[6,1] - C[2,3]*C[7,1] + C[1,2]",'
+        ' "C[1,1]*C[4,2] - C[2,1]*C[3,2] - C[2,2]*C[6,2] - C[2,3]*C[7,2] +'
+        ' C[1,3]",'
+        ' "C[1,1]*C[4,3] - C[2,1]*C[3,3] - C[2,2]*C[6,3] - C[2,3]*C[7,3]",'
+        ' "C[2,1]*C[4,1] - C[3,1]^2 - C[3,2]*C[6,1] - C[3,3]*C[7,1] + C[2,2]",'
+        ' "C[2,1]*C[4,2] - C[3,1]*C[3,2] - C[3,2]*C[6,2] - C[3,3]*C[7,2] +'
+        ' C[2,3]",'
+        ' "C[2,1]*C[4,3] - C[3,1]*C[3,3] - C[3,2]*C[6,3] - C[3,3]*C[7,3]",'
+        ' "-C[4,2]*C[6,1] - C[4,3]*C[7,1] + C[3,2]",'
+        ' "C[3,1]*C[4,2] - C[3,2]*C[4,1] - C[4,2]*C[6,2] - C[4,3]*C[7,2] +'
+        ' C[3,3]",'
+        ' "C[3,1]*C[4,3] - C[3,3]*C[4,1] - C[4,2]*C[6,3] - C[4,3]*C[7,3]",'
+        ' "-C[4,1]*C[5,1] + C[2,1] - C[5,2]",'
+        ' "-C[4,2]*C[5,1] + C[2,2] - C[5,3]",'
+        ' "-C[4,3]*C[5,1] + C[2,3]",'
+        ' "-C[3,1]*C[5,1] - C[5,2]*C[6,1] - C[5,3]*C[7,1] + C[1,1]",'
+        ' "-C[3,2]*C[5,1] - C[5,2]*C[6,2] - C[5,3]*C[7,2] + C[1,2]",'
+        ' "-C[3,3]*C[5,1] - C[5,2]*C[6,3] - C[5,3]*C[7,3] + C[1,3]",'
+        ' "-C[4,1]*C[6,1] + C[3,1] - C[6,2]",'
+        ' "-C[4,2]*C[6,1] + C[3,2] - C[6,3]",'
+        ' "-C[4,3]*C[6,1] + C[3,3]",'
+        ' "-C[3,1]*C[6,1] - C[6,1]*C[6,2] - C[6,3]*C[7,1] + C[2,1]",'
+        ' "-C[3,2]*C[6,1] - C[6,2]^2 - C[6,3]*C[7,2] + C[2,2]",'
+        ' "-C[3,3]*C[6,1] - C[6,2]*C[6,3] - C[6,3]*C[7,3] + C[2,3]",'
+        ' "-C[4,1]*C[7,1] + C[6,1] - C[7,2]",'
+        ' "-C[4,2]*C[7,1] + C[6,2] - C[7,3]",'
+        ' "-C[4,3]*C[7,1] + C[6,3]",'
+        ' "-C[3,1]*C[7,1] - C[6,1]*C[7,2] - C[7,1]*C[7,3] + C[5,1]",'
+        ' "-C[3,2]*C[7,1] - C[6,2]*C[7,2] - C[7,2]*C[7,3] + C[5,2]",'
+        ' "-C[3,3]*C[7,1] - C[6,3]*C[7,2] - C[7,3]^2 + C[5,3]"], "m": 3,'
+        ' "max_chain": 1, "max_degree": 2, "num_vars": 21, "spair_count": 9}'
+        '\n'),
+}
+
+
+class TestMarkedSchemeGolden:
+    @pytest.mark.parametrize("strategy", ["largest", "smallest"])
+    @pytest.mark.parametrize("sat, m", list(MARKED_SCHEME_GOLDEN))
+    def test_json_bytes(self, capsys, sat, m, strategy):
+        code, out, err = run(capsys, "marked-scheme", "--sat", sat, "--m", m,
+                             "--format", "json", "--strategy", strategy)
+        assert code == 0 and not err
+        assert out == MARKED_SCHEME_GOLDEN[(sat, m)]

@@ -151,7 +151,7 @@ class TestCertifiedHilbertPolynomial:
         with pytest.raises(MathDomainError):
             certified_hilbert_polynomial(lambda t: ambient_dimension(2, t) - 1, 1, 10)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(monomial_ideals())
     def test_agrees_with_the_function_after_the_certificate(self, J):
         hf, asked = _recording(lambda t: hilbert_function(J, t))
@@ -167,7 +167,6 @@ class TestEliahouKervaire:
         assert [borel_dim_at(one, t) for t in range(4)] == [
             ambient_dimension(3, t) for t in range(4)]
 
-    @settings(deadline=None)
     @given(monomial_ideals().map(borel_closure))
     def test_matches_brute_force(self, J):
         assert is_strongly_stable(J)

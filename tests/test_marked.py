@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_saturated,
-                              regularity, rho, truncate)
+                              regularity, rho, saturate, star_decompose,
+                              truncate)
 from borelcover.errors import MathDomainError, ReductionCapError
 from borelcover.hilbert import chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
@@ -11,7 +13,7 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                specialize_template, template, zero_assignment)
 from borelcover.ring import Monomial, ParamPoly, XPoly, parse_xpoly
 
-from conftest import mono, rational_sampler
+from conftest import borel_closure, mono, monomial_ideals, rational_sampler
 
 
 class TestTemplate:
@@ -115,6 +117,87 @@ class TestReduce:
         pair = ek_spairs(tpl.ideal)[0]
         with pytest.raises(ReductionCapError):
             reduce(spair_polynomial(pair, tpl), tpl, step_cap=1)
+
+
+def reference_reduce(h, tpl, strategy="largest", step_cap=None):
+    """The rewriting loop on whole XPolys: rescan h, reduce, subtract."""
+    T = tpl.ideal
+    if step_cap is None:
+        step_cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
+    depth = {mon: 1 for mon, _ in h.terms if T.contains(mon)}
+    steps = 0
+    max_chain = 0
+    while True:
+        terms = h.terms if strategy == "largest" else tuple(reversed(h.terms))
+        hit = next(((mon, c) for mon, c in terms if T.contains(mon)), None)
+        if hit is None:
+            return h, steps, max_chain
+        target, c = hit
+        steps += 1
+        if steps > step_cap:
+            raise ReductionCapError(f"reduction exceeded {step_cap} steps")
+        level = depth.get(target, 1)
+        max_chain = max(max_chain, level)
+        eta, beta = star_decompose(target, T)
+        i = tpl.head_index[beta]
+        h = h - tpl.polys[i].times_monomial(eta).scale(c)
+        for tail in tpl.tails[i]:
+            new_mon = tail * eta
+            if T.contains(new_mon):
+                depth[new_mon] = max(depth.get(new_mon, 0), level + 1)
+
+
+def _reduction_fingerprint(poly, steps, max_chain):
+    return (str(poly), poly.degree, [type(c) for _, c in poly.terms],
+            steps, max_chain)
+
+
+def assert_reduces_as_reference(h, tpl):
+    for strategy in ("largest", "smallest"):
+        res = reduce(h, tpl, strategy)
+        assert (_reduction_fingerprint(res.poly, res.steps, res.max_chain)
+                == _reduction_fingerprint(*reference_reduce(h, tpl, strategy)))
+
+
+def assert_spairs_reduce_as_reference(sat, m):
+    tpl = template(sat, m)
+    for pair in ek_spairs(tpl.ideal):
+        assert_reduces_as_reference(spair_polynomial(pair, tpl), tpl)
+
+
+REDUCTION_CHARTS = [
+    ("x2, x1^10", 2, 10),
+    ("x3, x2^3", 3, 3),
+    ("x2^2, x2*x1, x1^3", 2, 2),
+    ("x2^2, x2*x1, x1^3", 2, 4),
+    ("x2, x1^3", 2, 2),
+    ("x2, x1^3", 2, 3),
+]
+
+
+class TestReduceAgainstReference:
+    @pytest.mark.parametrize("sat_text, n, m", REDUCTION_CHARTS)
+    def test_fixed_charts(self, sat_text, n, m):
+        assert_spairs_reduce_as_reference(MonomialIdeal.parse(sat_text, n), m)
+
+    @settings(max_examples=20)
+    @given(monomial_ideals(max_gens=2, max_degree=3).map(borel_closure))
+    def test_saturated_borel_closures(self, J):
+        sat = saturate(J)
+        assume(not sat.contains_one())
+        for m in (regularity(sat), regularity(sat) + 1):
+            assert_spairs_reduce_as_reference(sat, m)
+
+    def test_scalar_and_parametric_coefficients(self, j1sat):
+        # a scalar form reduces with Fraction, ParamPoly and mixed sums
+        tpl = template(j1sat, 2)
+        h = parse_xpoly("x2^3 + 2*x2^2*x1 - 1/3*x2*x1^2 + x1^3 + x2*x1*x0", 2)
+        assert_reduces_as_reference(h, tpl)
+
+    def test_wrong_ambient_ring(self, j1sat):
+        tpl = template(j1sat, 2)
+        with pytest.raises(MathDomainError):
+            reduce(parse_xpoly("x3^3", 3), tpl)
 
 
 class TestSchemeEquations:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -157,13 +158,13 @@ def rational_forms(draw, params=False):
 
 
 class TestChangeOfCoordsAgainstNaive:
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(rational_forms())
     def test_rational_forms(self, fg):
         f, g = fg
         assert apply_change_of_coords(f, g) == naive_change_of_coords(f, g)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(rational_forms(params=True))
     def test_parametric_forms(self, fg):
         f, g = fg
@@ -217,6 +218,65 @@ class TestParamPoly:
         p = ParamPoly.var((1, 1))
         with pytest.raises(MathDomainError):
             p.evaluate({})
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def param_polys(draw):
+    """A ParamPoly built by __init__ from a raw term list, zeros and repeats included."""
+    variable = st.tuples(st.integers(1, 2), st.integers(1, 2))
+    multi_index = st.lists(st.tuples(variable, st.integers(0, 2)), max_size=3)
+    raw = draw(st.lists(st.tuples(multi_index, small_rationals), max_size=5))
+    # __init__ takes each multi-index with distinct variables
+    raw = [(dict(cm).items(), c) for cm, c in raw]
+    return ParamPoly(raw)
+
+
+def _naive_product(a, b):
+    terms = []
+    for cm1, c1 in a.terms:
+        for cm2, c2 in b.terms:
+            exps = Counter(dict(cm1))
+            exps.update(dict(cm2))
+            terms.append((exps.items(), c1 * c2))
+    return ParamPoly(terms)
+
+
+def _assert_canonical(p):
+    for cm, c in p.terms:
+        assert type(c) is Fraction and c != 0
+        assert list(cm) == sorted(cm)
+        assert all(e > 0 for _, e in cm)
+        assert len({v for v, _ in cm}) == len(cm)
+    keys = [(-sum(e for _, e in cm), cm) for cm, _ in p.terms]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+class TestParamPolyArithmeticIsCanonical:
+    @settings(max_examples=100)
+    @given(param_polys(), param_polys(),
+           st.one_of(small_rationals, st.integers(-3, 3)))
+    def test_matches_init_on_naive_term_lists(self, a, b, q):
+        neg_b = [(cm, -c) for cm, c in b.terms]
+        expected = [
+            (a + b, ParamPoly(a.terms + b.terms)),
+            (a - b, ParamPoly(list(a.terms) + neg_b)),
+            (-a, ParamPoly([(cm, -c) for cm, c in a.terms])),
+            (a * b, _naive_product(a, b)),
+            (q * a, ParamPoly([(cm, c * q) for cm, c in a.terms])),
+            (a * q, ParamPoly([(cm, c * q) for cm, c in a.terms])),
+            (a + q, ParamPoly(a.terms + (((), Fraction(q)),))),
+        ]
+        for got, want in expected:
+            assert got.terms == want.terms
+            assert got == want and hash(got) == hash(want)
+            _assert_canonical(got)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert not (a + (-a)) and (a + (-a)) == ParamPoly.zero()
+        assert (a - a).terms == ()
 
 
 class TestXPoly:
