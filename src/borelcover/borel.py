@@ -3,9 +3,9 @@
 Covers the combinatorial layer: the Borel partial order by increasing
 elementary moves, the stability test, saturation and regularity of Borel
 ideals, truncations, the invariant rho, the star decomposition of a monomial
-of the ideal, and brute-force enumeration of Borel ideals, both the degree-r
+of the ideal, brute-force enumeration of Borel ideals, both the degree-r
 families inside the Grassmannian and the saturated ones with a prescribed
-Hilbert polynomial.
+Hilbert polynomial, and the one test and order for the charts among them.
 
 Enumeration walks the up-sets of the Borel poset on degree-r monomials, so it
 is intentionally desk-scale; the ambient size and the search tree are capped.
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import MathDomainError, ParseError, ScaleCapError
-from .hilbert import chart_constants, coerce_hilbert_poly
+from .hilbert import ChartConstants, borel_dim_at, chart_constants
 from .ring import Monomial, canonical_key, monomials_of_degree, parse_xpoly
 
 
@@ -392,20 +392,28 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
     return results
 
 
-def enumerate_borel_saturated(n, p, max_ambient=120, max_nodes=2_000_000):
-    """Saturations of the Borel ideals with Hilbert polynomial p, by rising reg.
+def is_borel_chart(J: MonomialIdeal, constants: ChartConstants) -> bool:
+    """Is J, Borel and generated by q(r) monomials of degree r, a chart of Hilb_p?
 
-    Filters the degree-r Borel family by the Gotzmann persistence certificate
-    dim J_{r+1} = q(r+1), then saturates.
+    By Gotzmann persistence it is exactly when dim J_{r+1} = q(r+1), and the
+    Eliahou-Kervaire count gives dim J_{r+1} without listing monomials.
     """
-    p = coerce_hilbert_poly(p)
+    return borel_dim_at(J, constants.r + 1) == constants.s_prime
+
+
+def chart_order(sat: MonomialIdeal):
+    """Chart sort key of a Borel saturation: regularity (top degree), then generators."""
+    return (sat.max_gen_degree(), tuple(canonical_key(g) for g in sat.gens))
+
+
+def enumerate_borel_saturated(n, p, max_ambient=120, max_nodes=2_000_000):
+    """Saturations of the Borel ideals with Hilbert polynomial p, in chart order.
+
+    Keeps the degree-r Borel ideals that pass is_borel_chart and saturates
+    them.  A chart J is the degree->=r part of its saturation, so distinct
+    charts have distinct saturations.
+    """
     c = chart_constants(p, n)
-    out = {}
-    for J in enumerate_borel_in_g(n, c.r, c.s, max_ambient, max_nodes):
-        products = {g * Monomial.variable(n, i) for g in J.gens for i in range(n + 1)}
-        if len(products) == c.s_prime:
-            sat = saturate(J)
-            out[sat] = None
-    sats = list(out)
-    sats.sort(key=lambda S: (regularity(S), tuple(canonical_key(g) for g in S.gens)))
-    return sats
+    charts = [J for J in enumerate_borel_in_g(n, c.r, c.s, max_ambient, max_nodes)
+              if is_borel_chart(J, c)]
+    return sorted((saturate(J) for J in charts), key=chart_order)

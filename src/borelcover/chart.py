@@ -21,7 +21,7 @@ from .borel import BorelChartIdeal, MonomialIdeal, enumerate_borel_saturated
 from .errors import (IterationCapError, MathDomainError, NotInChartError)
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
                       certified_hilbert_polynomial, chart_constants)
-from .ring import Monomial, XPoly, apply_change_of_coords, monomials_of_degree
+from .ring import XPoly, apply_change_of_coords, monomials_of_degree
 
 
 def _common_degree(forms):
@@ -216,21 +216,19 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
     d = _common_degree(forms)
     if d != r:
         raise MathDomainError(f"membership test needs forms of degree {r}, got {d}")
-    rows, _ = coefficient_matrix(forms)
-    if linalg.rank(rows) != constants.s:
+    if dimension_in_degree(forms, r) != constants.s:
         raise MathDomainError(
             f"degree-{r} component has the wrong dimension (expected {constants.s})")
-    n = forms[0].n
-    nxt = [f.times_monomial(Monomial.variable(n, i)) for f in forms
-           for i in range(n + 1)]
-    rows, _ = coefficient_matrix(nxt)
-    got = linalg.rank(rows)
+    got = dimension_in_degree(forms, r + 1)
     if got < constants.s_prime:
         raise MathDomainError("rank below the Macaulay bound; inconsistent input")
     return got == constants.s_prime
 
 
-def hilbert_polynomial_of_forms(gens, max_shift=40) -> HilbertPoly:
+_FORMS_MAX_SHIFT = 40
+
+
+def hilbert_polynomial_of_forms(gens) -> HilbertPoly:
     """Hilbert polynomial of S/(gens), certified by Gotzmann persistence.
 
     The Hilbert function is the corank of the exact span in each degree from
@@ -243,7 +241,7 @@ def hilbert_polynomial_of_forms(gens, max_shift=40) -> HilbertPoly:
     n = gens[0].n
     return certified_hilbert_polynomial(
         lambda t: ambient_dimension(n, t) - dimension_in_degree(gens, t),
-        max(g.degree for g in gens), max_shift)
+        max(g.degree for g in gens), _FORMS_MAX_SHIFT)
 
 
 @dataclass(frozen=True)

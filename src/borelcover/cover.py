@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
-                    saturate)
+from .borel import (BorelChartIdeal, MonomialIdeal, chart_order,
+                    enumerate_borel_in_g, is_borel_chart, saturate)
 from .errors import MathDomainError
 from .hilbert import ChartConstants, chart_constants, coerce_hilbert_poly, \
     hilbert_polynomial
 from .marked import embedding_dimension, naive_minor_count, scheme_equations
-from .ring import canonical_key
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,20 @@ def classify_grassmannian_borel(constants: ChartConstants,
                                 max_ambient=120, max_nodes=2_000_000) -> Classification:
     """Split the Borel ideals of G(s, S_r) into charts and empty loci.
 
-    A Borel ideal generated by s monomials of degree r gives a nonempty chart
-    exactly when its quotient has the target Hilbert polynomial; the others
-    carry the vanishing-hypersurface datum recorded alongside their quotient
-    polynomial.
+    A Borel ideal generated by s monomials of degree r is a nonempty chart
+    exactly when it passes borel.is_borel_chart; charts come in chart order.
+    The others carry the vanishing-hypersurface datum recorded alongside
+    their quotient polynomial, in enumeration order.
     """
     charts = []
     empty = []
     for J in enumerate_borel_in_g(constants.n, constants.r, constants.s,
                                   max_ambient, max_nodes):
-        hp = hilbert_polynomial(J)
-        if hp == constants.p:
+        if is_borel_chart(J, constants):
             charts.append(BorelChartIdeal.from_saturation(saturate(J), constants.r))
         else:
-            empty.append((J, hp))
-    charts.sort(key=lambda c: (c.regularity_sat,
-                               tuple(canonical_key(g) for g in c.saturation.gens)))
-    empty.sort(key=lambda item: tuple(canonical_key(g) for g in item[0].gens))
+            empty.append((J, hilbert_polynomial(J)))
+    charts.sort(key=lambda c: chart_order(c.saturation))
     return Classification(constants=constants, charts=tuple(charts),
                           empty_charts=tuple(empty))
 

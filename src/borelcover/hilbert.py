@@ -9,10 +9,12 @@ The Gotzmann number is extracted from the unique representation
 
 built greedily; r is the number of summands.
 
-Hilbert polynomials come from one of two exact sources: the
-Eliahou-Kervaire count for strongly stable ideals, and otherwise a Hilbert
+Hilbert polynomials come from one of two exact sources: the closed form of
+the Eliahou-Kervaire count for strongly stable ideals, and otherwise a Hilbert
 function certified by Gotzmann persistence (certified_hilbert_polynomial),
-which stops at the first degree of maximal growth in Macaulay's sense.
+which stops at the first degree of maximal growth in Macaulay's sense.  Closed
+forms, such as that one and C(t + c, a), become coordinates through one helper
+by binomial inversion; nothing here solves a linear system.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
+
+_MAX_GOTZMANN_TERMS = 512
+_MONOMIAL_MAX_SHIFT = 80
 
 
 def binom(m, k):
@@ -100,41 +104,33 @@ class HilbertPoly:
         return hash(self.coords)
 
     @classmethod
-    def from_values(cls, points):
-        """Fit the unique polynomial of degree < len(points) through the points.
+    def _from_function(cls, f, d):
+        """The polynomial of degree <= d that agrees with f on the integers.
 
-        Raises MathDomainError if the fit is not integer-valued.
+        C(t+k, k) takes the value 0 at t = -1-i for i < k and (-1)^k C(i, k)
+        for i >= k, so binomial inversion gives the coordinates
+        c_k = sum_{i<=k} (-1)^i C(k, i) f(-1-i) with no linear system.
         """
-        k = len(points)
-        if k == 0:
-            return cls.zero()
-        A = [[Fraction(binom(t + j, j)) for j in range(k)] for t, _ in points]
-        b = [Fraction(v) for _, v in points]
-        sol = linalg.solve(A, b)
-        if any(c.denominator != 1 for c in sol):
-            raise MathDomainError("values do not interpolate an integer-valued polynomial")
-        return cls(int(c) for c in sol)
+        values = [f(-1 - i) for i in range(d + 1)]
+        coords = [sum((-1) ** i * math.comb(k, i) * values[i] for i in range(k + 1))
+                  for k in range(d + 1)]
+        if any(c.denominator != 1 for c in coords):
+            raise MathDomainError("polynomial is not integer-valued")
+        return cls(coords)
 
     @classmethod
     def from_power_coeffs(cls, coeffs):
         """Build from power-basis coefficients [c0, c1, ...] (rationals allowed)."""
         coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            return cls.zero()
-        d = len(coeffs) - 1
-        values = [(t, sum(c * t ** k for k, c in enumerate(coeffs))) for t in range(d + 1)]
-        if any(v.denominator != 1 for _, v in values):
-            raise MathDomainError("polynomial is not integer-valued")
-        return cls.from_values([(t, int(v)) for t, v in values])
+        return cls._from_function(
+            lambda t: sum(c * t ** k for k, c in enumerate(coeffs)), len(coeffs) - 1)
 
     @classmethod
     def binomial_shift(cls, a, c):
         """The polynomial C(t + c, a)."""
         if a < 0:
             raise ValueError("negative binomial degree")
-        return cls.from_values([(t, binom(t + c, a)) for t in range(a + 1)])
+        return cls._from_function(lambda t: binom(t + c, a), a)
 
     def power_coeffs(self):
         """Coefficients in the power basis, as Fractions [c0, c1, ...]."""
@@ -226,7 +222,7 @@ def coerce_hilbert_poly(p) -> HilbertPoly:
 # Gotzmann number and chart constants
 # ---------------------------------------------------------------------------
 
-def gotzmann_representation(p, n, max_terms=512):
+def gotzmann_representation(p, n):
     """The a_i sequence of the unique binomial representation of p."""
     p = coerce_hilbert_poly(p)
     if p.is_zero():
@@ -238,8 +234,9 @@ def gotzmann_representation(p, n, max_terms=512):
     cur = p
     i = 1
     while not cur.is_zero():
-        if i > max_terms:
-            raise ScaleCapError(f"Gotzmann representation exceeds {max_terms} summands")
+        if i > _MAX_GOTZMANN_TERMS:
+            raise ScaleCapError(
+                f"Gotzmann representation exceeds {_MAX_GOTZMANN_TERMS} summands")
         a = cur.degree()
         if cur.leading_coord() < 0:
             raise InadmissiblePolynomialError(
@@ -253,9 +250,9 @@ def gotzmann_representation(p, n, max_terms=512):
     return seq
 
 
-def gotzmann_number(p, n, max_terms=512) -> int:
+def gotzmann_number(p, n) -> int:
     """Number of summands in the binomial representation of p for P^n."""
-    return len(gotzmann_representation(p, n, max_terms))
+    return len(gotzmann_representation(p, n))
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,7 @@ def certified_hilbert_polynomial(hf, t0, max_shift) -> HilbertPoly:
     is reached, Gotzmann's persistence theorem gives HF(t+s) =
     sum C(k_i + s, i + s) for every s >= 0, so the Hilbert polynomial is
     sum_i C(u + k_i - t, k_i - i).  Each value of hf is computed once; at
-    most max_shift degrees are tried before MathDomainError.
+    most max_shift degrees are tried before ScaleCapError.
     """
     t = max(t0, 1)
     cur = hf(t)
@@ -361,16 +358,16 @@ def certified_hilbert_polynomial(hf, t0, max_shift) -> HilbertPoly:
             return sum((HilbertPoly.binomial_shift(k - i, k - t) for i, k in rep),
                        HilbertPoly.zero())
         t, cur = t + 1, nxt
-    raise MathDomainError(
+    raise ScaleCapError(
         f"Hilbert function reached no maximal growth within {max_shift} degrees")
 
 
-def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
+def hilbert_polynomial(J) -> HilbertPoly:
     """Hilbert polynomial of S/J for a proper monomial ideal J.
 
-    For a strongly stable J the Eliahou-Kervaire count of dim J_t is a
-    polynomial in t from the largest generator degree t0 on, so n+1 values
-    from t0 determine it exactly.  Any other monomial ideal goes through
+    For a strongly stable J it is the closed form of the Eliahou-Kervaire
+    count, C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), a
+    polynomial of degree <= n.  Any other monomial ideal goes through
     certified_hilbert_polynomial on the brute-force Hilbert function.
     """
     from .borel import is_strongly_stable  # borel imports this module
@@ -378,10 +375,11 @@ def hilbert_polynomial(J, max_shift=80) -> HilbertPoly:
     n = J.n
     if J.contains_one():
         raise MathDomainError("Hilbert polynomial of the unit ideal")
-    t0 = max((g.degree() for g in J.gens), default=0)
     if is_strongly_stable(J):
-        return HilbertPoly.from_values(
-            [(t, ambient_dimension(n, t) - borel_dim_at(J, t))
-             for t in range(t0, t0 + n + 1)])
+        return HilbertPoly._from_function(
+            lambda t: binom(t + n, n) - sum(
+                binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens),
+            n)
+    t0 = max((g.degree() for g in J.gens), default=0)
     return certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
-                                        t0, max_shift)
+                                        t0, _MONOMIAL_MAX_SHIFT)

@@ -113,12 +113,3 @@ def rref(rows):
             break
     return M, pivots
 
-
-def solve(A, b):
-    """Solve A x = b for square nonsingular A; raises on singular input."""
-    m = len(A)
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    R, pivots = rref(aug)
-    if pivots != list(range(m)):
-        raise MathDomainError("singular linear system")
-    return [R[i][m] for i in range(m)]

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, borel_leq,
                               enumerate_borel_in_g, enumerate_borel_saturated,
-                              is_m_truncation, is_strongly_stable, regularity,
+                              is_borel_chart, is_m_truncation,
+                              is_strongly_stable, regularity,
                               rho, saturate, saturate_any, star_decompose,
                               truncate, up_moves)
 from borelcover.errors import MathDomainError, ParseError, ScaleCapError
@@ -253,6 +254,16 @@ class TestEnumerateSaturated:
                 assert is_strongly_stable(sat)
                 assert saturate(sat) == sat
                 assert hilbert_polynomial(sat) == p
+
+
+class TestIsBorelChart:
+    @pytest.mark.parametrize("n, p", [
+        (2, "4"), (2, "7"), (2, "10"), (3, "3*t"), (3, "2*t+2"), (3, "3*t+1"),
+        (3, "3*t+2"), (3, "2*t+4"), (4, "3*t"), (4, "2*t+1")])
+    def test_agrees_with_the_hilbert_polynomial(self, n, p):
+        c = chart_constants(p, n)
+        for J in enumerate_borel_in_g(n, c.r, c.s):
+            assert is_borel_chart(J, c) == (hilbert_polynomial(J) == c.p)
 
 
 class TestStructuralProperties:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -269,3 +270,54 @@ class TestMarkedSchemeGolden:
                              "--format", "json", "--strategy", strategy)
         assert code == 0 and not err
         assert out == MARKED_SCHEME_GOLDEN[(sat, m)]
+
+
+# sha256 of stdout of each README command-line example (and of the full
+# classification of 4t in P^3, which prints every empty locus's quotient
+# polynomial), pinned so that refactors keep every output byte for byte
+README_GOLDEN = [
+    (("gotzmann", "--n", "3", "--hp", "4*t"),
+     "22daf259873f59bad8a12f72080446f81ff528f4a9a6c7bfd8dd30be167a3dae"),
+    (("borel-list", "--n", "2", "--hp", "7"),
+     "73faadf0ce107ffd58513a206436efb9ca1b61fba1355754b963a2f103e47668"),
+    (("borel-classify", "--n", "3", "--hp", "3*t"),
+     "0f252e032ba34449003659108d2858a0053f659f2863b6bb73f72051a26c1ab2"),
+    (("open-set", "--ideal", '{"n":2,"gens":["x2^2","x1^2"]}', "--seed", "1",
+      "--json"),
+     "6c026b6b2b3204a2a167933885cf6fd01abcee71cbbc3e653d3f81e4d0ca2b56"),
+    (("chart-form", "--ideal", '{"n":2,"gens":["x2^2","x2^2+2*x2*x1+x1^2"]}',
+      "--chart", '{"n":2,"gens":[[0,0,2],[0,1,1]]}'),
+     "a988eb9e0e320b08ee303cc512c869bb59c8fa9867818086ce0d982716cab7c1"),
+    (("pluecker", "--ideal", '{"n":2,"gens":["x2^2","x2*x1"]}',
+      "--chart", '{"n":2,"gens":[[0,0,2],[0,1,1]]}'),
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    (("marked-scheme", "--sat", '{"n":2,"gens":[[0,0,2],[0,1,1],[0,3,0]]}',
+      "--m", "2"),
+     "5c5ece7cd0f6479ac1f8bcbbfcf982e10c8f528334f377199780c46d2007c56a"),
+    (("check-basis", "--sat", '{"n":2,"gens":[[0,0,1],[0,2,0]]}', "--m", "1",
+      "--set", '["x2 + 2*x1 - x0", "x1^2 - x1*x0"]'),
+     "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    (("borel-classify", "--n", "3", "--hp", "4*t", "--json"),
+     "68bbe8d66cb3ec0d31461e577a6997f953e88ce0710ec0c13c81dd8a36a2a776"),
+]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, digest", README_GOLDEN,
+                             ids=[argv[0] for argv, _ in README_GOLDEN])
+    def test_stdout_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err
+        assert _sha256(out.encode()) == digest
+
+    def test_atlas_file_bytes(self, capsys, tmp_path):
+        path = tmp_path / "atlas.json"
+        code, _, err = run(capsys, "atlas", "--n", "2", "--hp", "4",
+                           "--with-equations", "--m", "rho", "--out", str(path))
+        assert code == 0 and not err
+        assert _sha256(path.read_bytes()) == \
+            "e75fb631584f408011ecd77a3c6240ac5676f3bd58103d38296e6aa4a56b2a82"

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borelcover import hilbert
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               enumerate_borel_saturated, is_strongly_stable,
                               regularity, truncate)
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
-                               ParseError)
+                               ParseError, ScaleCapError)
 from borelcover.hilbert import (HilbertPoly, ambient_dimension, binom,
                                 borel_dim_at, certified_hilbert_polynomial,
                                 chart_constants, gotzmann_number,
@@ -41,6 +42,21 @@ class TestHilbertPoly:
             parse_hilbert_poly("t + bogus")
         with pytest.raises(ParseError):
             parse_hilbert_poly("")
+
+    def test_rational_coefficients_must_give_integer_values(self):
+        with pytest.raises(ParseError, match="^polynomial is not integer-valued$"):
+            parse_hilbert_poly("1/2*t")
+        p = parse_hilbert_poly("1/2*t^2+1/2*t")
+        assert p == HilbertPoly.binomial_shift(2, 1)  # C(t+1, 2)
+
+    @given(st.integers(0, 6), st.integers(-10, 12), st.integers(-15, 15))
+    def test_binomial_shift_is_the_binomial(self, a, c, t):
+        assert HilbertPoly.binomial_shift(a, c).evaluate(t) == binom(t + c, a)
+
+    @given(st.lists(st.integers(-50, 50), max_size=5))
+    def test_power_coeffs_round_trip(self, coords):
+        p = HilbertPoly(coords)
+        assert HilbertPoly.from_power_coeffs(p.power_coeffs()) == p
 
     def test_arithmetic(self):
         p, q = parse_hilbert_poly("2*t+3"), parse_hilbert_poly("t+1")
@@ -148,7 +164,7 @@ class TestCertifiedHilbertPolynomial:
     def test_cap(self):
         # N(t) - 1 in P^2 grows past Macaulay's bound at every step, so
         # nothing is certified and the cap must stop the search
-        with pytest.raises(MathDomainError):
+        with pytest.raises(ScaleCapError):
             certified_hilbert_polynomial(lambda t: ambient_dimension(2, t) - 1, 1, 10)
 
     @settings(max_examples=60)
