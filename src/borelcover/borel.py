@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import ChartConstants, borel_dim_at, chart_constants
@@ -182,25 +183,15 @@ def down_moves(mon):
 
 
 def borel_leq(a: Monomial, b: Monomial) -> bool:
-    """Is b >= a in the Borel partial order (b reachable by increasing moves)?"""
+    """Is b >= a in the Borel partial order (b reachable by increasing moves)?
+
+    Exactly when every top partial sum of b's exponents is at least a's.
+    """
     a._check_ambient(b)
     if a.degree() != b.degree():
         raise MathDomainError("Borel order compares only monomials of equal degree")
-    if a == b:
-        return True
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for u in up_moves(m):
-                if u == b:
-                    return True
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return False
+    return all(sb >= sa for sa, sb in zip(accumulate(reversed(a.exps)),
+                                          accumulate(reversed(b.exps))))
 
 
 def is_strongly_stable(J: MonomialIdeal) -> bool:

@@ -1,13 +1,13 @@
 """Grassmannian charts via exact linear algebra.
 
 Coefficient matrices of linear systems of forms, Plucker coordinates of a
-monomial chart (maximal minors by fraction-free determinants), marked slices
-and the chart form of an ideal (reduced row echelon against the head columns
-of a monomial ideal), Gaussian initial monomials, the Hilbert-scheme
-membership test at the Gotzmann level, the Hilbert polynomial of a system
-of forms (certified by Gotzmann persistence from exact ranks), and the
-seeded random-coordinate search that locates an arbitrary ideal in a Borel
-chart.
+monomial chart (maximal minors), marked slices and the chart form of an
+ideal (reduced row echelon against the head columns of a monomial ideal),
+Gaussian initial monomials, the Hilbert-scheme membership test at the
+Gotzmann level, the Hilbert polynomial of a system of forms (certified by
+Gotzmann persistence from exact ranks), and the seeded random-coordinate
+search that locates an arbitrary ideal in a Borel chart.  Ranks, minors and
+echelon forms all come from the one sparse elimination in ``linalg``.
 """
 
 from __future__ import annotations

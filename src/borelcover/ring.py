@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from . import linalg
-from .errors import MathDomainError, ParseError
+from .errors import MathDomainError, ParseError, ScaleCapError
 
 
 class Monomial:
@@ -649,17 +649,25 @@ class _RawTerms:
     def neg(self):
         return _RawTerms([(k, -v) for k, v in self.d.items()])
 
-    def pow(self, e):
-        out = _RawTerms.const(1)
-        for _ in range(e):
-            out = out.mul(self)
-        return out
+
+# Caps on the work of one parse: the exponent after '^', and the number of
+# term products that expanding the expression forms.
+_MAX_PARSE_EXPONENT = 1000
+_MAX_PARSE_PRODUCTS = 100_000
 
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += len(a.d) * len(b.d)
+        if self.products > _MAX_PARSE_PRODUCTS:
+            raise ScaleCapError(f"expanding the expression needs more than "
+                                f"{_MAX_PARSE_PRODUCTS} term products")
+        return a.mul(b)
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -689,11 +697,9 @@ class _Parser:
             nxt = self.peek()
             if nxt == "*":
                 self.next()
-                total = total.mul(self.parse_power())
-            elif nxt in ("num", "x", "C", "("):
-                total = total.mul(self.parse_power())
-            else:
+            elif nxt not in ("num", "x", "C", "("):
                 return total
+            total = self.mul(total, self.parse_power())
 
     def parse_power(self):
         base = self.parse_atom()
@@ -702,7 +708,13 @@ class _Parser:
             if self.peek() != "num":
                 raise ParseError("expected integer exponent after '^'")
             _, e = self.next()
-            base = base.pow(e)
+            if e > _MAX_PARSE_EXPONENT:
+                raise ScaleCapError(
+                    f"exponent {e} exceeds the cap {_MAX_PARSE_EXPONENT}")
+            power = _RawTerms.const(1)
+            for _ in range(e):
+                power = self.mul(power, base)
+            return power
         return base
 
     def parse_atom(self):

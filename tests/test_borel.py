@@ -80,6 +80,25 @@ class TestBorelOrder:
             for a, b in itertools.product(mons, mons):
                 assert borel_leq(a, b) == borel_leq_partial_sums(a, b)
 
+    @pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_matches_breadth_first_search(self, n, d):
+        # independent of the criterion: b is reachable from a by increasing moves
+        mons = monomials_of_degree(n, d)
+        for a, b in itertools.product(mons, mons):
+            assert borel_leq(a, b) == _reachable_by_up_moves(a, b)
+
+
+def _reachable_by_up_moves(a, b):
+    """Breadth-first search over increasing elementary moves from a to b."""
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        if b in frontier:
+            return True
+        frontier = [u for m in frontier for u in up_moves(m) if u not in seen]
+        seen.update(frontier)
+    return False
+
 
 class TestStability:
     def test_reference_cases(self, j1sat):

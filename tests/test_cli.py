@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -198,6 +199,18 @@ class TestExitCodes:
         # the large stretch family stays behind the cap flags
         code, _, err = run(capsys, "borel-list", "--n", "3", "--hp", "7*t-5")
         assert code == 4 and err
+
+    @pytest.mark.parametrize("gens, message", [
+        ('["x2^100000000","x1"]', "exponent 100000000 exceeds the cap"),
+        ('["(x2+x1+x0)^200"]', "term products"),
+    ])
+    def test_parse_work_is_capped(self, capsys, gens, message):
+        # parsing alone used to run for minutes on these
+        start = time.perf_counter()
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":%s}' % gens)
+        assert code == 4 and not out and message in err
+        assert time.perf_counter() - start < 10
 
 
 # stdout of `marked-scheme --format json` on two charts, pinned byte for byte;
