@@ -1,18 +1,24 @@
 """Desk-scale exact ideal engine over the parameter ring Q[C].
 
-Test-support only: a minimal Buchberger normal-form/Groebner routine, ideal
+Test-support only: a Buchberger Groebner routine, normal forms, ideal
 equality, and greedy linear elimination.  The main pipeline never calls into
 this module; it exists to certify its output.  Hard scale caps keep it honest
 about what it can do.
+
+Inside one call a polynomial is a dict from exponent tuples over the
+collected variables to Fractions.  The order key of each monomial is computed
+once and memoized, basis elements are kept monic with their leading exponent
+cached, and every reduction goes through `_reduce`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import MathDomainError, ScaleCapError
-from .ring import ParamPoly, _cmon_degree, _cmon_mul
+from .ring import ParamPoly
 
 DEFAULT_MAX_VARS = 16
 DEFAULT_MAX_PAIRS = 50_000
@@ -65,70 +71,101 @@ def make_order(variables, kind="degrevlex", block=()):
     raise MathDomainError(f"unknown term order {kind!r}")
 
 
-def leading_term(p: ParamPoly, key):
-    if not p:
-        raise MathDomainError("zero polynomial has no leading term")
-    return max(p.terms, key=lambda t: key(t[0]))
+class _Ring(dict):
+    """Exponent tuples over fixed variables; maps each to its memoized key."""
+
+    def __init__(self, variables, key):
+        super().__init__()
+        self.variables = variables
+        self.pos = {v: i for i, v in enumerate(variables)}
+        self.key = key
+
+    def __missing__(self, e):
+        k = self[e] = self.key(tuple((v, x) for v, x in zip(self.variables, e) if x))
+        return k
+
+    def from_param(self, p):
+        pos, n = self.pos, len(self.variables)
+        out = {}
+        for cm, c in p.terms:
+            e = [0] * n
+            for v, x in cm:
+                e[pos[v]] = x
+            out[tuple(e)] = c
+        return out
+
+    def to_param(self, f):
+        return ParamPoly(
+            [(tuple((v, x) for v, x in zip(self.variables, e) if x), c)
+             for e, c in f.items()])
+
+    def monic(self, f):
+        """(leading exponent, f divided by its leading coefficient)."""
+        lead = max(f, key=self.__getitem__)
+        inv = 1 / f[lead]
+        return lead, {e: c * inv for e, c in f.items()}
 
 
-def _cmon_divides(a, b):
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
+def _divides(a, b):
+    return all(map(le, a, b))
 
 
-def _cmon_div(a, b):
-    db = dict(b)
-    out = []
-    for v, e in a:
-        q = e - db.pop(v, 0)
-        if q < 0:
-            raise MathDomainError("inexact monomial division")
-        if q:
-            out.append((v, q))
-    if any(e > 0 for e in db.values()):
-        raise MathDomainError("inexact monomial division")
-    return tuple(sorted(out))
+def _lcm(a, b):
+    return tuple(map(max, a, b))
 
 
-def _cmon_lcm(a, b):
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = max(acc.get(v, 0), e)
-    return tuple(sorted(acc.items()))
+def _sub_multiple(work, c, shift, g):
+    """work -= c * x^shift * g, in place."""
+    for e, d in g.items():
+        m = tuple(map(add, e, shift))
+        v = work.get(m, 0) - c * d
+        if v:
+            work[m] = v
+        else:
+            del work[m]
+
+
+def _reduce(f, reducers, ring):
+    """Fully reduced remainder of f against (lead, monic poly) reducers.
+
+    Each step divides the leading term of what is left by the first reducer
+    in listed order whose leading exponent divides it.
+    """
+    work = dict(f)
+    rem = {}
+    sort_key = ring.__getitem__
+    while work:
+        m = max(work, key=sort_key)
+        for lead, g in reducers:
+            if _divides(lead, m):
+                _sub_multiple(work, work[m], tuple(map(sub, m, lead)), g)
+                break
+        else:
+            rem[m] = work.pop(m)
+    return rem
 
 
 def normal_form(p: ParamPoly, basis, key) -> ParamPoly:
     """Fully reduced remainder of p against the marked leading terms of basis."""
-    lts = [(leading_term(b, key), b) for b in basis if b]
-    remainder = ParamPoly.zero()
-    work = p
-    while work:
-        cm, c = leading_term(work, key)
-        hit = next(((lcm_, lc, b) for (lcm_, lc), b in lts if _cmon_divides(lcm_, cm)), None)
-        if hit is None:
-            remainder = remainder + ParamPoly([(cm, c)])
-            work = work - ParamPoly([(cm, c)])
-        else:
-            lt_mon, lt_coeff, b = hit
-            factor = ParamPoly([(_cmon_div(cm, lt_mon), c / lt_coeff)])
-            work = work - factor * b
-    return remainder
-
-
-def _s_polynomial(f, g, key):
-    (mf, cf) = leading_term(f, key)
-    (mg, cg) = leading_term(g, key)
-    l = _cmon_lcm(mf, mg)
-    return (ParamPoly([(_cmon_div(l, mf), Fraction(1, 1) / cf)]) * f
-            - ParamPoly([(_cmon_div(l, mg), Fraction(1, 1) / cg)]) * g)
+    basis = [b for b in basis if b]
+    ring = _Ring(_collect_vars([p, *basis]), key)
+    reducers = [ring.monic(ring.from_param(b)) for b in basis]
+    return ring.to_param(_reduce(ring.from_param(p), reducers, ring))
 
 
 def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
                    max_pairs=DEFAULT_MAX_PAIRS):
-    """Reduced Groebner basis by plain Buchberger with the normal strategy.
+    """Reduced Groebner basis by Buchberger with the normal strategy.
 
-    Pairs with coprime leading terms are skipped (Buchberger's first
-    criterion); no other shortcuts.  Raises ScaleCapError beyond the caps.
+    Pending S-pairs sit in a heap keyed by (lcm total degree, insertion
+    count).  Each new basis element passes through the Gebauer-Moeller
+    update (Becker-Weispfenning, Groebner Bases, 1993, UPDATE): of the new
+    pairs it keeps only those whose lcm no other new pair's lcm divides,
+    minus pairs with coprime leading terms; it drops the pending pairs that
+    the new leading term settles; and it retires basis elements whose
+    leading term the new one divides.  Raises ScaleCapError beyond the caps;
+    `max_pairs` counts the pairs taken from the heap.  The result is monic
+    and sorted by leading term, smallest first.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -137,55 +174,72 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     if len(variables) > max_vars:
         raise ScaleCapError(
             f"{len(variables)} parameters exceed the oracle cap {max_vars}")
-    key = make_order(variables, order, block)
+    ring = _Ring(variables, make_order(variables, order, block))
 
-    basis = []
+    polys = []     # every element ever added: (lead, monic poly)
+    active = []    # indices of the current basis, in insertion order
+    pending = {}   # (i, j) -> lcm of the leading exponents, i < j
+    heap = []
+    counter = 0
+
+    def add(f):
+        """Append f made monic, then apply the Gebauer-Moeller update."""
+        nonlocal active, counter
+        polys.append(ring.monic(f))
+        h, lh = len(polys) - 1, polys[-1][0]
+        new = [(g, _lcm(polys[g][0], lh)) for g in active]
+        kept = []
+        for k, (g, l) in enumerate(new):
+            coprime = sum(l) == sum(lh) + sum(polys[g][0])
+            if coprime or not (any(_divides(l2, l) for _, l2 in new[k + 1:])
+                               or any(_divides(l2, l) for _, l2, _ in kept)):
+                kept.append((g, l, coprime))
+        for (i, j), l in list(pending.items()):
+            if (_divides(lh, l) and _lcm(polys[i][0], lh) != l
+                    and _lcm(polys[j][0], lh) != l):
+                del pending[(i, j)]
+        for g, l, coprime in kept:
+            if not coprime:
+                pending[(g, h)] = l
+                heapq.heappush(heap, (sum(l), counter, g, h))
+                counter += 1
+        active = [g for g in active if not _divides(lh, polys[g][0])] + [h]
+
     for g in gens:
-        nf = normal_form(g, basis, key)
+        nf = _reduce(ring.from_param(g), [polys[k] for k in active], ring)
         if nf:
-            _, lc = leading_term(nf, key)
-            basis.append(nf * (Fraction(1) / lc))
+            add(nf)
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     processed = 0
-    while pairs:
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        l = pending.pop((i, j), None)
+        if l is None:
+            continue  # dropped by a later update
         processed += 1
         if processed > max_pairs:
             raise ScaleCapError(f"Buchberger exceeded {max_pairs} S-pairs")
-        # normal strategy: pick the pair with the lowest lcm degree
-        best = min(range(len(pairs)), key=lambda k: _cmon_degree(_cmon_lcm(
-            leading_term(basis[pairs[k][0]], key)[0],
-            leading_term(basis[pairs[k][1]], key)[0])))
-        i, j = pairs.pop(best)
-        lt_i = leading_term(basis[i], key)[0]
-        lt_j = leading_term(basis[j], key)[0]
-        if _cmon_mul(lt_i, lt_j) == _cmon_lcm(lt_i, lt_j):
-            continue  # coprime leading terms reduce to zero
-        nf = normal_form(_s_polynomial(basis[i], basis[j], key), basis, key)
+        (lead_i, f_i), (lead_j, f_j) = polys[i], polys[j]
+        s = {}  # x^(l - lead_i) * f_i - x^(l - lead_j) * f_j
+        _sub_multiple(s, -1, tuple(map(sub, l, lead_i)), f_i)
+        _sub_multiple(s, 1, tuple(map(sub, l, lead_j)), f_j)
+        nf = _reduce(s, [polys[k] for k in active], ring)
         if nf:
-            _, lc = leading_term(nf, key)
-            basis.append(nf * (Fraction(1) / lc))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            add(nf)
 
-    # minimalize leading terms, then reduce every tail
-    basis.sort(key=lambda b: key(leading_term(b, key)[0]))
-    minimal = []
-    for b in basis:
-        lt_b = leading_term(b, key)[0]
-        if not any(_cmon_divides(leading_term(m, key)[0], lt_b) for m in minimal):
-            minimal.append(b)
-    reduced = []
-    for i, b in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        nf = normal_form(b, others, key)
-        _, lc = leading_term(nf, key)
-        reduced.append(nf * (Fraction(1) / lc))
-    return reduced
+    # the active leading terms are minimal; reduce every tail
+    basis = sorted((polys[k] for k in active), key=lambda lp: ring[lp[0]])
+    return [ring.to_param(_reduce(f, basis[:k] + basis[k + 1:], ring))
+            for k, (_, f) in enumerate(basis)]
 
 
 def ideal_equal(A, B, order="degrevlex", max_vars=DEFAULT_MAX_VARS,
                 max_pairs=DEFAULT_MAX_PAIRS) -> bool:
-    """Do two generator lists generate the same ideal of Q[C]?"""
+    """Do two generator lists generate the same ideal of Q[C]?
+
+    Reduced Groebner bases are unique, monic and sorted by leading term, so
+    the ideals are equal exactly when their reduced bases are.
+    """
     A = [a for a in A if a]
     B = [b for b in B if b]
     if not A or not B:
@@ -194,11 +248,8 @@ def ideal_equal(A, B, order="degrevlex", max_vars=DEFAULT_MAX_VARS,
     if len(variables) > max_vars:
         raise ScaleCapError(
             f"{len(variables)} parameters exceed the oracle cap {max_vars}")
-    key = make_order(variables, order)
-    gb_a = groebner_basis(A, order, max_vars=max_vars, max_pairs=max_pairs)
-    gb_b = groebner_basis(B, order, max_vars=max_vars, max_pairs=max_pairs)
-    return (all(not normal_form(a, gb_b, key) for a in A)
-            and all(not normal_form(b, gb_a, key) for b in B))
+    return (groebner_basis(A, order, max_vars=max_vars, max_pairs=max_pairs)
+            == groebner_basis(B, order, max_vars=max_vars, max_pairs=max_pairs))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ package and the order in which tail monomials are indexed.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -521,24 +522,39 @@ def _format_xterm(mon, coeff):
     return sign, f"{q}*{mon_str}"
 
 
+_COORDS_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_COORDS_MEMO_SIZE)
+def _integer_coords(rows):
+    """(D, G) with g = G / D for invertible rational rows, G as sparse rows.
+
+    Memoized per distinct g, so a basis of forms costs one determinant; a
+    singular g raises on every call, since exceptions are not cached.
+    """
+    if linalg.det([list(row) for row in rows]) == 0:
+        raise MathDomainError("singular change of coordinates")
+    D = math.lcm(*(q.denominator for row in rows for q in row))
+    return D, tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
+                    for row in rows)
+
+
 def apply_change_of_coords(f: XPoly, g) -> XPoly:
     """Image of f under the substitution x_i -> sum_j g[i][j] * x_j.
 
     g must be an invertible (n+1) x (n+1) rational matrix; the image of a
     homogeneous form is homogeneous of the same degree.  With g = G / D for
-    an integer matrix G, the image of x^e under G is memoized as
+    an integer matrix G (checked and built once per distinct g by
+    `_integer_coords`), the image of x^e under G is memoized as
     image(x^e / x_i) * (row i of G), i the least index with e_i > 0, in
     integer coefficients; the images are combined with the coefficients of f
     (Fractions or ParamPolys) per target monomial and scaled by D^-d once.
     """
     n = f.n
-    rows = [list(map(Fraction, row)) for row in g]
+    rows = tuple(tuple(map(Fraction, row)) for row in g)
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
-    if linalg.det(rows) == 0:
-        raise MathDomainError("singular change of coordinates")
-    D = math.lcm(*(q.denominator for row in rows for q in row))
-    G = [[(j, int(q * D)) for j, q in enumerate(row) if q] for row in rows]
+    D, G = _integer_coords(rows)
     images = {(0,) * (n + 1): {(0,) * (n + 1): 1}}
 
     def image(e):

@@ -141,6 +141,17 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "no-such-fixture")
         assert code == 2
 
+    # sha256 of stdout of every certificate, as text and as JSON
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "dac0af8f525fa040d55dd20b2f9ccf32cbe1d55e739aec6124f4e8d8a779af91"),
+        (("--json",),
+         "d20df1cdab525f4ed4efb46cad93a95a542f160f492fc2ec08813e1205ba4d5f"),
+    ], ids=["text", "json"])
+    def test_all_stdout_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, "certify", "all", *argv)
+        assert code == 0 and not err
+        assert _sha256(out.encode()) == digest
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):

@@ -1,9 +1,18 @@
-import pytest
+import functools
+from fractions import Fraction
 
-from borelcover.errors import ScaleCapError
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from borelcover.borel import MonomialIdeal, enumerate_borel_saturated
+from borelcover.errors import MathDomainError, ScaleCapError
+from borelcover.fixtures import A8_CHART, reference_equations, saturation_ideal
+from borelcover.hilbert import parse_hilbert_poly
+from borelcover.marked import scheme_equations
 from borelcover.oracle import (greedy_linear_eliminate, groebner_basis,
                                ideal_equal, make_order, normal_form)
-from borelcover.ring import ParamPoly
+from borelcover.ring import ParamPoly, _cmon_degree, _cmon_mul, parse_parampoly
 
 from conftest import rational_sampler
 
@@ -103,3 +112,235 @@ class TestGreedyElimination:
         for _ in range(5):
             point = res.lift_point({v: draw() for v in free})
             assert all(g.evaluate(point) == 0 for g in gens)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles for the oracle itself
+# ---------------------------------------------------------------------------
+
+def _variables(polys):
+    return sorted({v for p in polys for v in p.variables()})
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_reduced_basis(polys):
+    """Reduced grevlex basis over QQ from sympy, monic, as a set of ParamPolys.
+
+    Cached on the tuple of generators: the chart family repeats its charts.
+    """
+    sympy = pytest.importorskip("sympy")
+    variables = _variables(polys)
+    symbols = {v: sympy.Symbol(f"C_{v[0]}_{v[1]}") for v in variables}
+    gens = [symbols[v] for v in reversed(variables)]  # later key = larger
+    exprs = [sum((sympy.Rational(c.numerator, c.denominator)
+                  * sympy.Mul(*(symbols[v] ** e for v, e in cm))
+                  for cm, c in p.terms), sympy.Integer(0)) for p in polys]
+    gb = sympy.groebner(exprs, *gens, order="grevlex", domain="QQ")
+    monic = [g.quo_ground(g.LC(order="grevlex")) for g in gb.polys]
+    return {ParamPoly([(tuple(zip(reversed(variables), exps)),
+                        Fraction(int(c.p), int(c.q))) for exps, c in g.terms()])
+            for g in monic}
+
+
+def _assert_matches_sympy(gens):
+    gb = groebner_basis(gens)
+    key = make_order(_variables(gens))
+    leads = [key(max(g.terms, key=lambda t: key(t[0]))[0]) for g in gb]
+    assert leads == sorted(leads)
+    assert set(gb) == sympy_reduced_basis(tuple(gens)) and len(set(gb)) == len(gb)
+
+
+class TestAgainstSympy:
+    def test_x2_x1_cubed_chart(self):
+        _assert_matches_sympy(list(scheme_equations(
+            MonomialIdeal.parse("x2, x1^3", 2), 2).generators))
+
+    def test_a8_computed_presentation(self):
+        _assert_matches_sympy(list(scheme_equations(
+            saturation_ideal(A8_CHART), A8_CHART["m"]).generators))
+
+    def test_a8_reference_presentation(self):
+        _assert_matches_sympy(reference_equations(A8_CHART))
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_saturations(points):
+    return enumerate_borel_saturated(2, parse_hilbert_poly(str(points)))
+
+
+@settings(max_examples=15)
+@given(points=st.integers(1, 5), pick=st.integers(0, 3), m=st.integers(0, 3))
+def test_small_plane_charts_match_sympy(points, pick, m):
+    sats = _plane_saturations(points)
+    try:
+        S = scheme_equations(sats[pick % len(sats)], m)
+    except MathDomainError:
+        assume(False)  # m is below the truncation bound of this saturation
+    assume(S.generators and S.num_vars <= 12)
+    _assert_matches_sympy(list(S.generators))
+
+
+# The plain Buchberger that the engine replaced (normal strategy, coprime
+# criterion only, membership loops for ideal equality), kept as a test oracle.
+
+def _old_leading_term(p, key):
+    return max(p.terms, key=lambda t: key(t[0]))
+
+
+def _old_divides(a, b):
+    db = dict(b)
+    return all(db.get(v, 0) >= e for v, e in a)
+
+
+def _old_div(a, b):
+    db = dict(b)
+    return tuple(sorted((v, e - db.get(v, 0)) for v, e in a if e - db.get(v, 0)))
+
+
+def _old_lcm(a, b):
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = max(acc.get(v, 0), e)
+    return tuple(sorted(acc.items()))
+
+
+def _old_normal_form(p, basis, key):
+    lts = [(_old_leading_term(b, key), b) for b in basis if b]
+    remainder = ParamPoly.zero()
+    work = p
+    while work:
+        cm, c = _old_leading_term(work, key)
+        hit = next(((lm, lc, b) for (lm, lc), b in lts if _old_divides(lm, cm)), None)
+        if hit is None:
+            remainder = remainder + ParamPoly([(cm, c)])
+            work = work - ParamPoly([(cm, c)])
+        else:
+            lt_mon, lt_coeff, b = hit
+            work = work - ParamPoly([(_old_div(cm, lt_mon), c / lt_coeff)]) * b
+    return remainder
+
+
+def _old_s_polynomial(f, g, key):
+    (mf, cf), (mg, cg) = _old_leading_term(f, key), _old_leading_term(g, key)
+    l = _old_lcm(mf, mg)
+    return (ParamPoly([(_old_div(l, mf), 1 / cf)]) * f
+            - ParamPoly([(_old_div(l, mg), 1 / cg)]) * g)
+
+
+def _old_groebner_basis(gens, order="degrevlex", block=()):
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    key = make_order(_variables(gens), order, block)
+
+    def lt(b):
+        return _old_leading_term(b, key)[0]
+
+    basis = []
+    for g in gens:
+        nf = _old_normal_form(g, basis, key)
+        if nf:
+            basis.append(nf * (1 / _old_leading_term(nf, key)[1]))
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        best = min(range(len(pairs)), key=lambda k: _cmon_degree(
+            _old_lcm(lt(basis[pairs[k][0]]), lt(basis[pairs[k][1]]))))
+        i, j = pairs.pop(best)
+        if _cmon_mul(lt(basis[i]), lt(basis[j])) == _old_lcm(lt(basis[i]), lt(basis[j])):
+            continue
+        nf = _old_normal_form(_old_s_polynomial(basis[i], basis[j], key), basis, key)
+        if nf:
+            basis.append(nf * (1 / _old_leading_term(nf, key)[1]))
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    basis.sort(key=lambda b: key(lt(b)))
+    minimal = []
+    for b in basis:
+        if not any(_old_divides(lt(m), lt(b)) for m in minimal):
+            minimal.append(b)
+    reduced = []
+    for i, b in enumerate(minimal):
+        nf = _old_normal_form(b, minimal[:i] + minimal[i + 1:], key)
+        reduced.append(nf * (1 / _old_leading_term(nf, key)[1]))
+    return reduced
+
+
+def _old_ideal_equal(A, B):
+    A, B = [a for a in A if a], [b for b in B if b]
+    if not A or not B:
+        return not A and not B
+    key = make_order(_variables(A + B))
+    gb_a, gb_b = _old_groebner_basis(A), _old_groebner_basis(B)
+    return (all(not _old_normal_form(a, gb_b, key) for a in A)
+            and all(not _old_normal_form(b, gb_a, key) for b in B))
+
+
+VARS = [(1, 1), (1, 2), (2, 1)]
+
+
+@st.composite
+def param_polys(draw, variables):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        cm = tuple((v, draw(st.integers(0, 2))) for v in variables)
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        terms.append((cm, c))
+    return ParamPoly(terms)
+
+
+@st.composite
+def small_systems(draw):
+    variables = VARS[:draw(st.integers(1, len(VARS)))]
+    gens = draw(st.lists(param_polys(variables), min_size=1, max_size=3))
+    return variables, gens, draw(param_polys(variables))
+
+
+def _system(variables, gens, p):
+    return variables, [parse_parampoly(g) for g in gens], parse_parampoly(p)
+
+
+# Two systems on which dropping a pending pair whose lcm equals that of a
+# new pair (the exceptions in the Gebauer-Moeller update) gives a wrong basis.
+LCM_CASE_DEGREVLEX = _system(
+    [(1, 1), (1, 2)],
+    ["-2*C[1,1]^2*C[1,2]^2 + 2*C[1,1]^2*C[1,2] + 1/2",
+     "2*C[1,2]^2 - 2*C[1,1] - 1", "-3/2*C[1,2]^2"],
+    "-3/2*C[1,1]^2*C[1,2]")
+LCM_CASE_LEX_BLOCK = _system(
+    [(1, 1), (1, 2), (1, 3)],
+    ["-C[1,1]^2*C[1,2]^2*C[1,3] + 3*C[1,1]^2*C[1,3]^2",
+     "2*C[1,1]*C[1,3] + 2*C[1,3]^2",
+     "-3/2*C[1,1]^2*C[1,2]^2*C[1,3] - C[1,2]^2*C[1,3] - C[1,1]*C[1,2]"],
+    "-3*C[1,1]*C[1,2]*C[1,3]^2 + 3/2*C[1,2]^2*C[1,3]^2")
+
+
+class TestAgainstPlainBuchberger:
+    @settings(max_examples=150)
+    @example(system=LCM_CASE_DEGREVLEX, order="degrevlex")
+    @example(system=LCM_CASE_LEX_BLOCK, order="lex-block")
+    @given(system=small_systems(), order=st.sampled_from(["degrevlex", "lex-block"]))
+    def test_same_reduced_basis_and_normal_form(self, system, order):
+        variables, gens, p = system
+        block = variables[:1] if order == "lex-block" else ()
+        assert groebner_basis(gens, order, block) == \
+            _old_groebner_basis(gens, order, block)
+        key = make_order(variables, order, block)
+        assert normal_form(p, gens, key) == _old_normal_form(p, gens, key)
+
+    @settings(max_examples=40)
+    @given(system=small_systems(), scale=st.integers(-2, 2))
+    def test_same_ideal_equality(self, system, scale):
+        _, gens, p = system
+        other = gens[::-1] + [p * gens[0] + gens[-1] * scale]
+        assert ideal_equal(gens, other) == _old_ideal_equal(gens, other)
+        assert ideal_equal(gens + [p], gens) == _old_ideal_equal(gens + [p], gens)
+
+
+class TestPairCap:
+    GENS = [C11 * C11 - C12, C11 * C12 - ParamPoly.const(1)]
+
+    def test_system_needs_several_pairs(self):
+        assert len(groebner_basis(self.GENS, max_pairs=50)) > len(self.GENS)
+
+    def test_one_pair_is_not_enough(self):
+        with pytest.raises(ScaleCapError, match="exceeded 1 S-pairs"):
+            groebner_basis(self.GENS, max_pairs=1)

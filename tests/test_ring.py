@@ -90,6 +90,22 @@ class TestChangeOfCoords:
         with pytest.raises(MathDomainError):
             apply_change_of_coords(f, ((1, 1), (1, 1)))
 
+    def test_singular_rejected_on_every_call(self):
+        g = ((2, 4), (Fraction(1, 3), Fraction(2, 3)))
+        for f in [parse_xpoly("x1", 1), parse_xpoly("x0", 1), parse_xpoly("x1", 1)]:
+            with pytest.raises(MathDomainError, match="singular"):
+                apply_change_of_coords(f, g)
+
+    def test_one_determinant_per_change_of_coords(self, monkeypatch):
+        calls = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det", lambda rows: calls.append(rows) or det(rows))
+        g = ((5, 0, 1), (0, Fraction(7, 5), 0), (1, 0, 3))
+        forms = [parse_xpoly(s, 2) for s in ["x2^2", "x2*x1 - x0^2", "x1^3 + x0^3"]]
+        images = [apply_change_of_coords(f, g) for f in forms]
+        assert len(calls) <= 1
+        assert images == [naive_change_of_coords(f, g) for f in forms]
+
     def test_ring_homomorphism_randomized(self):
         rng = random.Random(11)
         n = 2
