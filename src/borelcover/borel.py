@@ -378,7 +378,10 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
                 rec(i + 1, count + 1)
                 chosen[i] = False
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        del rec  # rec reaches itself through its closure: break that cycle
     results.sort(key=lambda J: tuple(canonical_key(g) for g in J.gens))
     return results
 

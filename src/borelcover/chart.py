@@ -1,6 +1,8 @@
 """Grassmannian charts via exact linear algebra.
 
-Coefficient matrices of linear systems of forms, Plucker coordinates of a
+Coefficient matrices of linear systems of forms, the Macaulay rows of the
+degree-t slice of an ideal (one row per generator and multiplier monomial,
+built straight from exponent tuples), Plucker coordinates of a
 monomial chart (maximal minors), marked slices and the chart form of an
 ideal (reduced row echelon against the head columns of a monomial ideal),
 Gaussian initial monomials, the Hilbert-scheme membership test at the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .borel import BorelChartIdeal, MonomialIdeal, enumerate_borel_saturated
@@ -51,47 +54,64 @@ def coefficient_matrix(forms, columns=None):
     return rows, columns
 
 
+def _basis_of_rows(rows, columns, n, d):
+    """The RREF rows of a coefficient matrix, as forms over the columns."""
+    R, pivots = linalg.rref(rows)
+    return [XPoly(n, [(columns[j], R[i][j]) for j in range(len(columns)) if R[i][j]], d)
+            for i in range(len(pivots))]
+
+
 def row_space_basis(forms):
     """A canonical basis (RREF rows) of the span of the given forms."""
     rows, cols = coefficient_matrix(forms)
-    R, pivots = linalg.rref(rows)
-    n = forms[0].n
-    d = forms[0].degree
-    out = []
-    for i in range(len(pivots)):
-        out.append(XPoly(n, [(cols[j], R[i][j]) for j in range(len(cols)) if R[i][j]], d))
-    return out
+    return _basis_of_rows(rows, cols, forms[0].n, forms[0].degree)
 
 
-def span_in_degree(gens, t):
-    """Monomial multiples of the generators that land in degree t (a spanning set)."""
+def _span_rows(gens, t, columns=None):
+    """Coefficient rows of the degree-t multiples x^m * f of the generators.
+
+    One row per nonzero generator f of degree at most t and per degree
+    (t - deg f) monomial x^m, in that order, against the degree-t columns
+    (degrevlex descending unless given): the rows of a Macaulay matrix.
+    Each row is built straight from exponent tuples, the column of a term
+    being that of (term exponents + multiplier exponents); no form is built
+    per multiple.  Returns (rows, columns).
+    """
     if not gens:
         raise MathDomainError("empty generator list")
     n = gens[0].n
-    out = []
+    if columns is None:
+        columns = monomials_of_degree(n, t)
+    index = {m.exps: j for j, m in enumerate(columns)}
+    zero = Fraction(0)
+    rows = []
     for f in gens:
         if f.degree > t or not f:
             continue
-        for m in monomials_of_degree(n, t - f.degree):
-            out.append(f.times_monomial(m))
-    return out
+        if f.n != n:
+            raise MathDomainError("forms live in different ambient rings")
+        if not f.is_scalar():
+            raise MathDomainError("coefficient matrix needs scalar coefficients")
+        terms = [(m.exps, c) for m, c in f.terms]
+        for mult in monomials_of_degree(n, t - f.degree):
+            s = mult.exps
+            row = [zero] * len(columns)
+            for e, c in terms:
+                row[index[tuple(map(add, e, s))]] = c
+            rows.append(row)
+    return rows, columns
 
 
 def dimension_in_degree(gens, t):
     """dim_K of the degree-t slice of the ideal generated by the forms."""
-    forms = span_in_degree(gens, t)
-    if not forms:
-        return 0
-    rows, _ = coefficient_matrix(forms)
-    return linalg.rank(rows)
+    rows, _ = _span_rows(gens, t)
+    return linalg.rank(rows) if rows else 0
 
 
 def degree_basis(gens, t):
     """A canonical basis of the degree-t slice of the generated ideal."""
-    forms = span_in_degree(gens, t)
-    if not forms:
-        return []
-    return row_space_basis(forms)
+    rows, columns = _span_rows(gens, t)
+    return _basis_of_rows(rows, columns, gens[0].n, t) if rows else []
 
 
 def _single_degree_chart(J):
@@ -129,19 +149,19 @@ class ChartPoint:
     marked_set: tuple
 
 
-def marked_slice(forms, T: MonomialIdeal, t):
-    """Marked polynomials of the degree-t span of the forms over T.
+def marked_slice(gens, T: MonomialIdeal, t):
+    """Marked polynomials of the degree-t slice of the ideal (gens) over T.
 
-    Row reduces the coefficient matrix against the columns [T_t | N(T)_t];
-    the reduced row pivoted on x^a in T_t is the marked polynomial
-    x^a - sum c * x^g with tail supported on N(T)_t.  Returns a dict
-    x^a -> marked polynomial.  Raises MathDomainError when the span's
+    For forms of degree t that slice is their span.  Row reduces the rows of
+    the degree-t multiples of the generators against the columns
+    [T_t | N(T)_t]; the reduced row pivoted on x^a in T_t is the marked
+    polynomial x^a - sum c * x^g with tail supported on N(T)_t.  Returns a
+    dict x^a -> marked polynomial.  Raises MathDomainError when the slice's
     dimension differs from dim T_t and NotInChartError when some pivot falls
-    outside T_t (the Plucker coordinate of T_t vanishes on the span).
+    outside T_t (the Plucker coordinate of T_t vanishes on the slice).
     """
     inside = T.monomials_at(t)
-    columns = inside + T.sous_escalier_at(t)
-    rows, _ = coefficient_matrix(forms, columns)
+    rows, columns = _span_rows(gens, t, inside + T.sous_escalier_at(t))
     R, pivots = linalg.rref(rows)
     if len(pivots) != len(inside):
         raise MathDomainError(

@@ -28,7 +28,7 @@ from operator import add
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     saturate, star_decompose, truncate)
-from .chart import dimension_in_degree, marked_slice, span_in_degree
+from .chart import dimension_in_degree, marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       chart_constants, hilbert_polynomial)
@@ -406,10 +406,9 @@ def marked_set_from_ideal(gens, T: MonomialIdeal):
     """
     out = {}
     for t in sorted({g.degree() for g in T.gens}):
-        forms = span_in_degree(gens, t)
-        if not forms:
+        if gens and not any(f and f.degree <= t for f in gens):
             raise NotInChartError(f"ideal has no elements in degree {t}")
-        out.update(marked_slice(forms, T, t))
+        out.update(marked_slice(gens, T, t))
     return [out[h] for h in T.gens]
 
 

@@ -15,11 +15,17 @@ Three layers, all immutable and hashable:
 The fixed term order on x-monomials is degree-reverse-lexicographic with
 x_n > ... > x_0; it is the column order of every coefficient matrix in the
 package and the order in which tail monomials are indexed.
+
+A linear change of coordinates g = G / D keeps one memo per distinct g: the
+check that g is invertible and the integer images of x^e under G, shared by
+every form transformed under g.  Each image is accumulated in integers and
+divided once at the end.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -40,6 +46,13 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         self.exps = exps
+
+    @classmethod
+    def _from_exps(cls, exps):
+        """Wrap an exponent tuple already known to be valid."""
+        out = cls.__new__(cls)
+        out.exps = exps
+        return out
 
     @classmethod
     def one(cls, n):
@@ -137,25 +150,18 @@ def canonical_key(m: Monomial):
 
 
 def monomials_of_degree(n, d):
-    """All degree-d monomials in x_0..x_n, in degrevlex-descending order."""
+    """All degree-d monomials in x_0..x_n, in degrevlex-descending order.
+
+    Stars and bars: the n bar positions among d + n slots, taken in
+    lexicographic order, give the exponent tuples in ascending order, which
+    is degrevlex descending.
+    """
     if d < 0:
         return []
-    out = []
-    exps = [0] * (n + 1)
-
-    def rec(i, rem):
-        if i == n:
-            exps[i] = rem
-            out.append(Monomial(exps))
-            return
-        for e in range(rem + 1):
-            exps[i] = e
-            rec(i + 1, rem - e)
-        exps[i] = 0
-
-    rec(0, d)
-    out.sort(key=lambda m: m.exps)
-    return out
+    ends = (d + n,)
+    return [Monomial._from_exps(
+                tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + ends)]))
+            for bars in itertools.combinations(range(d + n), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +533,50 @@ _COORDS_MEMO_SIZE = 64
 
 @functools.lru_cache(maxsize=_COORDS_MEMO_SIZE)
 def _integer_coords(rows):
-    """(D, G) with g = G / D for invertible rational rows, G as sparse rows.
+    """(D, G, images, successors) with g = G / D for invertible rational rows.
 
-    Memoized per distinct g, so a basis of forms costs one determinant; a
-    singular g raises on every call, since exceptions are not cached.
+    G holds the rows as sparse (column, int) pairs.  images maps an exponent
+    tuple e to the image of x^e under G, a dict from exponent tuple to
+    nonzero int; successors maps an exponent tuple m to the tuples m + e_j,
+    j = 0..n, so that every image shares one tuple per monomial.  Both grow
+    as `_image` fills them.  Memoized per distinct g, so a basis of forms
+    costs one determinant and shares one image memo; a singular g raises on
+    every call, since exceptions are not cached.
     """
     if linalg.det([list(row) for row in rows]) == 0:
         raise MathDomainError("singular change of coordinates")
     D = math.lcm(*(q.denominator for row in rows for q in row))
-    return D, tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
-                    for row in rows)
+    G = tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
+              for row in rows)
+    one = (0,) * len(rows)
+    return D, G, {one: {one: 1}}, {}
+
+
+def _image(e, G, images, successors):
+    """Image of x^e under G, built and memoized as image(x^e / x_i) * (row i).
+
+    i is the least index with e_i > 0.  Walks down to the nearest memoized
+    exponent, then multiplies back up one row of G at a time.
+    """
+    img = images.get(e)
+    chain = []
+    while img is None:
+        i = next(k for k, x in enumerate(e) if x)
+        chain.append((e, i))
+        e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        img = images.get(e)
+    for e, i in reversed(chain):
+        acc = {}
+        for m, a in img.items():
+            up = successors.get(m)
+            if up is None:
+                up = successors[m] = tuple(m[:j] + (m[j] + 1,) + m[j + 1:]
+                                           for j in range(len(m)))
+            for j, b in G[i]:
+                key = up[j]
+                acc[key] = acc.get(key, 0) + a * b
+        images[e] = img = {m: v for m, v in acc.items() if v}
+    return img
 
 
 def apply_change_of_coords(f: XPoly, g) -> XPoly:
@@ -544,44 +584,32 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
 
     g must be an invertible (n+1) x (n+1) rational matrix; the image of a
     homogeneous form is homogeneous of the same degree.  With g = G / D for
-    an integer matrix G (checked and built once per distinct g by
-    `_integer_coords`), the image of x^e under G is memoized as
-    image(x^e / x_i) * (row i of G), i the least index with e_i > 0, in
-    integer coefficients; the images are combined with the coefficients of f
-    (Fractions or ParamPolys) per target monomial and scaled by D^-d once.
+    an integer matrix G, `_integer_coords` checks g and keeps one memo of
+    the integer images of x^e under G per distinct g, shared by every form
+    transformed under it.  The coefficients c of f are scaled to k = c * L,
+    L the lcm of their Fraction denominators (ints for Fractions, ParamPolys
+    times an int otherwise), the terms k * image(x^e) are accumulated per
+    target monomial, and the sums are divided by L * D^d once.
     """
     n = f.n
     rows = tuple(tuple(map(Fraction, row)) for row in g)
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
-    D, G = _integer_coords(rows)
-    images = {(0,) * (n + 1): {(0,) * (n + 1): 1}}
-
-    def image(e):
-        img = images.get(e)
-        if img is None:
-            i = next(k for k, x in enumerate(e) if x)
-            img = {}
-            for m, a in image(e[:i] + (e[i] - 1,) + e[i + 1:]).items():
-                for j, b in G[i]:
-                    key = m[:j] + (m[j] + 1,) + m[j + 1:]
-                    img[key] = img.get(key, 0) + a * b
-            images[e] = img
-        return img
-
+    D, G, images, successors = _integer_coords(rows)
+    L = math.lcm(*(c.denominator for _, c in f.terms if isinstance(c, Fraction)))
     acc = {}
     for mon, c in f.terms:
-        for m, a in image(mon.exps).items():
-            if not a:
-                continue
+        k = c.numerator * (L // c.denominator) if isinstance(c, Fraction) else c * L
+        for m, a in _image(mon.exps, G, images, successors).items():
             prev = acc.get(m)
-            v = c * a if prev is None else prev + c * a
+            v = k * a if prev is None else prev + k * a
             if v:
                 acc[m] = v
             else:
-                acc.pop(m, None)
-    scale = Fraction(1, D ** f.degree)
-    return XPoly(n, [(Monomial(m), v * scale) for m, v in acc.items()], f.degree)
+                del acc[m]
+    scale = Fraction(1, L * D ** f.degree)
+    return XPoly(n, [(Monomial._from_exps(m), v * scale) for m, v in acc.items()],
+                 f.degree)
 
 
 def specialize(f: XPoly, assignment) -> XPoly:

@@ -9,7 +9,7 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
 from borelcover.chart import (_draw_invertible, all_charts, borel_open_set,
                               chart_form, coefficient_matrix, degree_basis,
-                              hilbert_polynomial_of_forms,
+                              dimension_in_degree, hilbert_polynomial_of_forms,
                               in_hilb, initial_monomials_gauss, marked_slice,
                               pluecker_coordinate, random_coordinate_change,
                               row_space_basis)
@@ -19,7 +19,8 @@ from borelcover.hilbert import chart_constants, hilbert_polynomial, \
     parse_hilbert_poly
 from borelcover.marked import marked_set_from_ideal
 from borelcover import linalg
-from borelcover.ring import (XPoly, apply_change_of_coords, parse_xpoly)
+from borelcover.ring import (XPoly, apply_change_of_coords, monomials_of_degree,
+                             parse_xpoly)
 
 from conftest import borel_closure, monomial_ideals
 
@@ -242,11 +243,53 @@ class TestHilbertPolynomialOfForms:
             hilbert_polynomial(J)
 
     @settings(max_examples=25)
-    @given(monomial_ideals(max_gens=2, max_degree=2), st.integers(0, 2 ** 32))
+    @given(monomial_ideals(max_gens=2, max_degree=3), st.integers(0, 2 ** 32))
     def test_invariant_under_integer_coordinate_change(self, J, seed):
         g = random_coordinate_change(J.n, seed, bound=3)
         transformed = [apply_change_of_coords(f, g) for f in _monomial_forms(J)]
         assert hilbert_polynomial_of_forms(transformed) == hilbert_polynomial(J)
+
+
+def old_span_in_degree(gens, t):
+    """The degree-t multiples x^m * f as forms, one XPoly per multiple."""
+    n = gens[0].n
+    return [f.times_monomial(m) for f in gens if f and f.degree <= t
+            for m in monomials_of_degree(n, t - f.degree)]
+
+
+@st.composite
+def generator_lists(draw):
+    """Forms of degree 1..3 in P^n, n <= 3, with rational coefficients.
+
+    A form may be zero; an empty draw of monomials gives one.
+    """
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                             max_size=4, unique=True))
+        gens.append(XPoly(n, [(m, draw(coeff)) for m in mons], d))
+    return gens
+
+
+class TestSpanRowsAgainstFormMultiples:
+    @settings(max_examples=40)
+    @given(generator_lists(), st.integers(0, 2))
+    def test_dimension_and_basis(self, gens, shift):
+        t = max(f.degree for f in gens) + shift
+        forms = old_span_in_degree(gens, t)
+        assert dimension_in_degree(gens, t) == \
+            (linalg.rank(coefficient_matrix(forms)[0]) if forms else 0)
+        assert degree_basis(gens, t) == (row_space_basis(forms) if forms else [])
+
+    def test_errors(self):
+        for call in (dimension_in_degree, degree_basis):
+            with pytest.raises(MathDomainError, match="empty generator list"):
+                call([], 2)
+            with pytest.raises(MathDomainError, match="scalar coefficients"):
+                call([parse_xpoly("C[1,1]*x1 + x0", 1)], 2)
 
 
 class TestBorelOpenSet:

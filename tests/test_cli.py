@@ -78,6 +78,35 @@ class TestOpenSet:
         assert len(data["saturations"]) >= 1
 
 
+# sha256 of stdout of `open-set`: every chart containing a plane and a
+# twisted-cubic ideal under the seed-0 change of coordinates, and the chart
+# found for the twisted cubic with seed 1
+P2_IDEAL = '{"n":2,"gens":["x2^2+x1*x0-x0^2","x1^2-x2*x0+3*x1*x0"]}'
+TWISTED_CUBIC = '{"n":3,"gens":["x2^2-x3*x1","x2*x1-x3*x0","x1^2-x2*x0"]}'
+OPEN_SET_GOLDEN = [
+    ((P2_IDEAL, "--all-charts"),
+     "68f7801ba1503d4e4c6dfe1d82e796cbfda06e1cc4cd41481c4bf4d81ef1eb98"),
+    ((P2_IDEAL, "--all-charts", "--json"),
+     "7f91f7849922411faa01a31033528b29e5b56c81f3c545aa766b0cf103f1bc1d"),
+    ((TWISTED_CUBIC, "--all-charts"),
+     "cb8af04b3c85f2b11ec4f174e0f0d8bcf1fa1e133ec3dedd05545e5725225843"),
+    ((TWISTED_CUBIC, "--all-charts", "--json"),
+     "dc01201557e70c381854b17df4c96f6f91bc5d27b377ce384ac3cc0cf427d7c7"),
+    ((TWISTED_CUBIC, "--seed", "1"),
+     "4ca8d0ab35d1872a9f019c1e32805fe0aa10f095955a95a16f9625848859bc25"),
+]
+
+
+class TestOpenSetGolden:
+    @pytest.mark.parametrize(
+        "argv, digest", OPEN_SET_GOLDEN,
+        ids=["p2-all", "p2-all-json", "p3-all", "p3-all-json", "p3-seed1"])
+    def test_stdout_bytes(self, capsys, argv, digest):
+        code, out, err = run(capsys, "open-set", "--ideal", *argv)
+        assert code == 0 and not err
+        assert _sha256(out.encode()) == digest
+
+
 class TestChartPipeline:
     def test_chart_form(self, capsys):
         ideal = json.dumps({"n": 2,
@@ -221,6 +250,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "open-set", "--ideal",
                              '{"n":2,"gens":%s}' % gens)
         assert code == 4 and not out and message in err
+        assert time.perf_counter() - start < 10
+
+    def test_open_set_ambient_cap_within_budget(self, capsys):
+        # the Gotzmann certificate walks up to degree 25 before the ambient
+        # cap is checked, so the walk's exact ranks must stay within budget
+        start = time.perf_counter()
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":["x2^5","x1^5"]}')
+        assert code == 4 and not out
+        assert "dim S_25 = 351 exceeds the enumeration cap 120" in err
         assert time.perf_counter() - start < 10
 
 

@@ -1,9 +1,12 @@
+import gc
+
 import pytest
 from hypothesis import assume, given, settings
 
-from borelcover.borel import (MonomialIdeal, enumerate_borel_saturated,
-                              regularity, rho, saturate, star_decompose,
-                              truncate)
+from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
+                              enumerate_borel_saturated, regularity, rho,
+                              saturate, star_decompose, truncate)
+from borelcover.chart import degree_basis
 from borelcover.errors import MathDomainError, ReductionCapError
 from borelcover.hilbert import chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
@@ -11,7 +14,8 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                marked_set_from_ideal, naive_minor_count, reduce,
                                scheme_equations, spair_polynomial,
                                specialize_template, template, zero_assignment)
-from borelcover.ring import Monomial, ParamPoly, XPoly, parse_xpoly
+from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
+                             monomials_of_degree, parse_xpoly)
 
 from conftest import borel_closure, mono, monomial_ideals, rational_sampler
 
@@ -198,6 +202,27 @@ class TestReduceAgainstReference:
         tpl = template(j1sat, 2)
         with pytest.raises(MathDomainError):
             reduce(parse_xpoly("x3^3", 3), tpl)
+
+
+class TestNoReferenceCycles:
+    def test_calls_leave_no_cyclic_garbage(self, j1sat):
+        # cyclic garbage outlives its call until the collector runs, and
+        # raises the peak memory of every caller
+        forms = [XPoly.from_monomial(m) for m in j1sat.gens]
+        g = ((1, 2, 0), (0, 1, 3), (1, 0, 1))
+        calls = [lambda: monomials_of_degree(2, 5),
+                 lambda: enumerate_borel_in_g(2, 4, 11),
+                 lambda: apply_change_of_coords(forms[0], g),
+                 lambda: degree_basis(forms, 3),
+                 lambda: scheme_equations(j1sat, 2)]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSchemeEquations:

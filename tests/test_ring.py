@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -53,6 +54,15 @@ class TestDegrevlex:
     def test_degree_two_listing(self):
         got = [str(m) for m in monomials_of_degree(2, 2)]
         assert got == ["x2^2", "x2*x1", "x1^2", "x2*x0", "x1*x0", "x0^2"]
+
+    def test_listing_against_brute_force(self):
+        # every exponent tuple of the degree, ascending: degrevlex descending
+        for n in range(5):
+            for d in range(-1, 6):
+                want = sorted(e for e in itertools.product(range(d + 1),
+                                                           repeat=n + 1)
+                              if sum(e) == d)
+                assert [m.exps for m in monomials_of_degree(n, d)] == want
 
     def test_total_order(self):
         mons = monomials_of_degree(2, 3)
@@ -152,25 +162,46 @@ def naive_change_of_coords(f, g):
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+parametric = st.builds(lambda q, i, j: q * ParamPoly.var((i, j)) + 1,
+                       rationals, st.integers(1, 3), st.integers(1, 3))
+
+
+def invertible(n):
+    """An invertible (n+1) x (n+1) matrix of small rationals."""
+    return (st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
+                     min_size=n + 1, max_size=n + 1)
+            .filter(lambda rows: linalg.det(rows) != 0))
+
+
+def form_of_degree(draw, n, d, coeff):
+    """A degree-d form on at most six monomials, coefficients drawn from coeff."""
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                         max_size=6, unique=True))
+    return XPoly(n, [(m, draw(coeff)) for m in mons], d)
 
 
 @st.composite
 def rational_forms(draw, params=False):
     """(f, g): a form of degree <= 4 in P^n, n <= 3, and an invertible rational g."""
     n = draw(st.integers(1, 3))
-    d = draw(st.integers(0, 4))
-    mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
-                         max_size=6, unique=True))
-    if params:
-        coeff = st.builds(lambda q, i, j: q * ParamPoly.var((i, j)) + 1,
-                          rationals, st.integers(1, 3), st.integers(1, 3))
-    else:
-        coeff = rationals
-    f = XPoly(n, [(m, draw(coeff)) for m in mons], d)
-    g = draw(st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
-                      min_size=n + 1, max_size=n + 1)
-             .filter(lambda rows: linalg.det(rows) != 0))
-    return f, g
+    f = form_of_degree(draw, n, draw(st.integers(0, 4)),
+                       parametric if params else rationals)
+    return f, draw(invertible(n))
+
+
+@st.composite
+def memo_sequences(draw):
+    """(forms, g1, g2): forms in P^n, n <= 3, of rising then falling degree.
+
+    Each form has rational or C[i,j] coefficients; g1 and g2 are invertible.
+    """
+    n = draw(st.integers(1, 3))
+    degrees = sorted(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3,
+                                   unique=True)))
+    forms = [form_of_degree(draw, n, d,
+                            draw(st.sampled_from([rationals, parametric])))
+             for d in degrees + degrees[::-1]]
+    return forms, draw(invertible(n)), draw(invertible(n))
 
 
 class TestChangeOfCoordsAgainstNaive:
@@ -185,6 +216,22 @@ class TestChangeOfCoordsAgainstNaive:
     def test_parametric_forms(self, fg):
         f, g = fg
         assert apply_change_of_coords(f, g) == naive_change_of_coords(f, g)
+
+    @settings(max_examples=25)
+    @given(memo_sequences())
+    def test_interleaved_coordinate_changes_share_one_memo(self, sequence):
+        # g1, g2, g1 over forms of rising then falling degree: each g keeps
+        # one memo of images, filled by some forms and read by later ones
+        forms, g1, g2 = sequence
+        n = forms[0].n
+        singular = [[1] * (n + 1)] * (n + 1)
+        for g in (g1, g2, g1):
+            for f in forms:
+                image = apply_change_of_coords(f, g)
+                assert image == naive_change_of_coords(f, g)
+                assert image.is_scalar() == f.is_scalar()
+                with pytest.raises(MathDomainError, match="singular"):
+                    apply_change_of_coords(f, singular)
 
 
 def _minor(g, i, j):
