@@ -160,6 +160,8 @@ def marked_slice(gens, T: MonomialIdeal, t):
     dimension differs from dim T_t and NotInChartError when some pivot falls
     outside T_t (the Plucker coordinate of T_t vanishes on the slice).
     """
+    if gens and gens[0].n != T.n:
+        raise MathDomainError("ambient mismatch between forms and chart")
     inside = T.monomials_at(t)
     rows, columns = _span_rows(gens, t, inside + T.sous_escalier_at(t))
     R, pivots = linalg.rref(rows)

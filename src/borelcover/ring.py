@@ -16,10 +16,10 @@ The fixed term order on x-monomials is degree-reverse-lexicographic with
 x_n > ... > x_0; it is the column order of every coefficient matrix in the
 package and the order in which tail monomials are indexed.
 
-A linear change of coordinates g = G / D keeps one memo per distinct g: the
-check that g is invertible and the integer images of x^e under G, shared by
-every form transformed under g.  Each image is accumulated in integers and
-divided once at the end.
+A linear change of coordinates g = G / D checks that g is invertible once
+per distinct g, and keeps the integer images of x^e under G for the last g
+only, shared by every form transformed under it in a row.  Each image of a
+form is accumulated in integers and divided once at the end.
 """
 
 from __future__ import annotations
@@ -533,23 +533,33 @@ _COORDS_MEMO_SIZE = 64
 
 @functools.lru_cache(maxsize=_COORDS_MEMO_SIZE)
 def _integer_coords(rows):
-    """(D, G, images, successors) with g = G / D for invertible rational rows.
+    """(D, G) with g = G / D for invertible rational rows.
 
-    G holds the rows as sparse (column, int) pairs.  images maps an exponent
-    tuple e to the image of x^e under G, a dict from exponent tuple to
-    nonzero int; successors maps an exponent tuple m to the tuples m + e_j,
-    j = 0..n, so that every image shares one tuple per monomial.  Both grow
-    as `_image` fills them.  Memoized per distinct g, so a basis of forms
-    costs one determinant and shares one image memo; a singular g raises on
-    every call, since exceptions are not cached.
+    G holds the rows as sparse (column, int) pairs.  Memoized per distinct g,
+    so a basis of forms costs one determinant; a singular g raises on every
+    call, since exceptions are not cached.
     """
     if linalg.det([list(row) for row in rows]) == 0:
         raise MathDomainError("singular change of coordinates")
     D = math.lcm(*(q.denominator for row in rows for q in row))
     G = tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
               for row in rows)
+    return D, G
+
+
+@functools.lru_cache(maxsize=1)
+def _image_memo(rows):
+    """(images, successors): the integer images of x^e under the last g seen.
+
+    images maps an exponent tuple e to the image of x^e, a dict from
+    exponent tuple to nonzero int; successors maps an exponent tuple m to
+    the tuples m + e_j, j = 0..n, so that all images share one tuple per
+    monomial.  `_image` fills both.  One memo serves every form transformed
+    under g until another g comes along, which frees it, so at most one g's
+    images stay resident.
+    """
     one = (0,) * len(rows)
-    return D, G, {one: {one: 1}}, {}
+    return {one: {one: 1}}, {}
 
 
 def _image(e, G, images, successors):
@@ -584,18 +594,20 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
 
     g must be an invertible (n+1) x (n+1) rational matrix; the image of a
     homogeneous form is homogeneous of the same degree.  With g = G / D for
-    an integer matrix G, `_integer_coords` checks g and keeps one memo of
-    the integer images of x^e under G per distinct g, shared by every form
-    transformed under it.  The coefficients c of f are scaled to k = c * L,
-    L the lcm of their Fraction denominators (ints for Fractions, ParamPolys
-    times an int otherwise), the terms k * image(x^e) are accumulated per
-    target monomial, and the sums are divided by L * D^d once.
+    an integer matrix G, `_integer_coords` checks g once, and `_image_memo`
+    keeps the integer images of x^e under G for the last g, shared by every
+    form transformed under it in a row (a basis, say).  The coefficients c
+    of f are scaled to k = c * L, L the lcm of their Fraction denominators
+    (ints for Fractions, ParamPolys times an int otherwise), the terms
+    k * image(x^e) are accumulated per target monomial, and the sums are
+    divided by L * D^d once.
     """
     n = f.n
     rows = tuple(tuple(map(Fraction, row)) for row in g)
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
-    D, G, images, successors = _integer_coords(rows)
+    D, G = _integer_coords(rows)
+    images, successors = _image_memo(rows)
     L = math.lcm(*(c.denominator for _, c in f.terms if isinstance(c, Fraction)))
     acc = {}
     for mon, c in f.terms:

@@ -117,6 +117,16 @@ class TestChartPipeline:
         assert code == 0
         assert out.splitlines() == ["x2^2", "x2*x1 + 1/2*x1^2"]
 
+    def test_chart_form_ambient_mismatch(self, capsys):
+        # forms in P^2 against a chart in P^3 of the same degree
+        ideal = json.dumps({"n": 2, "gens": ["x2^2", "x2*x1"]})
+        chart = json.dumps({"n": 3, "gens": [[0, 0, 0, 2], [0, 0, 1, 1]]})
+        code, out, err = run(capsys, "chart-form", "--ideal", ideal,
+                             "--chart", chart)
+        assert code == 3 and not out
+        assert "ambient mismatch between forms and chart" in err
+        assert "Traceback" not in err
+
     def test_pluecker(self, capsys):
         ideal = json.dumps({"n": 2, "gens": ["x2^2", "x2*x1"]})
         chart = json.dumps({"n": 2, "gens": [[0, 0, 2], [0, 1, 1]]})

@@ -220,8 +220,9 @@ class TestChangeOfCoordsAgainstNaive:
     @settings(max_examples=25)
     @given(memo_sequences())
     def test_interleaved_coordinate_changes_share_one_memo(self, sequence):
-        # g1, g2, g1 over forms of rising then falling degree: each g keeps
-        # one memo of images, filled by some forms and read by later ones
+        # g1, g2, g1 over forms of rising then falling degree: the forms
+        # under one g fill and read one memo of images, g2 replaces it and
+        # the return of g1 rebuilds it
         forms, g1, g2 = sequence
         n = forms[0].n
         singular = [[1] * (n + 1)] * (n + 1)
