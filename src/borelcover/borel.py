@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import ChartConstants, borel_dim_at, chart_constants
@@ -39,11 +39,11 @@ class MonomialIdeal:
             if g.n != n:
                 raise MathDomainError(f"generator {g} does not live in {n + 1} variables")
             mons.append(g)
-        mons = sorted(set(mons), key=canonical_key)
+        # distinct monomials of one degree never divide each other, so each
+        # degree is tested against the generators kept below it only
         minimal = []
-        for g in mons:
-            if not any(h.divides(g) for h in minimal):
-                minimal.append(g)
+        for _, same in groupby(sorted(set(mons), key=canonical_key), Monomial.degree):
+            minimal += [g for g in same if not any(h.divides(g) for h in minimal)]
         self.n = n
         self.gens = tuple(minimal)
 

@@ -15,7 +15,8 @@ monomial of T using star decompositions, until the support lies outside T;
 the surviving coefficients in the parameters generate the ideal.  Each
 rewriting step strictly decreases the minimal variable along a chain, which
 bounds both the chain length and the coefficient degrees at single-degree
-truncation levels.
+truncation levels.  The reduction runs on exponent tuples, with each
+coefficient a mutable dict from parameter multi-index to number.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .chart import dimension_in_degree, marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       chart_constants, hilbert_polynomial)
-from .ring import Monomial, ParamPoly, XPoly, specialize
+from .ring import (Monomial, ParamPoly, XPoly, _cmon_mul, _term_sort_key,
+                   specialize)
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class MarkedTemplate:
     polys: tuple                  # polys[i] = F_{heads[i]}
     _members: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _stars: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _rewrites: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def num_vars(self):
@@ -81,13 +83,19 @@ class MarkedTemplate:
             self._members[d] = out
         return out
 
-    def star(self, exps):
-        """(eta exponents, head position) of the star decomposition x^eta * head."""
-        out = self._stars.get(exps)
+    def rewrite(self, exps):
+        """Tails of x^eta * F_b, for the star decomposition x^eta * x^b of x^exps.
+
+        One (exponents of x^eta * x^g, multi-index of C[i,j]) pair per tail
+        x^g of F_b, which carries -C[i,j]; memoized per exps.
+        """
+        out = self._rewrites.get(exps)
         if out is None:
             eta, beta = star_decompose(Monomial(exps), self.ideal)
-            out = (eta.exps, self.head_index[beta])
-            self._stars[exps] = out
+            i = self.head_index[beta] + 1
+            out = tuple((tuple(map(add, g.exps, eta.exps)), (((i, j), 1),))
+                        for j, g in enumerate(self.tails[i - 1], start=1))
+            self._rewrites[exps] = out
         return out
 
 
@@ -184,10 +192,16 @@ def ek_spairs(T: MonomialIdeal):
 
 
 def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
-    n = tpl.ideal.n
-    f_a = tpl.poly_for(pair.alpha).times_monomial(Monomial.variable(n, pair.var))
-    f_b = tpl.poly_for(pair.beta).times_monomial(pair.eta)
-    return f_a - f_b
+    """x_j * F_a - x^eta * F_b, built from the exponent tuples of the template."""
+    x_j = Monomial.variable(tpl.ideal.n, pair.var).exps
+    acc = {tuple(map(add, g.exps, x_j)): k
+           for g, k in tpl.poly_for(pair.alpha).terms}
+    for g, k in tpl.poly_for(pair.beta).terms:
+        mon = tuple(map(add, g.exps, pair.eta.exps))
+        prev = acc.get(mon)
+        acc[mon] = -k if prev is None else prev - k
+    terms = tuple((Monomial._from_exps(e), acc[e]) for e in sorted(acc) if acc[e])
+    return XPoly._from_canonical(tpl.ideal.n, terms, pair.alpha.degree() + 1)
 
 
 @dataclass(frozen=True)
@@ -208,12 +222,14 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
     rewrites in which each reduced monomial was introduced by the previous
     step.
 
-    The form is held as a dict from exponent tuples to coefficients while it
-    is rewritten: membership in T is a lookup in the template's per-degree
-    member set, star decompositions are memoized on the template, and each
-    coefficient is updated with the same Fraction / ParamPoly arithmetic as
-    XPoly subtraction, so the result and its coefficient types are those of
-    repeated ``h - c * x^e * F_b``.  One XPoly is built at the end.
+    The form is a dict from exponent tuples to coefficients while it is
+    rewritten; membership in T and star decompositions are looked up on the
+    template.  Every tail of F_b carries -C[i,j] and its head cancels, so a
+    touched coefficient is a mutable dict from parameter multi-index to
+    number (an int where the denominator is 1) to which c * C[i,j] is added.
+    Each becomes one canonical ParamPoly with Fraction values at the end;
+    untouched ones come back as they went in, so the result and its types
+    are those of repeated ``h - c * x^e * F_b``.
     """
     if strategy not in ("largest", "smallest"):
         raise MathDomainError(f"unknown reduction strategy {strategy!r}")
@@ -236,27 +252,44 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
                 f"reduction exceeded {step_cap} steps; precondition violated")
         level = depth.get(target, 1)
         max_chain = max(max_chain, level)
-        eta, i = tpl.star(target)
-        c = acc.pop(target)
+        c = _coefficient_dict(acc.pop(target)).items()
         inside.discard(target)
-        for g, k in tpl.polys[i].terms:
-            mon = tuple(map(add, g.exps, eta))
-            if mon == target:
-                continue
-            prev = acc.get(mon)
-            v = -(k * c) if prev is None else prev + (-(k * c))
-            if v:
-                acc[mon] = v
-            else:
+        for mon, param in tpl.rewrite(target):
+            d = acc[mon] = _coefficient_dict(acc.get(mon))
+            for cm, v in c:
+                key = _cmon_mul(cm, param)
+                v += d.get(key, 0)
+                if v:
+                    d[key] = v
+                else:
+                    del d[key]
+            if not d:
                 del acc[mon]
             if mon in members:
                 depth[mon] = max(depth.get(mon, 0), level + 1)
-                if v:
+                if d:
                     inside.add(mon)
                 else:
                     inside.discard(mon)
-    poly = XPoly(h.n, [(Monomial(e), c) for e, c in acc.items()], h.degree)
+    terms = []
+    for e in sorted(acc):
+        c = acc[e]
+        if type(c) is dict:
+            c = ParamPoly._from_canonical(tuple(sorted(
+                ((cm, Fraction(v)) for cm, v in c.items()), key=_term_sort_key)))
+        terms.append((Monomial._from_exps(e), c))
+    poly = XPoly._from_canonical(h.n, tuple(terms), h.degree)
     return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
+
+
+def _coefficient_dict(c):
+    """c as a dict {parameter multi-index: number}; None is 0, a dict is kept."""
+    if c is None:
+        return {}
+    if type(c) is dict:
+        return c
+    terms = c.terms if isinstance(c, ParamPoly) else (((), c),)
+    return {cm: v.numerator if v.denominator == 1 else v for cm, v in terms}
 
 
 @dataclass(frozen=True)

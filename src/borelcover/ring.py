@@ -176,7 +176,10 @@ def _cmon_mul(a, b):
 
 
 def _cmon_degree(cm):
-    return sum(e for _, e in cm)
+    d = 0
+    for _, e in cm:
+        d += e
+    return d
 
 
 def _term_sort_key(item):
@@ -412,6 +415,16 @@ class XPoly:
         self.n = n
         self.degree = degs.pop() if degs else degree
         self.terms = tuple(sorted(acc.items(), key=lambda t: t[0].exps))
+
+    @classmethod
+    def _from_canonical(cls, n, terms, degree):
+        """Wrap terms that are already canonical (merged, nonzero, sorted by
+        exponent tuple, all of the given degree)."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        out.degree = degree
+        return out
 
     @classmethod
     def zero(cls, n, degree=0):

@@ -14,16 +14,38 @@ from borelcover.borel import (MonomialIdeal, borel_leq,
 from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.hilbert import chart_constants, hilbert_polynomial, \
     parse_hilbert_poly
-from borelcover.ring import Monomial, monomials_of_degree
+from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
 from conftest import (borel_closure, borel_leq_partial_sums, monomial_ideals,
                       mono)
+
+
+def all_pairs_minimal(gens):
+    """The distinct generators that no other one divides, in canonical order."""
+    distinct = set(gens)
+    return sorted((g for g in distinct
+                   if not any(h != g and h.divides(g) for h in distinct)),
+                  key=canonical_key)
+
+
+@st.composite
+def generator_lists(draw, max_n=3, max_exponent=2, max_gens=20):
+    """Monomials of mixed degrees, with repeats and possibly the unit."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, max_gens))   # not hypothesis's short default lists
+    exps = st.lists(st.integers(0, max_exponent), min_size=n + 1, max_size=n + 1)
+    return n, [Monomial(e) for e in draw(st.lists(exps, min_size=k, max_size=k))]
 
 
 class TestMonomialIdeal:
     def test_minimalization_and_order(self):
         J = MonomialIdeal.parse("x1^3, x2*x1, x2^2, x2^2*x1", 2)
         assert [str(g) for g in J.gens] == ["x2^2", "x2*x1", "x1^3"]
+
+    @given(generator_lists())
+    def test_minimalization_against_all_pairs(self, drawn):
+        n, gens = drawn
+        assert list(MonomialIdeal(n, gens).gens) == all_pairs_minimal(gens)
 
     def test_membership(self, j1sat):
         assert j1sat.contains(mono("x2^2*x0^3", 2))

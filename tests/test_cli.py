@@ -345,6 +345,35 @@ class TestMarkedSchemeGolden:
         assert out == MARKED_SCHEME_GOLDEN[(sat, m)]
 
 
+# sha256 of the marked-scheme JSON of the large charts, under both reduction
+# strategies, and of the 7-point atlas with equations
+LARGE_CHART_GOLDEN = {
+    '{"n":2,"gens":["x2","x1^10"]}':
+        ("10", "6ba3da5d5a0d831ebd02f1ca00b3ff41f09ebeff57c59d215cc7418e4fedcb2a"),
+    '{"n":3,"gens":["x3","x2^3"]}':
+        ("3", "7486c0b1ffe24f1baac9827e61f46a96b0b80755b9ad34214f9a698aa15bea6f"),
+}
+ATLAS_7_POINTS_GOLDEN = \
+    "12311c174d2aaa237870737aec68d2c4745ba804d4a786bc0fa92662d733cbcb"
+
+
+class TestLargeChartGolden:
+    @pytest.mark.parametrize("strategy", ["largest", "smallest"])
+    @pytest.mark.parametrize("sat", list(LARGE_CHART_GOLDEN))
+    def test_marked_scheme_json(self, capsys, sat, strategy):
+        m, digest = LARGE_CHART_GOLDEN[sat]
+        code, out, err = run(capsys, "marked-scheme", "--sat", sat, "--m", m,
+                             "--format", "json", "--strategy", strategy)
+        assert code == 0 and not err
+        assert _sha256(out.encode()) == digest
+
+    def test_atlas_with_equations(self, capsys):
+        code, out, err = run(capsys, "atlas", "--n", "2", "--hp", "7",
+                             "--with-equations", "--m", "reg")
+        assert code == 0 and not err
+        assert _sha256(out.encode()) == ATLAS_7_POINTS_GOLDEN
+
+
 # sha256 of stdout of each README command-line example (and of the full
 # classification of 4t in P^3, which prints every empty locus's quotient
 # polynomial), pinned so that refactors keep every output byte for byte

@@ -1,8 +1,10 @@
 import gc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
+from borelcover import marked
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               enumerate_borel_saturated, regularity, rho,
                               saturate, star_decompose, truncate)
@@ -15,7 +17,7 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                scheme_equations, spair_polynomial,
                                specialize_template, template, zero_assignment)
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
-                             monomials_of_degree, parse_xpoly)
+                             monomials_of_degree, parse_parampoly, parse_xpoly)
 
 from conftest import borel_closure, mono, monomial_ideals, rational_sampler
 
@@ -151,9 +153,56 @@ def reference_reduce(h, tpl, strategy="largest", step_cap=None):
                 depth[new_mon] = max(depth.get(new_mon, 0), level + 1)
 
 
+def _coefficient_types(poly):
+    """Type of each coefficient, and of each value inside a ParamPoly."""
+    return [(type(c), [type(v) for _, v in c.terms])
+            if isinstance(c, ParamPoly) else type(c) for _, c in poly.terms]
+
+
+def reference_spair_polynomial(pair, tpl):
+    """x_j * F_a - x^eta * F_b in XPoly arithmetic."""
+    x_j = Monomial.variable(tpl.ideal.n, pair.var)
+    return (tpl.poly_for(pair.alpha).times_monomial(x_j)
+            - tpl.poly_for(pair.beta).times_monomial(pair.eta))
+
+
+def reference_scheme_equations(sat, m, strategy):
+    """(generators, num_vars, spair_count, max_chain, max_degree) from the
+    reference reduction of the reference S-polynomials, deduplicated in
+    S-pair order with scalars promoted to constant ParamPolys."""
+    tpl = template(sat, m)
+    pairs = ek_spairs(tpl.ideal)
+    gens = []
+    seen = set()
+    max_chain = 0
+    for pair in pairs:
+        poly, _, chain = reference_reduce(reference_spair_polynomial(pair, tpl),
+                                          tpl, strategy)
+        max_chain = max(max_chain, chain)
+        for _, coeff in poly.terms:
+            if isinstance(coeff, Fraction):
+                coeff = ParamPoly.const(coeff)
+            if coeff and coeff not in seen:
+                seen.add(coeff)
+                gens.append(coeff)
+    return (gens, tpl.num_vars, len(pairs), max_chain,
+            max((g.degree() for g in gens), default=0))
+
+
+def _scheme_fingerprint(gens, *rest):
+    return ([(g, [type(v) for _, v in g.terms]) for g in gens],) + rest
+
+
+def assert_scheme_equations_as_reference(sat, m):
+    for strategy in ("largest", "smallest"):
+        S = scheme_equations(sat, m, strategy)
+        assert (_scheme_fingerprint(S.generators, S.num_vars, S.spair_count,
+                                    S.max_chain, S.max_degree)
+                == _scheme_fingerprint(*reference_scheme_equations(sat, m, strategy)))
+
+
 def _reduction_fingerprint(poly, steps, max_chain):
-    return (str(poly), poly.degree, [type(c) for _, c in poly.terms],
-            steps, max_chain)
+    return (str(poly), poly.degree, _coefficient_types(poly), steps, max_chain)
 
 
 def assert_reduces_as_reference(h, tpl):
@@ -198,10 +247,72 @@ class TestReduceAgainstReference:
         h = parse_xpoly("x2^3 + 2*x2^2*x1 - 1/3*x2*x1^2 + x1^3 + x2*x1*x0", 2)
         assert_reduces_as_reference(h, tpl)
 
+    def test_rational_parameter_coefficients(self, j1sat):
+        tpl = template(j1sat, 2)
+        h = parse_xpoly("1/2*C[1,1]*x2^3 - 2/3*C[1,2]*C[2,1]*x2^2*x1"
+                        " + 3/4*x2*x1^2 + 5/7*C[3,1]^2*x1^2*x0", 2)
+        assert_reduces_as_reference(h, tpl)
+
+    def test_untouched_scalar_stays_a_fraction(self, lex_cubic):
+        # no rewrite of x3^3*x1 or x2^3*x1 lands on x0^4 or x2*x0^3, so
+        # those coefficients come back as they went in; x2^2*x1^2 is
+        # rewritten and its scalar becomes a ParamPoly
+        tpl = template(lex_cubic, 3)
+        h = XPoly(3, [(mono("x3^3*x1", 3), parse_parampoly("1/2*C[1,1]")),
+                      (mono("x2^3*x1", 3),
+                       parse_parampoly("-2/3*C[1,2]*C[2,3] + 3/4")),
+                      (mono("x2^2*x1^2", 3), Fraction(-1, 3)),
+                      (mono("x2*x0^3", 3), parse_parampoly("4/5*C[3,1]")),
+                      (mono("x0^4", 3), Fraction(5, 7))], 4)
+        assert_reduces_as_reference(h, tpl)
+        out = dict(reduce(h, tpl).poly.terms)
+        assert type(out[mono("x0^4", 3)]) is Fraction
+        assert out[mono("x0^4", 3)] == Fraction(5, 7)
+        assert out[mono("x2*x0^3", 3)] is h.coefficient(mono("x2*x0^3", 3))
+        assert isinstance(out[mono("x2^2*x1^2", 3)], ParamPoly)
+
+    @pytest.mark.parametrize("sat_text, n, m", REDUCTION_CHARTS)
+    def test_spair_polynomials_match_xpoly_arithmetic(self, sat_text, n, m):
+        tpl = template(MonomialIdeal.parse(sat_text, n), m)
+        for pair in ek_spairs(tpl.ideal):
+            got = spair_polynomial(pair, tpl)
+            want = reference_spair_polynomial(pair, tpl)
+            assert got == want
+            assert (got.degree, _coefficient_types(got)) == \
+                (want.degree, _coefficient_types(want))
+
     def test_wrong_ambient_ring(self, j1sat):
         tpl = template(j1sat, 2)
         with pytest.raises(MathDomainError):
             reduce(parse_xpoly("x3^3", 3), tpl)
+
+
+class TestSchemeEquationsAgainstReference:
+    @pytest.mark.parametrize("sat_text, n, m", REDUCTION_CHARTS)
+    def test_fixed_charts(self, sat_text, n, m):
+        assert_scheme_equations_as_reference(MonomialIdeal.parse(sat_text, n), m)
+
+    @settings(max_examples=20)
+    @given(monomial_ideals(max_gens=2, max_degree=3).map(borel_closure))
+    def test_saturated_borel_closures(self, J):
+        sat = saturate(J)
+        assume(not sat.contains_one())
+        for m in (regularity(sat), regularity(sat) + 1):
+            assert_scheme_equations_as_reference(sat, m)
+
+    @pytest.mark.parametrize("sat_text, n, m", [("x2^2, x2*x1, x1^3", 2, 2),
+                                                ("x3, x2^3", 3, 3)])
+    def test_one_reduce_call_per_spair(self, monkeypatch, sat_text, n, m):
+        # the tracer counts reductions by wrapping the module's reduce
+        calls = []
+
+        def counting_reduce(*args, **kwargs):
+            calls.append(args[0])
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(marked, "reduce", counting_reduce)
+        S = scheme_equations(MonomialIdeal.parse(sat_text, n), m)
+        assert len(calls) == S.spair_count > 0
 
 
 class TestNoReferenceCycles:
