@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 from .errors import MathDomainError, ParseError, ScaleCapError
-from .hilbert import ChartConstants, borel_dim_at, chart_constants
+from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
+                      chart_constants)
 from .ring import Monomial, canonical_key, monomials_of_degree, parse_xpoly
 
 
@@ -67,9 +68,6 @@ class MonomialIdeal:
     def sous_escalier_at(self, t):
         """Degree-t monomials outside the ideal, degrevlex descending."""
         return [m for m in monomials_of_degree(self.n, t) if not self.contains(m)]
-
-    def dim_at(self, t):
-        return len(self.monomials_at(t))
 
     def max_gen_degree(self):
         return max((g.degree() for g in self.gens), default=0)
@@ -237,10 +235,22 @@ def regularity(J: MonomialIdeal) -> int:
     return J.max_gen_degree()
 
 
+_MAX_TRUNCATION_MONOMIALS = 10_000
+
+
 def truncate(J: MonomialIdeal, m: int) -> MonomialIdeal:
-    """Minimal basis of the degree->=m part of J."""
+    """Minimal basis of the degree->=m part of J.
+
+    Raises ScaleCapError, before forming any, when the N(m - |g|) products
+    g * u of the generators g below degree m number more than the cap.
+    """
     if m < 0:
         raise MathDomainError("truncation degree must be non-negative")
+    formed = sum(ambient_dimension(J.n, m - g.degree()) for g in J.gens if g.degree() < m)
+    if formed > _MAX_TRUNCATION_MONOMIALS:
+        raise ScaleCapError(
+            f"truncation at degree {m} would form {formed} monomials, over "
+            f"the cap {_MAX_TRUNCATION_MONOMIALS}")
     gens = []
     for g in J.gens:
         d = g.degree()

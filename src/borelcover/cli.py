@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from fractions import Fraction
 
 from . import cover, fixtures, oracle
 from .borel import (MonomialIdeal, enumerate_borel_saturated,
@@ -30,12 +32,38 @@ def _load_json_arg(text):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read ideal argument: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read JSON argument: {exc}") from exc
 
 
 def _monomial_ideal_arg(text) -> MonomialIdeal:
     return MonomialIdeal.from_json_dict(_load_json_arg(text))
+
+
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+def _is_rational_entry(x):
+    """A JSON integer (not a bool) or a string such as "-3/4"."""
+    if not isinstance(x, str) or not _RATIONAL_RE.fullmatch(x):
+        return type(x) is int
+    try:
+        Fraction(x)  # rejects "1/0" and more digits than int() accepts
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _matrix_arg(text):
+    """--g: a JSON list of rows of rational entries, kept exactly as given."""
+    data = _load_json_arg(text)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ParseError("--g expects a JSON list of lists")
+    for x in (x for row in data for x in row):
+        if not _is_rational_entry(x):
+            raise ParseError(
+                f"--g entry {json.dumps(x)} is not an integer or a rational string")
+    return tuple(tuple(row) for row in data)
 
 
 def _forms_arg(text):
@@ -109,7 +137,7 @@ def cmd_borel_classify(args):
 
 def cmd_open_set(args):
     n, forms = _forms_arg(args.ideal)
-    g = tuple(tuple(row) for row in _load_json_arg(args.g)) if args.g else None
+    g = _matrix_arg(args.g) if args.g else None
     if args.all_charts:
         if g is None:
             g = random_coordinate_change(n, args.seed, args.bound)

@@ -184,7 +184,7 @@ def ek_spairs(T: MonomialIdeal):
             pairs.append(SPair(alpha=alpha, var=j, beta=beta, eta=eta))
     if T.generated_in_single_degree() and not T.is_zero():
         m = T.gens[0].degree()
-        expected = len(T.gens) * (n + 1) - T.dim_at(m + 1)
+        expected = len(T.gens) * (n + 1) - borel_dim_at(T, m + 1)
         if len(pairs) != expected:
             raise MathDomainError(
                 f"S-pair count {len(pairs)} disagrees with syzygy count {expected}")
@@ -425,7 +425,7 @@ def is_marked_basis(G, T: MonomialIdeal, constants: ChartConstants | None = None
     if constants is None:
         constants = chart_constants(hilbert_polynomial(T), T.n)
     lo = T.min_gen_degree()
-    return all(dimension_in_degree(G, t) == T.dim_at(t)
+    return all(dimension_in_degree(G, t) == len(T.monomials_at(t))
                for t in range(lo, constants.r + 2))
 
 

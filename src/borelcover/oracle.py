@@ -6,14 +6,16 @@ this module; it exists to certify its output.  Hard scale caps keep it honest
 about what it can do.
 
 Inside one call a polynomial is a dict from exponent tuples over the
-collected variables to Fractions.  The order key of each monomial is computed
-once and memoized, basis elements are kept monic with their leading exponent
-cached, and every reduction goes through `_reduce`.
+collected variables to Fractions, and `_sub_multiple` adds multiples of one
+to another.  The order key of each monomial is computed once and memoized,
+basis elements are kept monic with their leading exponent cached, and every
+reduction goes through `_reduce`.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, le, sub
 
@@ -279,22 +281,23 @@ class EliminationResult:
         return values
 
 
-def _linear_candidate(g):
-    """First variable (in index order) occurring in g only as a constant * var."""
-    info = {}
-    for cm, c in g.terms:
-        for v, e in cm:
-            entry = info.setdefault(v, {"count": 0, "clean": True, "coeff": None})
-            entry["count"] += 1
-            if e == 1 and len(cm) == 1:
-                entry["coeff"] = c
-            else:
-                entry["clean"] = False
-    for v in sorted(info):
-        entry = info[v]
-        if entry["clean"] and entry["count"] == 1 and entry["coeff"]:
-            return v, entry["coeff"]
-    return None
+def _linear_candidate(f):
+    """Least k such that x_k occurs in f in exactly one term, and that is c * x_k."""
+    count = Counter(k for e in f for k, x in enumerate(e) if x)
+    return min((e.index(1) for e in f if sum(e) == 1 and count[e.index(1)] == 1),
+               default=None)
+
+
+def _substitute(f, k, powers):
+    """f with x_k replaced by expr, in place; powers[j - 1] = expr^j, filled on demand."""
+    for e in [e for e in f if e[k]]:
+        while len(powers) < e[k]:
+            power = {}
+            for s, d in powers[0].items():
+                _sub_multiple(power, -d, s, powers[-1])
+            powers.append(power)
+        _sub_multiple(f, -f.pop(e), e[:k] + (0,) + e[k + 1:], powers[e[k] - 1])
+    return f
 
 
 def greedy_linear_eliminate(gens) -> EliminationResult:
@@ -302,24 +305,25 @@ def greedy_linear_eliminate(gens) -> EliminationResult:
 
     Scans generators in listed order and variables in index order, substitutes
     the solved variable everywhere, removes the solving generator, and stops
-    when no generator qualifies.  Zero generators are dropped.
+    when no generator qualifies.  Zero generators are dropped.  Works on
+    exponent dicts, building each power of a solved expression once.
     """
-    work = [g for g in gens if g]
+    gens = [g for g in gens if g]
+    ring = _Ring(_collect_vars(gens), None)
+    work = [ring.from_param(g) for g in gens]
     eliminated = []
     while True:
-        pick = None
-        for idx, g in enumerate(work):
-            found = _linear_candidate(g)
-            if found:
-                pick = (idx, *found)
+        for idx, f in enumerate(work):
+            k = _linear_candidate(f)
+            if k is not None:
                 break
-        if pick is None:
+        else:
             break
-        idx, var, coeff = pick
-        g = work.pop(idx)
-        expr = ParamPoly(
-            [(cm, -c / coeff) for cm, c in g.terms if not any(v == var for v, _ in cm)])
-        eliminated.append((var, expr))
-        work = [w.substitute(var, expr) for w in work]
-        work = [w for w in work if w]
-    return EliminationResult(residual=tuple(work), eliminated=tuple(eliminated))
+        f = work.pop(idx)
+        c = f.pop(tuple(int(i == k) for i in range(len(ring.variables))))
+        powers = [{e: -d / c for e, d in f.items()}]
+        eliminated.append((ring.variables[k], powers[0]))
+        work = [w for w in work if _substitute(w, k, powers)]
+    return EliminationResult(
+        residual=tuple(map(ring.to_param, work)),
+        eliminated=tuple((v, ring.to_param(x)) for v, x in eliminated))

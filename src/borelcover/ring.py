@@ -294,14 +294,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a ParamPoly")
-        out = ParamPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, assignment):
         """Evaluate at a {(i, j): Fraction} map covering every variable."""
         total = Fraction(0)
@@ -313,26 +305,6 @@ class ParamPoly:
                 val *= Fraction(assignment[v]) ** e
             total += val
         return total
-
-    def substitute(self, key, value):
-        """Replace the variable `key` by `value` (ParamPoly or rational)."""
-        key = tuple(key)
-        if isinstance(value, (int, Fraction)):
-            value = ParamPoly.const(value)
-        out = ParamPoly.zero()
-        for cm, c in self.terms:
-            e_key = 0
-            rest = []
-            for v, e in cm:
-                if v == key:
-                    e_key = e
-                else:
-                    rest.append((v, e))
-            term = ParamPoly([(tuple(rest), c)])
-            if e_key:
-                term = term * value ** e_key
-            out = out + term
-        return out
 
     def __eq__(self, other):
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -541,38 +513,24 @@ def _format_xterm(mon, coeff):
     return sign, f"{q}*{mon_str}"
 
 
-_COORDS_MEMO_SIZE = 64
+@functools.lru_cache(maxsize=1)
+def _image_memo(rows):
+    """(D, G, images, successors) for the last invertible rational g seen.
 
-
-@functools.lru_cache(maxsize=_COORDS_MEMO_SIZE)
-def _integer_coords(rows):
-    """(D, G) with g = G / D for invertible rational rows.
-
-    G holds the rows as sparse (column, int) pairs.  Memoized per distinct g,
-    so a basis of forms costs one determinant; a singular g raises on every
-    call, since exceptions are not cached.
+    g = G / D, G as rows of sparse (column, int) pairs.  images maps an
+    exponent tuple e to the image of x^e under G, a dict from exponent tuple
+    to nonzero int; successors maps an exponent tuple m to the tuples
+    m + e_j, j = 0..n, so that all images share one tuple per monomial.
+    `_image` fills both.  A new g frees the memo of the last; a singular g
+    raises on every call, since exceptions are not cached.
     """
     if linalg.det([list(row) for row in rows]) == 0:
         raise MathDomainError("singular change of coordinates")
     D = math.lcm(*(q.denominator for row in rows for q in row))
     G = tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
               for row in rows)
-    return D, G
-
-
-@functools.lru_cache(maxsize=1)
-def _image_memo(rows):
-    """(images, successors): the integer images of x^e under the last g seen.
-
-    images maps an exponent tuple e to the image of x^e, a dict from
-    exponent tuple to nonzero int; successors maps an exponent tuple m to
-    the tuples m + e_j, j = 0..n, so that all images share one tuple per
-    monomial.  `_image` fills both.  One memo serves every form transformed
-    under g until another g comes along, which frees it, so at most one g's
-    images stay resident.
-    """
     one = (0,) * len(rows)
-    return {one: {one: 1}}, {}
+    return D, G, {one: {one: 1}}, {}
 
 
 def _image(e, G, images, successors):
@@ -607,20 +565,19 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
 
     g must be an invertible (n+1) x (n+1) rational matrix; the image of a
     homogeneous form is homogeneous of the same degree.  With g = G / D for
-    an integer matrix G, `_integer_coords` checks g once, and `_image_memo`
-    keeps the integer images of x^e under G for the last g, shared by every
-    form transformed under it in a row (a basis, say).  The coefficients c
-    of f are scaled to k = c * L, L the lcm of their Fraction denominators
-    (ints for Fractions, ParamPolys times an int otherwise), the terms
-    k * image(x^e) are accumulated per target monomial, and the sums are
-    divided by L * D^d once.
+    an integer matrix G, `_image_memo` checks g once and keeps the integer
+    images of x^e under G for the last g, shared by every form transformed
+    under it in a row (a basis, say).  The coefficients c of f are scaled to
+    k = c * L, L the lcm of their Fraction denominators (ints for Fractions,
+    ParamPolys times an int otherwise), the terms k * image(x^e) are
+    accumulated per target monomial, and the sums are divided by L * D^d
+    once.
     """
     n = f.n
     rows = tuple(tuple(map(Fraction, row)) for row in g)
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
-    D, G = _integer_coords(rows)
-    images, successors = _image_memo(rows)
+    D, G, images, successors = _image_memo(rows)
     L = math.lcm(*(c.denominator for _, c in f.terms if isinstance(c, Fraction)))
     acc = {}
     for mon, c in f.terms:

@@ -190,6 +190,14 @@ class TestRegularityTruncationRho:
     def test_truncate_below_min_degree(self, j1sat):
         assert truncate(j1sat, 1) == j1sat
 
+    def test_truncation_work_is_capped(self):
+        # the unit ideal forms all N(m) = C(m + 2, 2) monomials of degree m:
+        # 9 870 at m = 139 are formed, 10 011 at m = 140 are refused
+        unit = MonomialIdeal(2, [(0, 0, 0)])
+        assert len(truncate(unit, 139).gens) == 9870
+        with pytest.raises(ScaleCapError, match="would form 10011 monomials"):
+            truncate(unit, 140)
+
     def test_squares_not_a_truncation(self):
         J = MonomialIdeal.parse("x0^2, x1^2, x2^2", 2)
         assert not is_m_truncation(J, 2)

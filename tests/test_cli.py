@@ -262,6 +262,39 @@ class TestExitCodes:
         assert code == 4 and not out and message in err
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("command, extra", [
+        ("marked-scheme", ()),
+        ("check-basis", ("--set", "[]")),
+    ])
+    def test_truncation_is_capped(self, capsys, command, extra):
+        # truncating (x2, x1^2) at degree 1000 would form 10^6 monomials
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--sat",
+                             '{"n":2,"gens":[[0,0,1],[0,2,0]]}', "--m", "1000",
+                             *extra)
+        assert code == 4 and not out
+        assert "would form 1000000 monomials, over the cap 10000" in err
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("g", [
+        "5", "[1,2,3]", '[["a",0,0],[0,1,0],[0,0,1]]', '{"a":1}', "1e400",
+        "[[1.5,0,0],[0,1,0],[0,0,1]]", "[[true,0,0],[0,1,0],[0,0,1]]",
+        '[["1/0",0,0],[0,1,0],[0,0,1]]',
+    ])
+    def test_open_set_g_must_be_a_rational_matrix(self, capsys, g):
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":["x2^2","x1^2"]}', "--g", g)
+        assert code == 2 and not out
+        assert err.startswith("error: --g") and "Traceback" not in err
+
+    def test_open_set_g_entries_kept_as_given(self, capsys):
+        g = [["1", 0, 0], [0, "2/2", "1"], [0, 0, 1]]
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":["x2^2","x1^2"]}', "--g",
+                             json.dumps(g), "--all-charts", "--json")
+        assert code == 0 and not err
+        assert json.loads(out)["g"] == g
+
     def test_open_set_ambient_cap_within_budget(self, capsys):
         # the Gotzmann certificate walks up to degree 25 before the ambient
         # cap is checked, so the walk's exact ranks must stay within budget

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from borelcover import linalg
 from borelcover.borel import MonomialIdeal, enumerate_borel_saturated
+from borelcover.cover import atlas
 from borelcover.errors import MathDomainError, ScaleCapError
-from borelcover.fixtures import A8_CHART, reference_equations, saturation_ideal
+from borelcover.fixtures import (A8_CHART, POINTS_ON_LINE_CHARTS,
+                                 reference_equations, saturation_ideal)
 from borelcover.hilbert import parse_hilbert_poly
 from borelcover.marked import scheme_equations
-from borelcover.oracle import (greedy_linear_eliminate, groebner_basis,
-                               ideal_equal, make_order, normal_form)
+from borelcover.oracle import (EliminationResult, greedy_linear_eliminate,
+                               groebner_basis, ideal_equal, make_order,
+                               normal_form)
 from borelcover.ring import ParamPoly, _cmon_degree, _cmon_mul, parse_parampoly
 
 from conftest import rational_sampler
@@ -344,3 +348,134 @@ class TestPairCap:
     def test_one_pair_is_not_enough(self):
         with pytest.raises(ScaleCapError, match="exceeded 1 S-pairs"):
             groebner_basis(self.GENS, max_pairs=1)
+
+
+# ---------------------------------------------------------------------------
+# Greedy elimination against the ParamPoly substitution it replaced
+# ---------------------------------------------------------------------------
+
+def _old_substitute(p, key, value):
+    out = ParamPoly.zero()
+    for cm, c in p.terms:
+        e_key = 0
+        rest = []
+        for v, e in cm:
+            if v == key:
+                e_key = e
+            else:
+                rest.append((v, e))
+        term = ParamPoly([(tuple(rest), c)])
+        for _ in range(e_key):
+            term = term * value
+        out = out + term
+    return out
+
+
+def _old_linear_candidate(g):
+    info = {}
+    for cm, c in g.terms:
+        for v, e in cm:
+            entry = info.setdefault(v, {"count": 0, "clean": True, "coeff": None})
+            entry["count"] += 1
+            if e == 1 and len(cm) == 1:
+                entry["coeff"] = c
+            else:
+                entry["clean"] = False
+    for v in sorted(info):
+        entry = info[v]
+        if entry["clean"] and entry["count"] == 1 and entry["coeff"]:
+            return v, entry["coeff"]
+    return None
+
+
+def _old_greedy_linear_eliminate(gens):
+    work = [g for g in gens if g]
+    eliminated = []
+    while True:
+        pick = None
+        for idx, g in enumerate(work):
+            found = _old_linear_candidate(g)
+            if found:
+                pick = (idx, *found)
+                break
+        if pick is None:
+            break
+        idx, var, coeff = pick
+        g = work.pop(idx)
+        expr = ParamPoly(
+            [(cm, -c / coeff) for cm, c in g.terms if not any(v == var for v, _ in cm)])
+        eliminated.append((var, expr))
+        work = [_old_substitute(w, var, expr) for w in work]
+        work = [w for w in work if w]
+    return EliminationResult(residual=tuple(work), eliminated=tuple(eliminated))
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_charts(points):
+    """(level, scheme equations) of every chart of `points` points in P^2.
+
+    One entry per distinct truncation level among rho, reg and gotzmann.
+    """
+    out = []
+    for entry in atlas(2, points).charts:
+        levels = {}
+        for label, (m, _) in sorted(entry.dims.items()):
+            levels.setdefault(m, label)
+        out += [(label, scheme_equations(entry.chart.saturation, m))
+                for m, label in levels.items()]
+    return out
+
+
+def _assert_same_elimination(gens):
+    assert greedy_linear_eliminate(gens) == _old_greedy_linear_eliminate(gens)
+
+
+class TestEliminationAgainstSubstitution:
+    @settings(max_examples=100)
+    @given(system=small_systems())
+    def test_small_systems(self, system):
+        variables, gens, p = system
+        _assert_same_elimination(gens + [p])
+        # adding the first variable to every generator makes it a frequent
+        # candidate, so most examples substitute at least once
+        _assert_same_elimination([g + ParamPoly.var(variables[0]) for g in gens] + [p])
+
+    def test_a8_presentations(self):
+        _assert_same_elimination(reference_equations(A8_CHART))
+        _assert_same_elimination(list(scheme_equations(
+            saturation_ideal(A8_CHART), A8_CHART["m"]).generators))
+
+    def test_points_on_line(self):
+        for record in POINTS_ON_LINE_CHARTS:
+            sat = MonomialIdeal.parse(record["saturation"], record["n"])
+            _assert_same_elimination(
+                list(scheme_equations(sat, record["mu"]).generators))
+
+    @pytest.mark.parametrize("points", range(2, 7))
+    def test_plane_charts(self, points):
+        for _, S in _plane_charts(points):
+            if S.num_vars <= 30:
+                _assert_same_elimination(list(S.generators))
+
+
+def _linear_rank(gens):
+    """Rank of the degree-1 parts of gens: their Jacobian at the origin."""
+    cols = {}
+    rows = []
+    for g in gens:
+        assert not g.constant_term()  # the monomial ideal lies on the chart
+        rows.append({cols.setdefault(cm[0][0], len(cols)): c
+                     for cm, c in g.terms if len(cm) == 1 and cm[0][1] == 1})
+    return linalg.rank([[row.get(j, 0) for j in range(len(cols))] for row in rows])
+
+
+@pytest.mark.parametrize("points", [3, 4])
+def test_elimination_leaves_the_dimension_of_hilb(points):
+    # Hilb^d(P^2) is smooth of dimension 2d (Fogarty), so on every chart, at
+    # every truncation level, the tangent space at the origin has dimension
+    # 2d and the linear elimination solves the equations completely
+    for label, S in _plane_charts(points):
+        res = greedy_linear_eliminate(list(S.generators))
+        assert res.residual == (), label
+        assert (S.num_vars - res.eliminated_count == 2 * points
+                == S.num_vars - _linear_rank(S.generators)), label

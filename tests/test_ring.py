@@ -269,11 +269,6 @@ class TestParamPoly:
                 found_difference = True
         assert found_difference
 
-    def test_substitute(self):
-        a, b = ParamPoly.var((1, 1)), ParamPoly.var((1, 2))
-        p = a * a + b
-        assert p.substitute((1, 1), b) == b * b + b
-
     def test_str_parse_round_trip(self):
         p = parse_parampoly("-C[2,1]^2*C[3,4] + C[1,2] - 2")
         assert parse_parampoly(str(p)) == p
