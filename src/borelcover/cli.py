@@ -44,7 +44,7 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 def _is_rational_entry(x):
-    """A JSON integer (not a bool) or a string such as "-3/4"."""
+    """Is x a JSON integer (not a bool) or a string such as "-3/4"?"""
     if not isinstance(x, str) or not _RATIONAL_RE.fullmatch(x):
         return type(x) is int
     try:
