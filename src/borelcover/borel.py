@@ -9,6 +9,10 @@ Hilbert polynomial, and the one test and order for the charts among them.
 
 Enumeration walks the up-sets of the Borel poset on degree-r monomials, so it
 is intentionally desk-scale; the ambient size and the search tree are capped.
+Each search node is one int bitmask, and each candidate one bit test.  A
+degree-r Borel ideal is classified by its Eliahou-Kervaire histogram, the
+count a_k of generators with min variable k: it fixes both the chart test
+and the Hilbert polynomial of the quotient.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 
 from .errors import MathDomainError, ParseError, ScaleCapError
-from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
-                      chart_constants)
+from .hilbert import ChartConstants, ambient_dimension, chart_constants
 from .ring import Monomial, canonical_key, monomials_of_degree, parse_xpoly
 
 
@@ -47,6 +50,17 @@ class MonomialIdeal:
             minimal += [g for g in same if not any(h.divides(g) for h in minimal)]
         self.n = n
         self.gens = tuple(minimal)
+
+    @classmethod
+    def _from_sorted(cls, n, gens):
+        """Wrap distinct degree-d monomials of P^n already in canonical order.
+
+        No two of them divide each other, so they are the minimal basis.
+        """
+        out = cls.__new__(cls)
+        out.n = n
+        out.gens = tuple(gens)
+        return out
 
     @classmethod
     def zero(cls, n):
@@ -167,16 +181,6 @@ def up_moves(mon):
     for i in mon.support():
         for j in range(i + 1, n + 1):
             out.append(mon / Monomial.variable(n, i) * Monomial.variable(n, j))
-    return out
-
-
-def down_moves(mon):
-    """Results of decreasing elementary moves x_j -> x_i, i < j."""
-    out = []
-    n = mon.n
-    for j in mon.support():
-        for i in range(j):
-            out.append(mon / Monomial.variable(n, j) * Monomial.variable(n, i))
     return out
 
 
@@ -348,11 +352,13 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
 
     Enumerates the size-(N(r)-s) down-sets of the Borel poset on degree-r
     monomials by depth-first insertion along a linear extension; the
-    complements are exactly the Borel-closed generator sets.  Exponential in
-    the worst case, hence the ambient and node caps.
+    complements are exactly the Borel-closed generator sets.  A down-set is
+    an int bitmask over the ascending index, and monomial i may join it when
+    the mask holds its one-move lower set, the monomials one decreasing move
+    x_j -> x_i (i < j) below it.  Exponential in the worst case, hence the
+    ambient and node caps; the ambient cap is checked before listing.
     """
-    mons = monomials_of_degree(n, r)
-    N = len(mons)
+    N = ambient_dimension(n, r) if r >= 0 else 0  # C(n+r, n) need not vanish for r < 0
     if s > N:
         raise MathDomainError(f"requested {s} generators but dim S_{r} = {N}")
     if s < 0:
@@ -360,49 +366,74 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
     if N > max_ambient:
         raise ScaleCapError(
             f"dim S_{r} = {N} exceeds the enumeration cap {max_ambient}")
-    asc = list(reversed(mons))  # ascending degrevlex = linear extension
-    index = {m: i for i, m in enumerate(asc)}
-    lower = [sorted({index[d] for d in down_moves(m)}) for m in asc]
+    mons = monomials_of_degree(n, r)  # canonical order = descending degrevlex
+    index = {m.exps: N - 1 - k for k, m in enumerate(mons)}  # ascending index
+    lower = [0] * N
+    for m in mons:
+        exps = m.exps
+        mask = 0
+        for j in range(1, n + 1):
+            if exps[j]:
+                for i in range(j):
+                    moved = list(exps)
+                    moved[j] -= 1
+                    moved[i] += 1
+                    mask |= 1 << index[tuple(moved)]
+        lower[index[exps]] = mask
     target = N - s
 
-    results = []
+    leaves = []
     nodes = 0
-    chosen = [False] * N
-
-    def emit():
-        results.append(MonomialIdeal(n, [asc[i] for i in range(N) if not chosen[i]]))
-
-    def rec(start, count):
-        nonlocal nodes
+    stack = [(0, 0, 0)]  # (first candidate, size, down-set mask)
+    while stack:
+        start, count, chosen = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise ScaleCapError(f"enumeration exceeded {max_nodes} search nodes")
         if count == target:
-            emit()
-            return
-        for i in range(start, N):
-            if N - i < target - count:
-                break
-            if all(chosen[k] for k in lower[i]):
-                chosen[i] = True
-                rec(i + 1, count + 1)
-                chosen[i] = False
+            leaves.append(chosen)
+            continue
+        # children pushed last-first, so they are visited in ascending order
+        for i in range(N - target + count, start - 1, -1):
+            if lower[i] & chosen == lower[i]:
+                stack.append((i + 1, count + 1, chosen | 1 << i))
+    # Bit N-1-k of a mask is canonical position k, so the first generator at
+    # which two complements differ is the top bit at which the masks differ:
+    # ascending masks list the ideals by their generators' exponent tuples.
+    leaves.sort()
+    width = f"0{N}b"
+    return [MonomialIdeal._from_sorted(
+                n, [m for m, bit in zip(mons, format(chosen, width)) if bit == "0"])
+            for chosen in leaves]
 
-    try:
-        rec(0, 0)
-    finally:
-        del rec  # rec reaches itself through its closure: break that cycle
-    results.sort(key=lambda J: tuple(canonical_key(g) for g in J.gens))
-    return results
+
+def ek_histogram(J: MonomialIdeal):
+    """(a_0, ..., a_n): a_k generators of J have min variable k.
+
+    The generator 1 counts as k = n, as in borel_dim_at.  For a strongly
+    stable J generated in degree r the histogram fixes the Hilbert
+    polynomial, C(t+n, n) - sum_k a_k C(t - r + k, k).
+    """
+    n = J.n
+    counts = [0] * (n + 1)
+    for g in J.gens:
+        exps = g.exps
+        k = 0
+        while k < n and not exps[k]:
+            k += 1
+        counts[k] += 1
+    return tuple(counts)
 
 
 def is_borel_chart(J: MonomialIdeal, constants: ChartConstants) -> bool:
     """Is J, Borel and generated by q(r) monomials of degree r, a chart of Hilb_p?
 
-    By Gotzmann persistence it is exactly when dim J_{r+1} = q(r+1), and the
-    Eliahou-Kervaire count gives dim J_{r+1} without listing monomials.
+    By Gotzmann persistence it is exactly when dim J_{r+1} = q(r+1).  Each
+    generator with min variable k has k + 1 multiples u * g of degree r + 1
+    with max(u) <= k, so by Eliahou-Kervaire dim J_{r+1} = sum_k a_k (k + 1)
+    over the histogram of J.
     """
-    return borel_dim_at(J, constants.r + 1) == constants.s_prime
+    return sum(a * (k + 1) for k, a in enumerate(ek_histogram(J))) == constants.s_prime
 
 
 def chart_order(sat: MonomialIdeal):

@@ -120,18 +120,21 @@ def cmd_borel_classify(args):
     p = parse_hilbert_poly(args.hp)
     c = chart_constants(p, args.n)
     cls = cover.classify_grassmannian_borel(c, args.max_ambient, args.max_nodes)
-    payload = {
-        "n": args.n, "hp": str(p),
-        "charts": [ch.saturation.to_json_dict() for ch in cls.charts],
-        "empty_charts": [
-            {"chart": J.to_json_dict(), "quotient_hilbert_polynomial": str(hp)}
-            for J, hp in cls.empty_charts],
-    }
+    # only the requested format is built: each lists every empty locus
+    if args.json:
+        _emit({
+            "n": args.n, "hp": str(p),
+            "charts": [ch.saturation.to_json_dict() for ch in cls.charts],
+            "empty_charts": [
+                {"chart": J.to_json_dict(), "quotient_hilbert_polynomial": str(hp)}
+                for J, hp in cls.empty_charts],
+        }, True, None)
+        return 0
     lines = [f"charts ({len(cls.charts)}):"]
     lines += [f"  {ch.saturation}  (reg {ch.regularity_sat})" for ch in cls.charts]
     lines.append(f"empty charts ({len(cls.empty_charts)}):")
     lines += [f"  {J}  quotient HP {hp}" for J, hp in cls.empty_charts]
-    _emit(payload, args.json, "\n".join(lines))
+    _emit(None, False, "\n".join(lines))
     return 0
 
 

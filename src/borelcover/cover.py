@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .borel import (BorelChartIdeal, MonomialIdeal, chart_order,
-                    enumerate_borel_in_g, is_borel_chart, saturate)
+                    ek_histogram, enumerate_borel_in_g, is_borel_chart, saturate)
 from .errors import MathDomainError
 from .hilbert import ChartConstants, chart_constants, coerce_hilbert_poly, \
     hilbert_polynomial
@@ -34,16 +34,24 @@ def classify_grassmannian_borel(constants: ChartConstants,
     A Borel ideal generated by s monomials of degree r is a nonempty chart
     exactly when it passes borel.is_borel_chart; charts come in chart order.
     The others carry the vanishing-hypersurface datum recorded alongside
-    their quotient polynomial, in enumeration order.
+    their quotient polynomial, in enumeration order.  Both the chart test
+    and the quotient polynomial depend on the ideal only through its
+    Eliahou-Kervaire histogram, so each is computed once per histogram.
     """
     charts = []
     empty = []
+    verdicts = {}  # histogram -> None for a chart, else the quotient polynomial
     for J in enumerate_borel_in_g(constants.n, constants.r, constants.s,
                                   max_ambient, max_nodes):
-        if is_borel_chart(J, constants):
+        key = ek_histogram(J)
+        if key not in verdicts:
+            verdicts[key] = (None if is_borel_chart(J, constants)
+                             else hilbert_polynomial(J))
+        hp = verdicts[key]
+        if hp is None:
             charts.append(BorelChartIdeal.from_saturation(saturate(J), constants.r))
         else:
-            empty.append((J, hilbert_polynomial(J)))
+            empty.append((J, hp))
     charts.sort(key=lambda c: chart_order(c.saturation))
     return Classification(constants=constants, charts=tuple(charts),
                           empty_charts=tuple(empty))

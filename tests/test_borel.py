@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from borelcover.borel import (MonomialIdeal, borel_leq,
+from borelcover.borel import (MonomialIdeal, borel_leq, ek_histogram,
                               enumerate_borel_in_g, enumerate_borel_saturated,
                               is_borel_chart, is_m_truncation,
                               is_strongly_stable, regularity,
                               rho, saturate, saturate_any, star_decompose,
                               truncate, up_moves)
 from borelcover.errors import MathDomainError, ParseError, ScaleCapError
-from borelcover.hilbert import chart_constants, hilbert_polynomial, \
-    parse_hilbert_poly
+from borelcover.hilbert import (ChartConstants, ambient_dimension, binom,
+                               borel_dim_at, chart_constants,
+                               hilbert_polynomial, parse_hilbert_poly)
 from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
 from conftest import (borel_closure, borel_leq_partial_sums, monomial_ideals,
@@ -272,6 +273,149 @@ class TestEnumerateInG:
     def test_scale_cap(self):
         with pytest.raises(ScaleCapError):
             enumerate_borel_in_g(3, 16, 862, max_ambient=120)
+
+    def test_negative_degree_has_no_monomials(self):
+        # C(n + r, n) is 1 at n = 2, r = -3, but S_-3 is empty
+        assert enumerate_borel_in_g(2, -3, 0) == [MonomialIdeal.zero(2)]
+        with pytest.raises(MathDomainError):
+            enumerate_borel_in_g(2, -3, 1)
+
+
+def reference_down_moves(mon):
+    """Results of decreasing elementary moves x_j -> x_i, i < j."""
+    out = []
+    n = mon.n
+    for j in mon.support():
+        for i in range(j):
+            out.append(mon / Monomial.variable(n, j) * Monomial.variable(n, i))
+    return out
+
+
+def reference_poset(n, r):
+    """Degree-r monomials ascending and the indices one decreasing move below each."""
+    asc = list(reversed(monomials_of_degree(n, r)))
+    index = {m: i for i, m in enumerate(asc)}
+    return asc, [sorted({index[d] for d in reference_down_moves(m)}) for m in asc]
+
+
+def reference_enumerate_in_g(poset, n, s):
+    """Reference walk over reference_poset(n, r): (ideals, search nodes), no caps.
+
+    Recursive insertion along ascending degrevlex, each candidate tested
+    against a list of booleans and every leaf minimalized by MonomialIdeal.
+    """
+    asc, lower = poset
+    N = len(asc)
+    target = N - s
+    results = []
+    nodes = 0
+    chosen = [False] * N
+
+    def rec(start, count):
+        nonlocal nodes
+        nodes += 1
+        if count == target:
+            results.append(MonomialIdeal(n, [asc[i] for i in range(N)
+                                             if not chosen[i]]))
+            return
+        for i in range(start, N):
+            if N - i < target - count:
+                break
+            if all(chosen[k] for k in lower[i]):
+                chosen[i] = True
+                rec(i + 1, count + 1)
+                chosen[i] = False
+
+    rec(0, 0)
+    results.sort(key=lambda J: tuple(canonical_key(g) for g in J.gens))
+    return results, nodes
+
+
+def small_slices(max_ambient=35):
+    """Every (n, r) with n >= 1 and N(r) <= max_ambient."""
+    for n in range(1, max_ambient):
+        r = 0
+        while ambient_dimension(n, r) <= max_ambient:
+            yield n, r
+            r += 1
+
+
+class TestBitmaskWalk:
+    def test_matches_the_recursive_walk(self):
+        # same ideals in the same order, and the same node count to the cap
+        for n, r in small_slices():
+            poset = reference_poset(n, r)
+            for s in range(len(poset[0]) + 1):
+                want, nodes = reference_enumerate_in_g(poset, n, s)
+                assert enumerate_borel_in_g(n, r, s, max_nodes=nodes) == want, (n, r, s)
+                with pytest.raises(ScaleCapError):
+                    enumerate_borel_in_g(n, r, s, max_nodes=nodes - 1)
+
+    @pytest.mark.parametrize("n, p, nodes", [
+        (2, "7", 19), (3, "3*t+2", 318), (3, "4*t", 1658), (3, "5*t-2", 39050)])
+    def test_node_cap_boundary(self, n, p, nodes):
+        c = chart_constants(p, n)
+        enumerate_borel_in_g(n, c.r, c.s, max_ambient=200, max_nodes=nodes)
+        with pytest.raises(ScaleCapError,
+                           match=f"enumeration exceeded {nodes - 1} search nodes"):
+            enumerate_borel_in_g(n, c.r, c.s, max_ambient=200, max_nodes=nodes - 1)
+
+    @pytest.mark.parametrize("n, r, s", [(2, 4, 11), (3, 4, 20), (3, 3, 11), (2, 0, 1)])
+    def test_leaves_equal_and_hash_like_built_ideals(self, n, r, s):
+        got = enumerate_borel_in_g(n, r, s)
+        assert got
+        for J in got:
+            built = MonomialIdeal(n, J.gens)
+            assert J == built and hash(J) == hash(built)
+            assert J.gens == built.gens and J.n == built.n
+
+
+class TestTrustedLeaves:
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_degree_listing_is_a_minimal_basis(self, n):
+        for d in range(6):
+            mons = monomials_of_degree(n, d)
+            assert MonomialIdeal(n, mons).gens == tuple(mons)
+            trusted = MonomialIdeal._from_sorted(n, mons)
+            assert trusted == MonomialIdeal(n, mons)
+            assert hash(trusted) == hash(MonomialIdeal(n, mons))
+
+
+def single_degree_borel(I):
+    """Borel closure of I cut down to its top generator degree."""
+    J = borel_closure(I)
+    return truncate(J, J.max_gen_degree())
+
+
+class TestHistogram:
+    def test_unit_generator_counts_at_n(self):
+        assert ek_histogram(MonomialIdeal(2, [Monomial.one(2)])) == (0, 0, 1)
+
+    def test_counts_min_variables(self, j1sat):
+        # x2^2 has min variable 2; x2*x1 and x1^3 have min variable 1
+        assert ek_histogram(j1sat) == (0, 2, 1)
+        assert ek_histogram(MonomialIdeal.parse("x2^2, x2*x0", 2)) == (1, 0, 1)
+
+    @given(monomial_ideals().map(single_degree_borel))
+    def test_histogram_polynomial_is_the_hilbert_polynomial(self, J):
+        n, r = J.n, J.max_gen_degree()
+        hist = ek_histogram(J)
+        assert len(hist) == n + 1 and sum(hist) == len(J.gens)
+        hp = hilbert_polynomial(J)
+        # two polynomials of degree <= n that agree at n + 1 points are equal
+        for t in range(r, r + n + 1):
+            assert hp.evaluate(t) == binom(t + n, n) - sum(
+                a * binom(t - r + k, k) for k, a in enumerate(hist))
+
+    @given(monomial_ideals().map(single_degree_borel), st.integers(-1, 1))
+    def test_chart_test_is_the_eliahou_kervaire_count(self, J, shift):
+        # constants whose q(r+1) is dim J_{r+1} shifted by -1, 0 or 1
+        n, r = J.n, J.max_gen_degree()
+        p = hilbert_polynomial(J)
+        c = ChartConstants(n=n, p=p, d=max(p.degree(), 0), r=r,
+                           N_r=ambient_dimension(n, r), s=len(J.gens),
+                           s_prime=borel_dim_at(J, r + 1) + shift, D=0)
+        assert is_borel_chart(J, c) == (borel_dim_at(J, r + 1) == c.s_prime)
 
 
 class TestEnumerateSaturated:

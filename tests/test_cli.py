@@ -170,6 +170,35 @@ class TestClassifyAndAtlas:
         assert data["D"] == 44 and len(data["charts"]) == 2
 
 
+# sha256 of `borel-classify --json` stdout, pinned byte for byte
+CLASSIFY_GOLDENS = {
+    ("4*t",): "68bbe8d66cb3ec0d31461e577a6997f953e88ce0710ec0c13c81dd8a36a2a776",
+    ("4*t+1",): "56b6de6fcfb6fbaff8cc445b07208ffd8738013c44eb6dff556fed38ca6eedcb",
+    ("5*t-2", "--max-ambient", "200"):
+        "104a414b00bc9d3e23b87b2a73f52982fd599f250196060050dc633bbac5d7e8",
+}
+
+
+class TestClassifyGolden:
+    @pytest.mark.parametrize("args", list(CLASSIFY_GOLDENS))
+    def test_json_bytes(self, capsys, args):
+        code, out, err = run(capsys, "borel-classify", "--n", "3", "--hp",
+                             *args, "--json")
+        assert code == 0 and not err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CLASSIFY_GOLDENS[args]
+
+    @pytest.mark.parametrize("command", ["borel-classify", "atlas", "borel-list"])
+    def test_ambient_cap_before_listing(self, capsys, command):
+        # listing the 100001 linear forms before the cap check ran for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", "100000", "--hp", "1")
+        assert code == 4 and not out
+        assert "dim S_1 = 100001 exceeds the enumeration cap 120" in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+
 class TestCertify:
     def test_fast_fixture(self, capsys):
         code, out, _ = run(capsys, "certify", "a12-chart")
