@@ -227,8 +227,7 @@ def _require_borel(J, what):
 def saturate(J: MonomialIdeal) -> MonomialIdeal:
     """Saturation of a strongly stable ideal: delete x_0 from each generator."""
     _require_borel(J, "saturate")
-    n = J.n
-    return MonomialIdeal(n, [Monomial((0,) + g.exps[1:]) for g in J.gens])
+    return _colon_variable_power(J, 0)
 
 
 def regularity(J: MonomialIdeal) -> int:
@@ -267,9 +266,8 @@ def truncate(J: MonomialIdeal, m: int) -> MonomialIdeal:
 
 def _colon_variable_power(J, i):
     """J : x_i^infinity for a monomial ideal: delete x_i from each generator."""
-    return MonomialIdeal(
-        J.n, [Monomial(tuple(0 if k == i else e for k, e in enumerate(g.exps)))
-              for g in J.gens])
+    return MonomialIdeal(J.n, [Monomial(g.exps[:i] + (0,) + g.exps[i + 1:])
+                               for g in J.gens])
 
 
 def _intersect(A, B):
@@ -290,13 +288,8 @@ def saturate_any(J: MonomialIdeal) -> MonomialIdeal:
     return out
 
 
-def is_m_truncation(I: MonomialIdeal, m=None) -> bool:
-    """Does I equal the degree->=m part of its saturation?
-
-    When m is omitted it defaults to the largest generator degree.
-    """
-    if m is None:
-        m = I.max_gen_degree()
+def is_m_truncation(I: MonomialIdeal, m) -> bool:
+    """Does I equal the degree->=m part of its saturation?"""
     return I == truncate(saturate_any(I), m)
 
 
@@ -330,7 +323,7 @@ def star_decompose(gamma: Monomial, J: MonomialIdeal):
 
 @dataclass(frozen=True)
 class BorelChartIdeal:
-    """A Borel ideal generated in one degree, with its cached saturation data."""
+    """A Borel chart J with its saturation, the saturation's regularity and rho."""
 
     chart: MonomialIdeal
     saturation: MonomialIdeal
@@ -338,9 +331,9 @@ class BorelChartIdeal:
     rho: int
 
     @classmethod
-    def from_saturation(cls, sat, r):
-        return cls(chart=truncate(sat, r), saturation=sat,
-                   regularity_sat=regularity(sat), rho=rho(sat))
+    def from_chart(cls, J):
+        sat = saturate(J)
+        return cls(J, sat, sat.max_gen_degree(), rho(sat))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +429,24 @@ def is_borel_chart(J: MonomialIdeal, constants: ChartConstants) -> bool:
     return sum(a * (k + 1) for k, a in enumerate(ek_histogram(J))) == constants.s_prime
 
 
-def chart_order(sat: MonomialIdeal):
-    """Chart sort key of a Borel saturation: regularity (top degree), then generators."""
-    return (sat.max_gen_degree(), tuple(canonical_key(g) for g in sat.gens))
+def chart_order(chart: BorelChartIdeal):
+    """Chart sort key: regularity of the saturation, then its generators."""
+    return (chart.regularity_sat,
+            tuple(canonical_key(g) for g in chart.saturation.gens))
+
+
+def borel_charts(c: ChartConstants, max_ambient=120, max_nodes=2_000_000):
+    """Records of the degree-r Borel ideals that pass is_borel_chart, in chart order."""
+    return sorted((BorelChartIdeal.from_chart(J)
+                   for J in enumerate_borel_in_g(c.n, c.r, c.s, max_ambient, max_nodes)
+                   if is_borel_chart(J, c)), key=chart_order)
 
 
 def enumerate_borel_saturated(n, p, max_ambient=120, max_nodes=2_000_000):
     """Saturations of the Borel ideals with Hilbert polynomial p, in chart order.
 
-    Keeps the degree-r Borel ideals that pass is_borel_chart and saturates
-    them.  A chart J is the degree->=r part of its saturation, so distinct
-    charts have distinct saturations.
+    Those of borel_charts.  A chart J is the degree->=r part of its
+    saturation, so distinct charts have distinct saturations.
     """
-    c = chart_constants(p, n)
-    charts = [J for J in enumerate_borel_in_g(n, c.r, c.s, max_ambient, max_nodes)
-              if is_borel_chart(J, c)]
-    return sorted((saturate(J) for J in charts), key=chart_order)
+    charts = borel_charts(chart_constants(p, n), max_ambient, max_nodes)
+    return [c.saturation for c in charts]

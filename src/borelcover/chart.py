@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .borel import BorelChartIdeal, MonomialIdeal, enumerate_borel_saturated
+from .borel import BorelChartIdeal, MonomialIdeal, borel_charts
 from .errors import (IterationCapError, MathDomainError, NotInChartError)
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
                       certified_hilbert_polynomial, chart_constants)
@@ -39,12 +39,10 @@ def _common_degree(forms):
     return degs.pop()
 
 
-def coefficient_matrix(forms, columns=None):
+def coefficient_matrix(forms):
     """Rows of coefficients of scalar forms against degrevlex-descending columns."""
     d = _common_degree(forms)
-    n = forms[0].n
-    if columns is None:
-        columns = monomials_of_degree(n, d)
+    columns = monomials_of_degree(forms[0].n, d)
     rows = []
     for f in forms:
         if not f.is_scalar():
@@ -277,11 +275,8 @@ class OpenSetResult:
 
 
 def _chart_search_setup(gens, max_ambient, max_nodes):
-    n = gens[0].n
-    p = hilbert_polynomial_of_forms(gens)
-    constants = chart_constants(p, n)
-    charts = [BorelChartIdeal.from_saturation(sat, constants.r)
-              for sat in enumerate_borel_saturated(n, p, max_ambient, max_nodes)]
+    constants = chart_constants(hilbert_polynomial_of_forms(gens), gens[0].n)
+    charts = borel_charts(constants, max_ambient, max_nodes)
     basis = degree_basis(gens, constants.r)
     if len(basis) != constants.s:
         raise MathDomainError(

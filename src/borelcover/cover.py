@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .borel import (BorelChartIdeal, MonomialIdeal, chart_order,
-                    ek_histogram, enumerate_borel_in_g, is_borel_chart, saturate)
+                    ek_histogram, enumerate_borel_in_g, is_borel_chart)
 from .errors import MathDomainError
 from .hilbert import ChartConstants, chart_constants, coerce_hilbert_poly, \
     hilbert_polynomial
@@ -49,10 +49,10 @@ def classify_grassmannian_borel(constants: ChartConstants,
                              else hilbert_polynomial(J))
         hp = verdicts[key]
         if hp is None:
-            charts.append(BorelChartIdeal.from_saturation(saturate(J), constants.r))
+            charts.append(BorelChartIdeal.from_chart(J))
         else:
             empty.append((J, hp))
-    charts.sort(key=lambda c: chart_order(c.saturation))
+    charts.sort(key=chart_order)
     return Classification(constants=constants, charts=tuple(charts),
                           empty_charts=tuple(empty))
 

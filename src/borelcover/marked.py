@@ -28,7 +28,7 @@ from math import comb
 from operator import add
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
-                    saturate, star_decompose, truncate)
+                    star_decompose, truncate)
 from .chart import dimension_in_degree, marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
@@ -100,9 +100,10 @@ class MarkedTemplate:
 
 
 def _validate_saturated_borel(Jsat):
+    """Jsat is Borel, not the unit ideal, and saturated: no generator has x_0."""
     if not is_strongly_stable(Jsat):
         raise MathDomainError(f"{Jsat} is not strongly stable")
-    if saturate(Jsat) != Jsat:
+    if any(g.exps[0] for g in Jsat.gens):
         raise MathDomainError(f"{Jsat} is not saturated")
     if Jsat.contains_one():
         raise MathDomainError("the unit ideal has no Hilbert polynomial")
@@ -308,8 +309,7 @@ class SchemeIdeal:
     max_chain: int
 
 
-def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest",
-                     step_cap=None) -> SchemeIdeal:
+def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest") -> SchemeIdeal:
     """Defining ideal of the marked scheme of Jsat_{>=m}.
 
     Reduces every Eliahou-Kervaire S-polynomial to its normal form and
@@ -320,7 +320,7 @@ def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest",
     """
     tpl = template(Jsat, m)
     pairs = ek_spairs(tpl.ideal)
-    results = [reduce(spair_polynomial(pair, tpl), tpl, strategy, step_cap)
+    results = [reduce(spair_polynomial(pair, tpl), tpl, strategy)
                for pair in pairs]
 
     gens = []
@@ -411,7 +411,7 @@ def _heads_of_marked_set(G, T):
     return heads
 
 
-def is_marked_basis(G, T: MonomialIdeal, constants: ChartConstants | None = None) -> bool:
+def is_marked_basis(G, T: MonomialIdeal) -> bool:
     """Linear-algebra certificate that the quotient by (G) is free on N(T).
 
     Checks dim (G)_t = dim T_t for every t from the least head degree up to
@@ -422,11 +422,9 @@ def is_marked_basis(G, T: MonomialIdeal, constants: ChartConstants | None = None
     heads = _heads_of_marked_set(G, T)
     if sorted(heads, key=lambda m: m.exps) != sorted(T.gens, key=lambda m: m.exps):
         raise MathDomainError("heads of the marked set do not form the basis of T")
-    if constants is None:
-        constants = chart_constants(hilbert_polynomial(T), T.n)
-    lo = T.min_gen_degree()
+    r = chart_constants(hilbert_polynomial(T), T.n).r
     return all(dimension_in_degree(G, t) == len(T.monomials_at(t))
-               for t in range(lo, constants.r + 2))
+               for t in range(T.min_gen_degree(), r + 2))
 
 
 def marked_set_from_ideal(gens, T: MonomialIdeal):

@@ -149,15 +149,21 @@ def canonical_key(m: Monomial):
     return (m.degree(), m.exps)
 
 
+_MAX_LISTED_ENTRIES = 10_000_000
+
+
 def monomials_of_degree(n, d):
     """All degree-d monomials in x_0..x_n, in degrevlex-descending order.
 
     Stars and bars: the n bar positions among d + n slots, taken in
     lexicographic order, give the exponent tuples in ascending order, which
-    is degrevlex descending.
+    is degrevlex descending.  Capped before listing on N(d) * (n + 1) entries.
     """
     if d < 0:
         return []
+    if math.comb(d + n, n) * (n + 1) > _MAX_LISTED_ENTRIES:
+        raise ScaleCapError(f"the degree-{d} monomials of P^{n} exceed the listing "
+                            f"cap of {_MAX_LISTED_ENTRIES} exponent entries")
     ends = (d + n,)
     return [Monomial._from_exps(
                 tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + ends)]))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from borelcover.borel import MonomialIdeal, up_moves
-from borelcover.ring import Monomial, parse_xpoly
+from borelcover.borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
+                              is_borel_chart, regularity, rho, saturate, truncate,
+                              up_moves)
+from borelcover.ring import Monomial, canonical_key, parse_xpoly
 
 # Exact arithmetic makes example run times uneven, so no test has a deadline;
 # each property bounds its work through max_examples and its strategies.
@@ -95,3 +97,29 @@ def borel_closure(J):
                     nxt.append(u)
         frontier = nxt
     return MonomialIdeal(J.n, seen)
+
+
+def reference_chart_records(c):
+    """Chart records built the old way: saturate each chart, truncate it back.
+
+    Each record's chart is truncate(sat, r) and its regularity comes from
+    borel.regularity; the records are sorted on the saturations.
+    """
+    sats = sorted((saturate(J) for J in enumerate_borel_in_g(c.n, c.r, c.s)
+                   if is_borel_chart(J, c)),
+                  key=lambda sat: (sat.max_gen_degree(),
+                                   tuple(canonical_key(g) for g in sat.gens)))
+    return [BorelChartIdeal(chart=truncate(sat, c.r), saturation=sat,
+                            regularity_sat=regularity(sat), rho=rho(sat))
+            for sat in sats]
+
+
+def record_fields(records):
+    """The four fields of each chart record, in order, for field-by-field checks."""
+    return [(ch.chart, ch.saturation, ch.regularity_sat, ch.rho) for ch in records]
+
+
+# (n, Hilbert polynomial) families whose chart records are checked against
+# reference_chart_records
+CHART_FAMILIES = [(2, "4"), (2, "7"), (3, "3*t"), (3, "3*t+1"), (3, "2*t+2"),
+                  (3, "4*t")]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from borelcover.borel import (MonomialIdeal, borel_leq, ek_histogram,
+from borelcover.borel import (BorelChartIdeal, MonomialIdeal, borel_charts,
+                              borel_leq, ek_histogram,
                               enumerate_borel_in_g, enumerate_borel_saturated,
                               is_borel_chart, is_m_truncation,
                               is_strongly_stable, regularity,
@@ -17,8 +18,9 @@ from borelcover.hilbert import (ChartConstants, ambient_dimension, binom,
                                hilbert_polynomial, parse_hilbert_poly)
 from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
-from conftest import (borel_closure, borel_leq_partial_sums, monomial_ideals,
-                      mono)
+from conftest import (CHART_FAMILIES, borel_closure, borel_leq_partial_sums,
+                      monomial_ideals, mono, record_fields,
+                      reference_chart_records)
 
 
 def all_pairs_minimal(gens):
@@ -447,6 +449,25 @@ class TestEnumerateSaturated:
                 assert is_strongly_stable(sat)
                 assert saturate(sat) == sat
                 assert hilbert_polynomial(sat) == p
+
+
+class TestChartRecords:
+    @pytest.mark.parametrize("n, p", CHART_FAMILIES)
+    def test_records_equal_the_saturate_then_truncate_path(self, n, p):
+        c = chart_constants(p, n)
+        want = reference_chart_records(c)
+        got = borel_charts(c)
+        assert record_fields(got) == record_fields(want)
+        assert enumerate_borel_saturated(n, p) == [ch.saturation for ch in want]
+
+    def test_record_is_read_off_its_chart(self, j1sat):
+        J = truncate(j1sat, 4)
+        assert BorelChartIdeal.from_chart(J) == BorelChartIdeal(
+            chart=J, saturation=j1sat, regularity_sat=3, rho=3)
+
+    def test_from_chart_requires_a_borel_ideal(self):
+        with pytest.raises(MathDomainError, match="saturate requires"):
+            BorelChartIdeal.from_chart(MonomialIdeal.parse("x1^2, x0^2", 2))
 
 
 class TestIsBorelChart:

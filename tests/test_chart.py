@@ -22,7 +22,8 @@ from borelcover import linalg
 from borelcover.ring import (XPoly, apply_change_of_coords, monomials_of_degree,
                              parse_xpoly)
 
-from conftest import borel_closure, monomial_ideals
+from conftest import (borel_closure, monomial_ideals, record_fields,
+                      reference_chart_records)
 
 TWO_POINTS = [
     "x0^2 - x0*x2", "x1^2 - x1*x2", "x2^2 - x0*x2 - x1*x2", "x0*x1",
@@ -361,6 +362,25 @@ class TestBorelOpenSet:
         res = borel_open_set(two_quadrics, seed=0, bound=1)
         assert res.tried > 1
         assert res.chart.saturation == j1sat
+
+
+class TestSearchRecords:
+    @pytest.mark.parametrize("n, gens", [
+        (2, ("x2^2", "x1^2")),                            # in 1 of 2 charts
+        (2, ("x2*x1", "x2*x0", "x1*x0")),                 # in both charts
+        (3, ("x2^2-x3*x1", "x2*x1-x3*x0", "x1^2-x2*x0")),  # in 2 of 3 charts
+    ])
+    def test_records_equal_the_saturate_then_truncate_path(self, n, gens):
+        forms = [parse_xpoly(s, n) for s in gens]
+        g = random_coordinate_change(n, 0)
+        c = chart_constants(hilbert_polynomial_of_forms(forms), n)
+        basis = [apply_change_of_coords(f, g) for f in degree_basis(forms, c.r)]
+        want = [ch for ch in reference_chart_records(c)
+                if pluecker_coordinate(basis, ch.chart) != 0]
+        got = all_charts(forms, g)
+        assert want
+        assert record_fields(got) == record_fields(want)
+        assert borel_open_set(forms, g=g).chart == want[0]
 
 
 class TestNonBorelChartCaution:

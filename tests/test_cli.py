@@ -199,6 +199,38 @@ class TestClassifyGolden:
         assert time.perf_counter() - start < 10
 
 
+P100000_X1 = '{"n":100000,"gens":["x1"]}'
+
+
+class TestListingCap:
+    @pytest.mark.parametrize("argv, degree, n", [
+        (("open-set", "--ideal", P100000_X1), 1, 100000),
+        (("open-set", "--ideal", '{"n":3000,"gens":["x1"]}'), 2, 3000),
+        (("chart-form", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
+        (("pluecker", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
+        (("check-basis", "--sat", P100000_X1, "--m", "1", "--set", '["x1"]'), 1, 100000),
+        (("marked-scheme", "--sat", '{"n":100000,"gens":["x100000"]}', "--m", "1"),
+         1, 100000),
+    ], ids=["open-set", "open-set-quadrics", "chart-form", "pluecker",
+            "check-basis", "marked-scheme"])
+    def test_cap_before_listing(self, capsys, argv, degree, n):
+        # each of these listed a slice of millions of monomials, or tuples of
+        # length 100001, before any cap was checked
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and not out
+        assert (f"the degree-{degree} monomials of P^{n} exceed the listing cap "
+                "of 10000000 exponent entries") in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+    def test_largest_listing_under_the_cap(self, capsys):
+        # the 3001 linear forms of P^3000 hold 9 006 001 exponent entries
+        ideal = '{"n":3000,"gens":["x1"]}'
+        code, out, err = run(capsys, "chart-form", "--ideal", ideal, "--chart", ideal)
+        assert code == 0 and out == "x1\n" and not err
+
+
 class TestCertify:
     def test_fast_fixture(self, capsys):
         code, out, _ = run(capsys, "certify", "a12-chart")
@@ -323,6 +355,17 @@ class TestExitCodes:
                              json.dumps(g), "--all-charts", "--json")
         assert code == 0 and not err
         assert json.loads(out)["g"] == g
+
+    @pytest.mark.parametrize("gens, message", [
+        ("[3]", "bad generator 3"),
+        ('["C[1,1]*x1"]', "ideal generators must not contain parameters"),
+        ('["0"]', "ideal has no nonzero generators"),
+        ("[]", "ideal has no nonzero generators"),
+    ], ids=["bad-generator", "parameters", "zero", "empty"])
+    def test_open_set_generators_are_nonzero_forms(self, capsys, gens, message):
+        code, out, err = run(capsys, "open-set", "--ideal", '{"n":2,"gens":%s}' % gens)
+        assert code == 2 and not out
+        assert message in err and "Traceback" not in err
 
     def test_open_set_ambient_cap_within_budget(self, capsys):
         # the Gotzmann certificate walks up to degree 25 before the ambient

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from borelcover import borel
 from borelcover.borel import MonomialIdeal, truncate
 from borelcover.chart import in_hilb
+from borelcover.cli import main
 from borelcover.cover import (atlas, classify_grassmannian_borel,
                               gluing_degree)
 from borelcover.errors import MathDomainError
 from borelcover.hilbert import chart_constants, parse_hilbert_poly
 from borelcover.ring import XPoly
 
-from conftest import rational_sampler
+from conftest import (CHART_FAMILIES, rational_sampler, record_fields,
+                      reference_chart_records)
 
 
 class TestClassification:
@@ -66,6 +69,30 @@ class TestClassification:
         for ch in cls.charts:
             forms = [XPoly.from_monomial(g) for g in ch.chart.gens]
             assert in_hilb(forms, c)
+
+
+class TestChartRecordsFromTheWalk:
+    @pytest.mark.parametrize("n, p", CHART_FAMILIES)
+    def test_classify_records_equal_the_saturate_then_truncate_path(self, n, p):
+        c = chart_constants(p, n)
+        got = classify_grassmannian_borel(c).charts
+        want = reference_chart_records(c)
+        assert record_fields(got) == record_fields(want)
+
+    def test_no_record_is_built_through_truncate_or_regularity(self, monkeypatch,
+                                                                capsys):
+        def refuse(*args):
+            raise AssertionError("chart records must not truncate or take regularity")
+
+        monkeypatch.setattr(borel, "truncate", refuse)
+        monkeypatch.setattr(borel, "regularity", refuse)
+        got = atlas(3, "3*t+2")
+        assert got.charts and all(e.equations is None for e in got.charts)
+        ideal = '{"n":2,"gens":["x2^2","x1^2"]}'
+        assert main(["open-set", "--ideal", ideal, "--json"]) == 0
+        assert main(["open-set", "--ideal", ideal, "--all-charts"]) == 0
+        err = capsys.readouterr().err
+        assert not err
 
 
 class TestGluingDegree:

@@ -439,6 +439,24 @@ class TestDimensionsAndBounds:
         with pytest.raises(MathDomainError):
             build(sat, m)
 
+    @settings(max_examples=60)
+    @given(monomial_ideals().map(borel_closure))
+    def test_saturated_exactly_without_x0_generators(self, J):
+        saturated = saturate(J) == J
+        assert saturated == (not any(g.exps[0] for g in J.gens))
+        if saturated:
+            marked._validate_saturated_borel(J)
+        else:
+            with pytest.raises(MathDomainError, match="is not saturated"):
+                marked._validate_saturated_borel(J)
+
+    def test_x0_generator_is_not_saturated(self):
+        J = MonomialIdeal.parse("x2^2, x2*x1, x2*x0", 2)
+        assert saturate(J) == MonomialIdeal.parse("x2", 2)
+        message = r"^\(x2\^2, x2\*x1, x2\*x0\) is not saturated$"
+        with pytest.raises(MathDomainError, match=message):
+            marked._validate_saturated_borel(J)
+
     def test_naive_minor_count(self):
         assert naive_minor_count(chart_constants(4, 2)) == 1_379_420_565_600
 

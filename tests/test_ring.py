@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcover import linalg
-from borelcover.errors import MathDomainError, ParseError
+from borelcover import linalg, ring
+from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              degrevlex_cmp, degrevlex_key, monomials_of_degree,
                              parse_parampoly, parse_xpoly, specialize)
@@ -63,6 +63,19 @@ class TestDegrevlex:
                                                            repeat=n + 1)
                               if sum(e) == d)
                 assert [m.exps for m in monomials_of_degree(n, d)] == want
+
+    def test_listing_cap_counts_exponent_entries(self, monkeypatch):
+        # the 10 cubics of P^2 hold 30 exponent entries
+        monkeypatch.setattr(ring, "_MAX_LISTED_ENTRIES", 30)
+        assert len(monomials_of_degree(2, 3)) == 10
+        monkeypatch.setattr(ring, "_MAX_LISTED_ENTRIES", 29)
+        with pytest.raises(ScaleCapError, match="degree-3 monomials of P\\^2 exceed"):
+            monomials_of_degree(2, 3)
+
+    def test_listing_cap_checked_before_listing(self):
+        # 100001 linear forms of length 100001 would be 10^10 entries
+        with pytest.raises(ScaleCapError, match="listing cap of 10000000"):
+            monomials_of_degree(100_000, 1)
 
     def test_total_order(self):
         mons = monomials_of_degree(2, 3)
