@@ -53,16 +53,15 @@ def coefficient_matrix(forms):
 
 
 def _basis_of_rows(rows, columns, n, d):
-    """The RREF rows of a coefficient matrix, as forms over the columns."""
+    """RREF rows of a coefficient matrix as forms over the columns, and the pivots."""
     R, pivots = linalg.rref(rows)
-    return [XPoly(n, [(columns[j], R[i][j]) for j in range(len(columns)) if R[i][j]], d)
-            for i in range(len(pivots))]
+    return [XPoly(n, [(m, c) for m, c in zip(columns, row) if c], d)
+            for row in R[:len(pivots)]], pivots
 
 
 def row_space_basis(forms):
     """A canonical basis (RREF rows) of the span of the given forms."""
-    rows, cols = coefficient_matrix(forms)
-    return _basis_of_rows(rows, cols, forms[0].n, forms[0].degree)
+    return _basis_of_rows(*coefficient_matrix(forms), forms[0].n, forms[0].degree)[0]
 
 
 def _span_rows(gens, t, columns=None):
@@ -102,14 +101,12 @@ def _span_rows(gens, t, columns=None):
 
 def dimension_in_degree(gens, t):
     """dim_K of the degree-t slice of the ideal generated by the forms."""
-    rows, _ = _span_rows(gens, t)
-    return linalg.rank(rows) if rows else 0
+    return linalg.rank(_span_rows(gens, t)[0])
 
 
 def degree_basis(gens, t):
     """A canonical basis of the degree-t slice of the generated ideal."""
-    rows, columns = _span_rows(gens, t)
-    return _basis_of_rows(rows, columns, gens[0].n, t) if rows else []
+    return _basis_of_rows(*_span_rows(gens, t), gens[0].n, t)[0]
 
 
 def _single_degree_chart(J):
@@ -162,16 +159,14 @@ def marked_slice(gens, T: MonomialIdeal, t):
         raise MathDomainError("ambient mismatch between forms and chart")
     inside = T.monomials_at(t)
     rows, columns = _span_rows(gens, t, inside + T.sous_escalier_at(t))
-    R, pivots = linalg.rref(rows)
+    basis, pivots = _basis_of_rows(rows, columns, T.n, t)
     if len(pivots) != len(inside):
         raise MathDomainError(
             f"span has dimension {len(pivots)}, chart expects {len(inside)}")
     if pivots != list(range(len(inside))):
         raise NotInChartError(
             f"Plucker coordinate of {T} vanishes on the degree-{t} slice")
-    return {mon: XPoly(T.n, [(columns[j], R[i][j])
-                             for j in range(len(columns)) if R[i][j]], t)
-            for i, mon in enumerate(inside)}
+    return dict(zip(inside, basis))
 
 
 def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
@@ -191,9 +186,8 @@ def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
 
 def initial_monomials_gauss(forms) -> MonomialIdeal:
     """Degrevlex-leading monomials of a linearly independent system of forms."""
-    d = _common_degree(forms)
     rows, cols = coefficient_matrix(forms)
-    R, pivots = linalg.rref(rows)
+    pivots = linalg.rref(rows)[1]
     if len(pivots) != len(forms):
         raise MathDomainError(
             f"forms are linearly dependent (rank {len(pivots)} of {len(forms)})")
@@ -230,16 +224,21 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
     """Membership at the Gotzmann level: rank of the next-degree matrix.
 
     Requires dim I_r = q(r); membership holds iff dim S_1*I_r equals q(r+1).
-    By the Macaulay lower bound the rank can never be smaller.
+    By the Macaulay lower bound the rank can never be smaller.  The rows
+    x_j*f come from the RREF basis of the forms: each has its pivot and
+    otherwise only the N(r) - q(r) non-pivot columns, so stays sparse.
     """
     r = constants.r
     d = _common_degree(forms)
     if d != r:
         raise MathDomainError(f"membership test needs forms of degree {r}, got {d}")
-    if dimension_in_degree(forms, r) != constants.s:
+    if forms[0].n != constants.n:
+        raise MathDomainError("ambient mismatch between forms and Hilbert scheme")
+    basis = row_space_basis(forms)
+    if len(basis) != constants.s:
         raise MathDomainError(
             f"degree-{r} component has the wrong dimension (expected {constants.s})")
-    got = dimension_in_degree(forms, r + 1)
+    got = dimension_in_degree(basis, r + 1)
     if got < constants.s_prime:
         raise MathDomainError("rank below the Macaulay bound; inconsistent input")
     return got == constants.s_prime
@@ -255,7 +254,7 @@ def hilbert_polynomial_of_forms(gens) -> HilbertPoly:
     the largest generator degree on, up to the first degree of maximal
     growth; see hilbert.certified_hilbert_polynomial.
     """
-    if not gens or all(not g for g in gens):
+    if not any(gens):
         raise MathDomainError("cannot infer a Hilbert polynomial from the zero ideal")
     gens = [g for g in gens if g]
     n = gens[0].n

@@ -590,14 +590,10 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
         k = c.numerator * (L // c.denominator) if isinstance(c, Fraction) else c * L
         for m, a in _image(mon.exps, G, images, successors).items():
             prev = acc.get(m)
-            v = k * a if prev is None else prev + k * a
-            if v:
-                acc[m] = v
-            else:
-                del acc[m]
+            acc[m] = k * a if prev is None else prev + k * a
     scale = Fraction(1, L * D ** f.degree)
-    return XPoly(n, [(Monomial._from_exps(m), v * scale) for m, v in acc.items()],
-                 f.degree)
+    return XPoly._from_canonical(n, tuple(
+        (Monomial._from_exps(m), v * scale) for m, v in sorted(acc.items()) if v), f.degree)
 
 
 def specialize(f: XPoly, assignment) -> XPoly:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
-from borelcover.chart import (_draw_invertible, all_charts, borel_open_set,
-                              chart_form, coefficient_matrix, degree_basis,
-                              dimension_in_degree, hilbert_polynomial_of_forms,
-                              in_hilb, initial_monomials_gauss, marked_slice,
+from borelcover.chart import (_common_degree, _draw_invertible, all_charts,
+                              borel_open_set, chart_form, coefficient_matrix,
+                              degree_basis, dimension_in_degree,
+                              hilbert_polynomial_of_forms, in_hilb,
+                              initial_monomials_gauss, marked_slice,
                               pluecker_coordinate, random_coordinate_change,
                               row_space_basis)
 from borelcover.errors import (IterationCapError, MathDomainError,
@@ -213,6 +214,90 @@ class TestInHilb:
             assert in_hilb(_monomial_forms(J), c) == \
                 (hilbert_polynomial(J) == c.p)
 
+    def test_ambient_mismatch(self):
+        forms = [parse_xpoly(s, 3) for s in ("x0^2", "x0*x1", "x0*x2", "x0*x3")]
+        with pytest.raises(MathDomainError, match="ambient mismatch"):
+            in_hilb(forms, chart_constants("2", 2))
+
+
+def raw_forms_in_hilb(forms, constants):
+    """The membership test ranked on the raw forms at degrees r and r + 1."""
+    r = constants.r
+    d = _common_degree(forms)
+    if d != r:
+        raise MathDomainError(f"membership test needs forms of degree {r}, got {d}")
+    if dimension_in_degree(forms, r) != constants.s:
+        raise MathDomainError(
+            f"degree-{r} component has the wrong dimension (expected {constants.s})")
+    got = dimension_in_degree(forms, r + 1)
+    if got < constants.s_prime:
+        raise MathDomainError("rank below the Macaulay bound; inconsistent input")
+    return got == constants.s_prime
+
+
+def _outcome(test, forms, constants):
+    try:
+        return test(forms, constants)
+    except MathDomainError as exc:
+        return type(exc), str(exc)
+
+
+# Every Borel ideal of G(s, S_r) for (3, 3t) and (2, 4), with its chart
+# constants: three members and four empty loci in all.
+BOREL_POINTS = [(c, J) for c in (chart_constants("3*t", 3), chart_constants(4, 2))
+                for J in enumerate_borel_in_g(c.n, c.r, c.s)]
+
+
+class TestInHilbAgainstRawForms:
+    def test_every_borel_ideal(self):
+        verdicts = []
+        for c, J in BOREL_POINTS:
+            forms = _monomial_forms(J)
+            verdicts.append(in_hilb(forms, c))
+            assert verdicts[-1] == raw_forms_in_hilb(forms, c) == \
+                (hilbert_polynomial(J) == c.p)
+        assert verdicts.count(True) == 3 and verdicts.count(False) == 4
+
+    @settings(max_examples=30)
+    @given(st.booleans(), st.data(), st.integers(0, 2 ** 32))
+    def test_under_integer_coordinate_change(self, member, data, seed):
+        c, J = data.draw(st.sampled_from(
+            [(c, J) for c, J in BOREL_POINTS if (hilbert_polynomial(J) == c.p) == member]))
+        g = random_coordinate_change(c.n, seed, bound=3)
+        forms = [apply_change_of_coords(f, g) for f in _monomial_forms(J)]
+        assert in_hilb(forms, c) is member
+        assert raw_forms_in_hilb(forms, c) is member
+
+    @pytest.mark.parametrize("forms, match", [
+        (["x2^2", "x2*x1", "x1^2", "x2^2 + x2*x1"], "wrong dimension"),
+        (["C[1,1]*x2^2 + x0^2", "x2*x1", "x1^2", "x0*x1"], "scalar coefficients"),
+        (["x2^2", "x2*x1", "x1^2", "x1"], "mixed degrees"),
+        (["x2", "x1", "x0", "x2 + x1"], "needs forms of degree 2"),
+    ])
+    def test_error_paths(self, forms, match):
+        # two points in the plane: r = 2 and s = 4
+        forms = [parse_xpoly(s, 2) for s in forms]
+        c = chart_constants(2, 2)
+        got = _outcome(in_hilb, forms, c)
+        assert got == _outcome(raw_forms_in_hilb, forms, c)
+        assert got[0] is MathDomainError and match in got[1]
+
+    def test_next_degree_rows_are_sparse(self, monkeypatch):
+        # the rows x_j*f come from the RREF basis, whose rows carry a pivot
+        # and otherwise only the N(r) - s non-pivot columns
+        c, J = next((c, J) for c, J in BOREL_POINTS
+                    if c.n == 3 and hilbert_polynomial(J) == c.p)
+        g = random_coordinate_change(c.n, 7, bound=3)
+        forms = [apply_change_of_coords(f, g) for f in _monomial_forms(J)]
+        assert max(len(f.terms) for f in forms) > 1 + c.N_r - c.s
+        calls = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or rank(rows))
+        assert in_hilb(forms, c)
+        (rows,) = calls
+        assert len(rows) == (c.n + 1) * c.s
+        assert max(sum(1 for x in row if x) for row in rows) <= 1 + c.N_r - c.s
+
 
 class TestHilbertPolynomialOfForms:
     def test_two_quadrics(self, two_quadrics):
@@ -236,9 +321,14 @@ class TestHilbertPolynomialOfForms:
             "-3*x2^3 + x2^2*x1 - x2^2*x0 + x2*x1*x0 + 3*x1*x0^2 - x0^3")]
         assert hilbert_polynomial_of_forms(forms).is_zero()
 
+    def test_zero_ideal_rejected(self):
+        for gens in ([], [XPoly.zero(2, 2)], [XPoly.zero(2, 1), XPoly.zero(2, 3)]):
+            with pytest.raises(MathDomainError, match="zero ideal"):
+                hilbert_polynomial_of_forms(gens)
+
     @settings(max_examples=40)
     @given(st.one_of(monomial_ideals(max_n=2, max_degree=3),
-                     monomial_ideals(max_n=3, max_degree=2)).map(borel_closure))
+                     monomial_ideals(max_n=3, max_degree=3)).map(borel_closure))
     def test_matches_eliahou_kervaire_on_borel_closures(self, J):
         assert hilbert_polynomial_of_forms(_monomial_forms(J)) == \
             hilbert_polynomial(J)
