@@ -1,15 +1,15 @@
 """Grassmannian charts via exact linear algebra.
 
-Coefficient matrices of linear systems of forms, the Macaulay rows of the
-degree-t slice of an ideal (one row per generator and multiplier monomial,
-built straight from exponent tuples), Plucker coordinates of a
-monomial chart (maximal minors), marked slices and the chart form of an
-ideal (reduced row echelon against the head columns of a monomial ideal),
-Gaussian initial monomials, the Hilbert-scheme membership test at the
-Gotzmann level, the Hilbert polynomial of a system of forms (certified by
-Gotzmann persistence from exact ranks), and the seeded random-coordinate
-search that locates an arbitrary ideal in a Borel chart.  Ranks, minors and
-echelon forms all come from the one sparse elimination in ``linalg``.
+One row builder, ``_span_rows``, gives the Macaulay rows of the degree-t
+slice of an ideal, which for forms of degree t are their coefficient rows.
+On them rest Plucker coordinates of a monomial chart (maximal minors),
+marked slices and the chart form of an ideal (reduced row echelon against
+the head columns of a monomial ideal), Gaussian initial monomials, the
+Hilbert-scheme membership test at the Gotzmann level, the Hilbert
+polynomial of a system of forms (certified by Gotzmann persistence from
+exact ranks), and the seeded random-coordinate search that locates an
+arbitrary ideal in a Borel chart.  Ranks, minors and echelon forms all come
+from the one sparse elimination in ``linalg``.
 """
 
 from __future__ import annotations
@@ -39,19 +39,6 @@ def _common_degree(forms):
     return degs.pop()
 
 
-def coefficient_matrix(forms):
-    """Rows of coefficients of scalar forms against degrevlex-descending columns."""
-    d = _common_degree(forms)
-    columns = monomials_of_degree(forms[0].n, d)
-    rows = []
-    for f in forms:
-        if not f.is_scalar():
-            raise MathDomainError("coefficient matrix needs scalar coefficients")
-        lookup = dict(f.terms)
-        rows.append([lookup.get(m, Fraction(0)) for m in columns])
-    return rows, columns
-
-
 def _basis_of_rows(rows, columns, n, d):
     """RREF rows of a coefficient matrix as forms over the columns, and the pivots."""
     R, pivots = linalg.rref(rows)
@@ -59,16 +46,11 @@ def _basis_of_rows(rows, columns, n, d):
             for row in R[:len(pivots)]], pivots
 
 
-def row_space_basis(forms):
-    """A canonical basis (RREF rows) of the span of the given forms."""
-    return _basis_of_rows(*coefficient_matrix(forms), forms[0].n, forms[0].degree)[0]
-
-
 def _span_rows(gens, t, columns=None):
     """Coefficient rows of the degree-t multiples x^m * f of the generators.
 
-    One row per nonzero generator f of degree at most t and per degree
-    (t - deg f) monomial x^m, in that order, against the degree-t columns
+    One row per generator f of degree at most t and per degree (t - deg f)
+    monomial x^m, in that order, against the degree-t columns
     (degrevlex descending unless given): the rows of a Macaulay matrix.
     Each row is built straight from exponent tuples, the column of a term
     being that of (term exponents + multiplier exponents); no form is built
@@ -83,7 +65,7 @@ def _span_rows(gens, t, columns=None):
     zero = Fraction(0)
     rows = []
     for f in gens:
-        if f.degree > t or not f:
+        if f.degree > t:
             continue
         if f.n != n:
             raise MathDomainError("forms live in different ambient rings")
@@ -130,7 +112,7 @@ def pluecker_coordinate(forms, J: MonomialIdeal) -> Fraction:
     if len(forms) != len(J.gens):
         raise MathDomainError(
             f"expected {len(J.gens)} forms for this chart, got {len(forms)}")
-    rows, cols = coefficient_matrix(forms)
+    rows, cols = _span_rows(forms, d)
     col_index = {m: i for i, m in enumerate(cols)}
     sub = [[row[col_index[g]] for g in J.gens] for row in rows]
     return linalg.det(sub)
@@ -186,7 +168,7 @@ def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
 
 def initial_monomials_gauss(forms) -> MonomialIdeal:
     """Degrevlex-leading monomials of a linearly independent system of forms."""
-    rows, cols = coefficient_matrix(forms)
+    rows, cols = _span_rows(forms, _common_degree(forms))
     pivots = linalg.rref(rows)[1]
     if len(pivots) != len(forms):
         raise MathDomainError(
@@ -234,7 +216,7 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
         raise MathDomainError(f"membership test needs forms of degree {r}, got {d}")
     if forms[0].n != constants.n:
         raise MathDomainError("ambient mismatch between forms and Hilbert scheme")
-    basis = row_space_basis(forms)
+    basis = degree_basis(forms, r)
     if len(basis) != constants.s:
         raise MathDomainError(
             f"degree-{r} component has the wrong dimension (expected {constants.s})")

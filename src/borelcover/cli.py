@@ -191,7 +191,7 @@ def cmd_pluecker(args):
 
 def cmd_marked_scheme(args):
     sat = _monomial_ideal_arg(args.sat)
-    S = scheme_equations(sat, args.m, strategy=args.strategy)
+    S = scheme_equations(sat, args.m)
     payload = {
         "m": S.m,
         "num_vars": S.num_vars,
@@ -416,7 +416,6 @@ def build_parser():
     p.add_argument("--sat", required=True, help="saturated Borel ideal (JSON)")
     p.add_argument("--m", type=int, required=True, help="truncation level")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--strategy", choices=("largest", "smallest"), default="largest")
     p.set_defaults(func=cmd_marked_scheme)
 
     p = sub.add_parser("check-basis",

@@ -15,7 +15,10 @@ monomial of T using star decompositions, until the support lies outside T;
 the surviving coefficients in the parameters generate the ideal.  Each
 rewriting step strictly decreases the minimal variable along a chain, which
 bounds both the chain length and the coefficient degrees at single-degree
-truncation levels.  The reduction runs on exponent tuples, with each
+truncation levels.  The order of the rewrites does not change the normal
+form: each monomial of T has one star decomposition, hence one rewrite, and
+rewriting terminates, so the normal form of a sum is the sum of the normal
+forms of its monomials.  The reduction runs on exponent tuples, with each
 coefficient a mutable dict from parameter multi-index to number.
 """
 
@@ -212,12 +215,12 @@ class ReductionResult:
     max_chain: int
 
 
-def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
-           step_cap=None) -> ReductionResult:
+def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
     """Normal form of h against the template: support ends up outside T.
 
-    Repeatedly picks the degrevlex-largest (or smallest) monomial of T in the
-    support, star-decomposes it as x^e * x^b, and subtracts coeff * x^e * F_b.
+    Repeatedly picks the degrevlex-largest monomial of T in the support,
+    star-decomposes it as x^e * x^b, and subtracts coeff * x^e * F_b; any
+    other order gives the same normal form (see the module docstring).
     The step cap guards the Noetherianity argument; hitting it is an error,
     never a silent truncation.  max_chain records the longest cascade of
     rewrites in which each reduced monomial was introduced by the previous
@@ -232,13 +235,10 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
     untouched ones come back as they went in, so the result and its types
     are those of repeated ``h - c * x^e * F_b``.
     """
-    if strategy not in ("largest", "smallest"):
-        raise MathDomainError(f"unknown reduction strategy {strategy!r}")
     if h.n != tpl.ideal.n:
         raise MathDomainError("form and template live in different ambient rings")
     if step_cap is None:
         step_cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
-    pick = min if strategy == "largest" else max
     members = tpl.members_at(h.degree)
     acc = {mon.exps: c for mon, c in h.terms}
     inside = {e for e in acc if e in members}
@@ -246,7 +246,7 @@ def reduce(h: XPoly, tpl: MarkedTemplate, strategy="largest",
     steps = 0
     max_chain = 0
     while inside:
-        target = pick(inside)
+        target = min(inside)
         steps += 1
         if steps > step_cap:
             raise ReductionCapError(
@@ -309,7 +309,7 @@ class SchemeIdeal:
     max_chain: int
 
 
-def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest") -> SchemeIdeal:
+def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     """Defining ideal of the marked scheme of Jsat_{>=m}.
 
     Reduces every Eliahou-Kervaire S-polynomial to its normal form and
@@ -320,8 +320,7 @@ def scheme_equations(Jsat: MonomialIdeal, m: int, strategy="largest") -> SchemeI
     """
     tpl = template(Jsat, m)
     pairs = ek_spairs(tpl.ideal)
-    results = [reduce(spair_polynomial(pair, tpl), tpl, strategy)
-               for pair in pairs]
+    results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
 
     gens = []
     seen = set()

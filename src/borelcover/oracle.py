@@ -157,7 +157,7 @@ def normal_form(p: ParamPoly, basis, key) -> ParamPoly:
 
 def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
                    max_pairs=DEFAULT_MAX_PAIRS):
-    """Reduced Groebner basis by Buchberger with the normal strategy.
+    """Reduced Groebner basis by Buchberger, pairs taken by the normal selection.
 
     Pending S-pairs sit in a heap keyed by (lcm total degree, insertion
     count).  Each new basis element passes through the Gebauer-Moeller

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
-from borelcover.chart import (_common_degree, _draw_invertible, all_charts,
-                              borel_open_set, chart_form, coefficient_matrix,
+from borelcover.chart import (_common_degree, _draw_invertible, _span_rows,
+                              all_charts, borel_open_set, chart_form,
                               degree_basis, dimension_in_degree,
                               hilbert_polynomial_of_forms, in_hilb,
                               initial_monomials_gauss, marked_slice,
-                              pluecker_coordinate, random_coordinate_change,
-                              row_space_basis)
+                              pluecker_coordinate, random_coordinate_change)
 from borelcover.errors import (IterationCapError, MathDomainError,
                                NotInChartError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial, \
@@ -36,6 +35,31 @@ def _monomial_forms(J):
     return [XPoly.from_monomial(g) for g in J.gens]
 
 
+def coefficient_matrix(forms):
+    """Rows of coefficients of scalar forms against degrevlex-descending columns.
+
+    A reference for the library's one row builder: one dense row per form,
+    read off its terms, a zero row for a zero form.
+    """
+    d = _common_degree(forms)
+    columns = monomials_of_degree(forms[0].n, d)
+    rows = []
+    for f in forms:
+        if not f.is_scalar():
+            raise MathDomainError("coefficient matrix needs scalar coefficients")
+        lookup = dict(f.terms)
+        rows.append([lookup.get(m, Fraction(0)) for m in columns])
+    return rows, columns
+
+
+def row_space_basis(forms):
+    """A canonical basis (RREF rows) of the span of the given forms."""
+    rows, columns = coefficient_matrix(forms)
+    R, pivots = linalg.rref(rows)
+    return [XPoly(forms[0].n, [(m, c) for m, c in zip(columns, row) if c],
+                  forms[0].degree) for row in R[:len(pivots)]]
+
+
 class TestPluecker:
     def test_chart_against_itself(self, j1sat):
         T = truncate(j1sat, 4)
@@ -45,6 +69,14 @@ class TestPluecker:
         transformed = [apply_change_of_coords(f, g_shear) for f in two_quadrics]
         J = MonomialIdeal.parse("x2^2, x2*x1", 2)
         assert pluecker_coordinate(row_space_basis(transformed), J) != 0
+
+    def test_zero_form_gives_a_zero_row(self):
+        forms = [parse_xpoly("x2^2 + x1*x0", 2), XPoly.zero(2, 2)]
+        J = MonomialIdeal.parse("x2^2, x2*x1", 2)
+        assert pluecker_coordinate(forms, J) == 0
+        with pytest.raises(MathDomainError,
+                           match=r"forms are linearly dependent \(rank 1 of 2\)"):
+            initial_monomials_gauss(forms)
 
     def test_different_monomial_ideal_vanishes(self):
         J = MonomialIdeal.parse("x2^2, x2*x1", 2)
@@ -374,6 +406,14 @@ class TestSpanRowsAgainstFormMultiples:
         assert dimension_in_degree(gens, t) == \
             (linalg.rank(coefficient_matrix(forms)[0]) if forms else 0)
         assert degree_basis(gens, t) == (row_space_basis(forms) if forms else [])
+
+    @settings(max_examples=40)
+    @given(generator_lists())
+    def test_forms_of_one_degree_against_coefficient_matrix(self, gens):
+        d = gens[0].degree
+        forms = [f for f in gens if f.degree == d]
+        assert _span_rows(forms, d) == coefficient_matrix(forms)
+        assert degree_basis(forms, d) == row_space_basis(forms)
 
     def test_errors(self):
         for call in (dimension_in_degree, degree_basis):

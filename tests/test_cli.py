@@ -441,17 +441,25 @@ MARKED_SCHEME_GOLDEN = {
 
 
 class TestMarkedSchemeGolden:
-    @pytest.mark.parametrize("strategy", ["largest", "smallest"])
     @pytest.mark.parametrize("sat, m", list(MARKED_SCHEME_GOLDEN))
-    def test_json_bytes(self, capsys, sat, m, strategy):
+    def test_json_bytes(self, capsys, sat, m):
         code, out, err = run(capsys, "marked-scheme", "--sat", sat, "--m", m,
-                             "--format", "json", "--strategy", strategy)
+                             "--format", "json")
         assert code == 0 and not err
         assert out == MARKED_SCHEME_GOLDEN[(sat, m)]
 
+    def test_reduction_order_is_not_an_option(self, capsys):
+        sat, m = next(iter(MARKED_SCHEME_GOLDEN))
+        with pytest.raises(SystemExit) as exc:
+            main(["marked-scheme", "--sat", sat, "--m", m, "--strategy", "smallest"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and not out.out
+        assert "unrecognized arguments: --strategy smallest" in out.err
+        assert "Traceback" not in out.err
 
-# sha256 of the marked-scheme JSON of the large charts, under both reduction
-# strategies, and of the 7-point atlas with equations
+
+# sha256 of the marked-scheme JSON of the large charts and of the 7-point
+# atlas with equations
 LARGE_CHART_GOLDEN = {
     '{"n":2,"gens":["x2","x1^10"]}':
         ("10", "6ba3da5d5a0d831ebd02f1ca00b3ff41f09ebeff57c59d215cc7418e4fedcb2a"),
@@ -463,12 +471,11 @@ ATLAS_7_POINTS_GOLDEN = \
 
 
 class TestLargeChartGolden:
-    @pytest.mark.parametrize("strategy", ["largest", "smallest"])
     @pytest.mark.parametrize("sat", list(LARGE_CHART_GOLDEN))
-    def test_marked_scheme_json(self, capsys, sat, strategy):
+    def test_marked_scheme_json(self, capsys, sat):
         m, digest = LARGE_CHART_GOLDEN[sat]
         code, out, err = run(capsys, "marked-scheme", "--sat", sat, "--m", m,
-                             "--format", "json", "--strategy", strategy)
+                             "--format", "json")
         assert code == 0 and not err
         assert _sha256(out.encode()) == digest
 
