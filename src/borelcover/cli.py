@@ -234,8 +234,11 @@ def cmd_atlas(args):
                     max_nodes=args.max_nodes)
     text = json.dumps(A.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write atlas: {exc}") from exc
         print(f"atlas written to {args.out}")
     else:
         print(text)

@@ -28,6 +28,9 @@ from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
 
 _MAX_GOTZMANN_TERMS = 512
+# Cap on the exponent of t in a parsed Hilbert polynomial; converting to the
+# binomial basis costs about the cube of the degree.
+_MAX_HP_DEGREE = 100
 _MONOMIAL_MAX_SHIFT = 80
 
 
@@ -195,11 +198,14 @@ def parse_hilbert_poly(text) -> HilbertPoly:
         m = _HP_TERM_RE.match(body)
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ParseError(f"cannot parse Hilbert polynomial term {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("t"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+            exp = int(m.group("exp") or 1) if m.group("t") else 0
+        except (ValueError, ZeroDivisionError) as exc:  # too many digits, or 1/0
+            raise ParseError(f"cannot read a number in {chunk[:40]!r}: {exc}") from exc
+        if exp > _MAX_HP_DEGREE:
+            raise ScaleCapError(f"Hilbert polynomial degree {exp} exceeds the cap "
+                                f"{_MAX_HP_DEGREE}")
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
     size = max(coeffs) + 1
     try:

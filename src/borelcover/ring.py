@@ -778,7 +778,10 @@ class _Parser:
 
 
 def _parse_raw(text):
-    parser = _Parser(_tokenize(text))
+    try:
+        parser = _Parser(_tokenize(text))
+    except ValueError as exc:  # int() refuses a literal of too many digits
+        raise ParseError(f"cannot read a number: {exc}") from exc
     raw = parser.parse_sum()
     if parser.pos != len(parser.tokens):
         raise ParseError(f"trailing input in {text!r}")

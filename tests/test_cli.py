@@ -253,6 +253,9 @@ class TestCertify:
         assert _sha256(out.encode()) == digest
 
 
+LONG_LITERAL = "1" * 5000
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "open-set", "--ideal", "{not json")
@@ -322,6 +325,40 @@ class TestExitCodes:
                              '{"n":2,"gens":%s}' % gens)
         assert code == 4 and not out and message in err
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("hp", [LONG_LITERAL, LONG_LITERAL + "*t",
+                                    "t^" + LONG_LITERAL])
+    def test_long_literal_in_hilbert_polynomial(self, capsys, hp):
+        # int() refuses more than 4300 digits by default
+        code, out, err = run(capsys, "gotzmann", "--n", "2", "--hp", hp)
+        assert code == 2 and not out and "digits" in err
+        assert "Traceback" not in err
+
+    def test_long_literal_in_polynomial(self, capsys):
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":2,"gens":["%s*x2","x1"]}' % LONG_LITERAL)
+        assert code == 2 and not out and "digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("hp", ["t^101", "t^1000", "t^100000000"])
+    def test_hilbert_polynomial_degree_is_capped(self, capsys, hp):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gotzmann", "--n", "2", "--hp", hp)
+        assert code == 4 and not out
+        assert f"degree {hp[2:]} exceeds the cap 100" in err
+        assert time.perf_counter() - start < 10
+
+    def test_hilbert_polynomial_at_the_degree_cap_parses(self, capsys):
+        # it parses, then is inadmissible in P^2
+        code, out, err = run(capsys, "gotzmann", "--n", "2", "--hp", "t^100")
+        assert code == 3 and not out and "not admissible in P^2" in err
+
+    def test_atlas_to_unwritable_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "atlas.json"
+        code, out, err = run(capsys, "atlas", "--n", "2", "--hp", "3",
+                             "--out", str(path))
+        assert code == 2 and not out and "error: cannot write atlas:" in err
+        assert not path.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("marked-scheme", ()),
