@@ -1,5 +1,3 @@
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,15 +42,6 @@ class TestHilbertPoly:
             parse_hilbert_poly("t + bogus")
         with pytest.raises(ParseError):
             parse_hilbert_poly("")
-
-    def test_degree_cap(self):
-        # converting to the binomial basis costs about the cube of the degree
-        start = time.perf_counter()
-        assert parse_hilbert_poly("t^100").degree() == 100
-        for text in ("t^101", "2*t^100000000 + 1"):
-            with pytest.raises(ScaleCapError, match="exceeds the cap 100$"):
-                parse_hilbert_poly(text)
-        assert time.perf_counter() - start < 10
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError, match="cannot read a number in '1/0\\*t'"):
