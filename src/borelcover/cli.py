@@ -23,7 +23,7 @@ from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import chart_constants, parse_hilbert_poly
 from .marked import is_marked_basis, scheme_equations
-from .ring import XPoly, apply_change_of_coords, parse_xpoly
+from .ring import XPoly, _number, apply_change_of_coords, parse_xpoly
 
 
 def _load_json_arg(text):
@@ -100,10 +100,10 @@ def _fmt_matrix(g):
 def cmd_gotzmann(args):
     p = parse_hilbert_poly(args.hp)
     c = chart_constants(p, args.n)
-    payload = {"n": args.n, "hp": str(p), "r": c.r, "N_r": c.N_r, "s": c.s,
-               "s_prime": c.s_prime, "D": c.D}
-    _emit(payload, args.json,
-          f"r={c.r} N(r)={c.N_r} s={c.s} s'={c.s_prime} D={c.D}")
+    values = {"r": c.r, "N_r": c.N_r, "s": c.s, "s_prime": c.s_prime, "D": c.D}
+    r, N_r, s, s_prime, D = map(_number, values.values())
+    _emit({"n": args.n, "hp": str(p), **values}, args.json,
+          f"r={r} N(r)={N_r} s={s} s'={s_prime} D={D}")
     return 0
 
 
@@ -183,9 +183,8 @@ def cmd_chart_form(args):
 
 def cmd_pluecker(args):
     J, basis = _chart_args(args)
-    value = pluecker_coordinate(basis, J)
-    payload = {"chart": J.to_json_dict(), "pluecker": str(value)}
-    _emit(payload, args.json, str(value))
+    value = _number(pluecker_coordinate(basis, J))
+    _emit({"chart": J.to_json_dict(), "pluecker": value}, args.json, value)
     return 0
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
+from .ring import _power_product, _signed_sum
 
 _MAX_GOTZMANN_TERMS = 512
 # Cap on the exponent of t in a parsed Hilbert polynomial; converting to the
@@ -153,33 +154,19 @@ class HilbertPoly:
         return out
 
     def __str__(self):
+        """Power-basis text from the top degree down, unspaced: "2*t+3"."""
         coeffs = self.power_coeffs()
-        if not coeffs:
-            return "0"
-        chunks = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            q = abs(c)
-            if k == 0:
-                body = str(q)
-            else:
-                tpart = "t" if k == 1 else f"t^{k}"
-                body = tpart if q == 1 else f"{q}*{tpart}"
-            if not chunks:
-                chunks.append(body if sign == "+" else "-" + body)
-            else:
-                chunks.append(f"{sign}{body}")
-        return "".join(chunks)
+        terms = [(coeffs[k], _power_product([("t", k)] if k else []))
+                 for k in range(len(coeffs) - 1, -1, -1) if coeffs[k]]
+        return _signed_sum(terms, space="")
 
     __repr__ = __str__
 
 
-_HP_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)\*?)?(?:(?P<t>t)(?:[\^]|\*\*)?(?P<exp>\d+)?)?$"
-)
+# One term: an optional sign, a coefficient a or a/b, then t with an optional
+# exponent after "^" or "**".  A "*" may stand only between a coefficient and t.
+_HP_TERM_RE = re.compile(r"(?P<sign>[+-]?)(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?=t))?)?"
+                         r"(?:(?P<t>t)(?:(?:\^|\*\*)(?P<exp>\d+))?)?")
 
 
 def parse_hilbert_poly(text) -> HilbertPoly:
@@ -188,14 +175,11 @@ def parse_hilbert_poly(text) -> HilbertPoly:
     if not s:
         raise ParseError("empty Hilbert polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(chunks) != s:
+        raise ParseError(f"a sign without a term in Hilbert polynomial {s[:40]!r}")
     coeffs = {}
     for chunk in chunks:
-        sign = 1
-        body = chunk
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _HP_TERM_RE.match(body)
+        m = _HP_TERM_RE.fullmatch(chunk)
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ParseError(f"cannot parse Hilbert polynomial term {chunk!r}")
         try:
@@ -206,7 +190,9 @@ def parse_hilbert_poly(text) -> HilbertPoly:
         if exp > _MAX_HP_DEGREE:
             raise ScaleCapError(f"Hilbert polynomial degree {exp} exceeds the cap "
                                 f"{_MAX_HP_DEGREE}")
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
+        if m.group("sign") == "-":
+            coeff = -coeff
+        coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
     size = max(coeffs) + 1
     try:
         return HilbertPoly.from_power_coeffs([coeffs.get(k, 0) for k in range(size)])
@@ -372,9 +358,14 @@ def hilbert_polynomial(J) -> HilbertPoly:
     """Hilbert polynomial of S/J for a proper monomial ideal J.
 
     For a strongly stable J it is the closed form of the Eliahou-Kervaire
-    count, C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), a
-    polynomial of degree <= n.  Any other monomial ideal goes through
-    certified_hilbert_polynomial on the brute-force Hilbert function.
+    count, C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), read off
+    at its degree k - 1.  Here x_k is the least variable of which J holds a
+    pure power (k = n + 1 for J = 0): strong stability moves that power to a
+    power of each of x_k..x_n, and a generator in x_0..x_{k-1} alone would
+    move to a power of x_{k-1}, so J lies in (x_k, ..., x_n) and S/J has
+    dimension k.  A degree above the --hp cap raises ScaleCapError first.
+    Any other monomial ideal goes through certified_hilbert_polynomial on
+    the brute-force Hilbert function.
     """
     from .borel import is_strongly_stable  # borel imports this module
 
@@ -382,10 +373,14 @@ def hilbert_polynomial(J) -> HilbertPoly:
     if J.contains_one():
         raise MathDomainError("Hilbert polynomial of the unit ideal")
     if is_strongly_stable(J):
+        k = min((g.min_var() for g in J.gens if len(g.support()) == 1), default=n + 1)
+        if k - 1 > _MAX_HP_DEGREE:
+            raise ScaleCapError(f"Hilbert polynomial degree {k - 1} exceeds the cap "
+                                f"{_MAX_HP_DEGREE}")
         return HilbertPoly._from_function(
             lambda t: binom(t + n, n) - sum(
                 binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens),
-            n)
+            k - 1)
     t0 = max((g.degree() for g in J.gens), default=0)
     return certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
                                         t0, _MONOMIAL_MAX_SHIFT)

@@ -413,17 +413,20 @@ def _heads_of_marked_set(G, T):
 def is_marked_basis(G, T: MonomialIdeal) -> bool:
     """Linear-algebra certificate that the quotient by (G) is free on N(T).
 
-    Checks dim (G)_t = dim T_t for every t from the least head degree up to
-    r + 1, with r the Gotzmann number of the chart's Hilbert polynomial;
-    Gotzmann persistence makes this range a finite certificate.
+    T must be strongly stable.  Checks dim (G)_t = dim T_t for every t from
+    the least head degree up to max(largest head degree, r) + 1, with r the
+    Gotzmann number of the Hilbert polynomial of S/T; Gotzmann persistence
+    makes this range a finite certificate.
     """
+    if not is_strongly_stable(T):
+        raise MathDomainError(f"{T} is not strongly stable")
     G = list(G)
     heads = _heads_of_marked_set(G, T)
     if sorted(heads, key=lambda m: m.exps) != sorted(T.gens, key=lambda m: m.exps):
         raise MathDomainError("heads of the marked set do not form the basis of T")
     r = chart_constants(hilbert_polynomial(T), T.n).r
     return all(dimension_in_degree(G, t) == len(T.monomials_at(t))
-               for t in range(T.min_gen_degree(), r + 2))
+               for t in range(T.min_gen_degree(), max(T.max_gen_degree(), r) + 2))
 
 
 def marked_set_from_ideal(gens, T: MonomialIdeal):

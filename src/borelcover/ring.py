@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from . import linalg
@@ -118,16 +119,7 @@ class Monomial:
         return hash(self.exps)
 
     def __str__(self):
-        if self.is_one():
-            return "1"
-        parts = []
-        for i in range(len(self.exps) - 1, -1, -1):
-            e = self.exps[i]
-            if e == 1:
-                parts.append(f"x{i}")
-            elif e > 1:
-                parts.append(f"x{i}^{e}")
-        return "*".join(parts)
+        return _power_product(_x_factors(self)) or "1"
 
     __repr__ = __str__
 
@@ -319,17 +311,7 @@ class ParamPoly:
         return hash(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, (cm, c) in enumerate(self.terms):
-            sign = "-" if c < 0 else "+"
-            body = _format_cterm(abs(c), cm)
-            if k == 0:
-                chunks.append(body if sign == "+" else "-" + body)
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        return _signed_sum((c, _power_product(_c_factors(cm))) for cm, c in self.terms)
 
     __repr__ = __str__
 
@@ -340,22 +322,6 @@ def _coerce_param(x):
     if isinstance(x, (int, Fraction)):
         return ParamPoly.const(x)
     return NotImplemented
-
-
-def _format_cmon(cm):
-    parts = []
-    for (i, j), e in cm:
-        v = f"C[{i},{j}]"
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
-
-
-def _format_cterm(coeff, cm):
-    if not cm:
-        return str(coeff)
-    if coeff == 1:
-        return _format_cmon(cm)
-    return f"{coeff}*{_format_cmon(cm)}"
 
 
 # ---------------------------------------------------------------------------
@@ -483,40 +449,20 @@ class XPoly:
         return hash((self.n, self.terms))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for k, (mon, c) in enumerate(self.terms):
-            sign, body = _format_xterm(mon, c)
-            if k == 0:
-                chunks.append(body if sign == "+" else "-" + body)
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        terms = []
+        for mon, c in self.terms:
+            factors = _x_factors(mon)
+            if isinstance(c, ParamPoly) and len(c.terms) > 1:
+                # a sum stays bracketed, as one factor: (C[1,1] + 2)*x2
+                factors = [(f"({c})", 1)] + factors
+                c = 1
+            elif isinstance(c, ParamPoly):
+                cm, c = c.terms[0]
+                factors = _c_factors(cm) + factors
+            terms.append((c, _power_product(factors)))
+        return _signed_sum(terms)
 
     __repr__ = __str__
-
-
-def _format_xterm(mon, coeff):
-    mon_str = str(mon)
-    if isinstance(coeff, ParamPoly):
-        if len(coeff.terms) == 1:
-            cm, q = coeff.terms[0]
-            sign = "-" if q < 0 else "+"
-            body = _format_cterm(abs(q), cm)
-            if mon.is_one():
-                return sign, body
-            if body == "1":
-                return sign, mon_str
-            return sign, f"{body}*{mon_str}"
-        return "+", f"({coeff})*{mon_str}" if not mon.is_one() else f"({coeff})"
-    sign = "-" if coeff < 0 else "+"
-    q = abs(coeff)
-    if mon.is_one():
-        return sign, str(q)
-    if q == 1:
-        return sign, mon_str
-    return sign, f"{q}*{mon_str}"
 
 
 @functools.lru_cache(maxsize=1)
@@ -612,6 +558,49 @@ def specialize(f: XPoly, assignment) -> XPoly:
 # Terms are joined by " + " / " - "; rational coefficients print as "a/b"
 # (no "/1"); monomial factors print as "x2^2*x1", parameters as "C[i,j]".
 # ---------------------------------------------------------------------------
+
+def _number(q):
+    """Text of an int or Fraction: the one place a computed number is printed."""
+    try:
+        return str(q)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ScaleCapError(f"cannot print a number of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _power_product(pairs):
+    """Factors b or b^e of the (b, e) pairs, joined by "*"; "" for no pairs."""
+    return "*".join(b if e == 1 else f"{b}^{_number(e)}" for b, e in pairs)
+
+
+def _x_factors(mon):
+    """(x_i, e_i) pairs of a monomial from x_n down, zero exponents left out."""
+    return [(f"x{i}", e) for i, e in reversed(list(enumerate(mon.exps))) if e]
+
+
+def _c_factors(cm):
+    return [(f"C[{i},{j}]", e) for (i, j), e in cm]
+
+
+def _signed_sum(terms, space=" "):
+    """Text of (coefficient, factors) terms, such as "2*x1 - x0"; "0" if empty.
+
+    factors is "" for a constant; a coefficient of 1 before factors is left out.
+    """
+    out = []
+    for c, factors in terms:
+        if not factors:
+            body = _number(abs(c))
+        elif abs(c) == 1:
+            body = factors
+        else:
+            body = f"{_number(abs(c))}*{factors}"
+        if not out:
+            out.append("-" + body if c < 0 else body)
+        else:
+            out.append(f"{space}{'-' if c < 0 else '+'}{space}{body}")
+    return "".join(out) or "0"
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)"

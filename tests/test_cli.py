@@ -1,11 +1,14 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from borelcover.borel import MonomialIdeal
+from borelcover import linalg
+from borelcover.borel import MonomialIdeal, truncate
 from borelcover.cli import main
+from borelcover.ring import monomials_of_degree, parse_xpoly
 
 
 def run(capsys, *argv):
@@ -152,6 +155,40 @@ class TestChartPipeline:
                            "--set", polys)
         assert code == 0 and out.strip() == "true"
 
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_check_basis_above_the_gotzmann_number(self, capsys, m):
+        # T = (x2, x1^2)_{>=m} has Gotzmann number 2 and heads of degree m,
+        # so a check up to degree r + 1 = 3 missed the failure in degree m + 1
+        sat = MonomialIdeal.parse("x2, x1^2", 2)
+        T = truncate(sat, m)
+        head = f"x2*x0^{m - 1}"
+        G = [parse_xpoly(str(g), 2) for g in T.gens if str(g) != head]
+        G.append(parse_xpoly(f"{head} + x1*x0^{m - 1} + x0^{m}", 2))
+        code, out, _ = run(capsys, "check-basis", "--sat", '{"n":2,"gens":["x2","x1^2"]}',
+                           "--m", str(m), "--set", json.dumps([str(f) for f in G]))
+        assert code == 0 and out == "false\n"
+        assert _span_dimension(G, m + 1) > len(T.monomials_at(m + 1))
+
+    def test_check_basis_needs_a_strongly_stable_truncation(self, capsys):
+        # x1*f - x0*f lies in (f) and outside (x1*x0), yet dimensions matched
+        code, out, err = run(capsys, "check-basis", "--sat", '{"n":2,"gens":[[1,1,0]]}',
+                             "--m", "2", "--set", '["2*x2^2 + x1^2 + x1*x0 + x0^2"]')
+        assert code == 3 and not out and "(x1*x0) is not strongly stable" in err
+
+
+def _span_dimension(forms, t):
+    """dim of the degree-t part of (forms): rank of all monomial multiples."""
+    n = forms[0].n
+    cols = {m: i for i, m in enumerate(monomials_of_degree(n, t))}
+    rows = []
+    for f in forms:
+        for u in monomials_of_degree(n, t - f.degree):
+            row = [Fraction(0)] * len(cols)
+            for mon, c in f.terms:
+                row[cols[mon * u]] = c
+            rows.append(row)
+    return linalg.rank(rows)
+
 
 class TestClassifyAndAtlas:
     def test_classify(self, capsys):
@@ -208,11 +245,10 @@ class TestListingCap:
         (("open-set", "--ideal", '{"n":3000,"gens":["x1"]}'), 2, 3000),
         (("chart-form", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
         (("pluecker", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
-        (("check-basis", "--sat", P100000_X1, "--m", "1", "--set", '["x1"]'), 1, 100000),
         (("marked-scheme", "--sat", '{"n":100000,"gens":["x100000"]}', "--m", "1"),
          1, 100000),
     ], ids=["open-set", "open-set-quadrics", "chart-form", "pluecker",
-            "check-basis", "marked-scheme"])
+            "marked-scheme"])
     def test_cap_before_listing(self, capsys, argv, degree, n):
         # each of these listed a slice of millions of monomials, or tuples of
         # length 100001, before any cap was checked
@@ -221,6 +257,24 @@ class TestListingCap:
         assert code == 4 and not out
         assert (f"the degree-{degree} monomials of P^{n} exceed the listing cap "
                 "of 10000000 exponent entries") in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("sat, head, exit_code, message", [
+        (P100000_X1, "x1", 3, "(x1) is not strongly stable"),
+        ('{"n":100000,"gens":["x100000"]}', "x100000", 4,
+         "Hilbert polynomial degree 99999 exceeds the cap 100"),
+        ('{"n":3000,"gens":["x3000"]}', "x3000", 4,
+         "Hilbert polynomial degree 2999 exceeds the cap 100"),
+    ], ids=["not-borel", "degree-cap", "degree-cap-P3000"])
+    def test_check_basis_refused_before_listing(self, capsys, sat, head,
+                                                exit_code, message):
+        # (x3000) passed the listing cap and then interpolated a polynomial
+        # of degree 3000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-basis", "--sat", sat, "--m", "1",
+                             "--set", json.dumps([head]))
+        assert code == exit_code and not out and message in err
         assert "Traceback" not in err
         assert time.perf_counter() - start < 10
 
@@ -254,6 +308,7 @@ class TestCertify:
 
 
 LONG_LITERAL = "1" * 5000
+NINES = "9" * 3000
 
 
 class TestExitCodes:
@@ -335,6 +390,14 @@ class TestExitCodes:
         assert code == 2 and not out and "digits" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("hp", [
+        "5--3", "2*t--1", "7+", "+", "-", "t2", "2t3", "3*t^", "t**", "3*", "*t"])
+    def test_malformed_hilbert_polynomial(self, capsys, hp):
+        # these read as other polynomials, or ended in a traceback
+        code, out, err = run(capsys, "gotzmann", "--n", "3", "--hp", hp)
+        assert code == 2 and not out and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_long_literal_in_polynomial(self, capsys):
         code, out, err = run(capsys, "open-set", "--ideal",
                              '{"n":2,"gens":["%s*x2","x1"]}' % LONG_LITERAL)
@@ -356,6 +419,31 @@ class TestExitCodes:
         code, out, err = run(capsys, "gotzmann", "--n", "2", "--hp", "t^100")
         assert code == 3 and not out
         assert "degree 100 polynomial is not admissible in P^2" in err
+
+    @pytest.mark.parametrize("as_json", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("command, gens, chart", [
+        # the square of a 3000-digit coefficient lands in the marked set
+        ("chart-form", ["x2^2", f"x2*x1 + {NINES}^2*x1^2"], [[0, 0, 2], [0, 1, 1]]),
+        # ... and in the minor on the chart's columns, x2*x0 not a pivot
+        ("pluecker", ["x2^2", "x2*x1", f"x1^2 + {NINES}^2*x2*x0"],
+         [[0, 0, 2], [0, 1, 1], [1, 0, 1]]),
+    ], ids=["chart-form", "pluecker"])
+    def test_number_too_long_to_print(self, capsys, command, gens, chart, as_json):
+        code, out, err = run(capsys, command,
+                             "--ideal", json.dumps({"n": 2, "gens": gens}),
+                             "--chart", json.dumps({"n": 2, "gens": chart}),
+                             *as_json)
+        assert code == 4 and not out
+        assert "cannot print a number of more than 4300 digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("as_json", [(), ("--json",)], ids=["text", "json"])
+    def test_chart_constants_too_long_to_print(self, capsys, as_json):
+        # D = 512 * (C(10^12 + 512, 512) - 512) has about 4980 digits
+        code, out, err = run(capsys, "gotzmann", "--n", str(10 ** 12), "--hp", "512",
+                             *as_json)
+        assert code == 4 and not out
+        assert "cannot print a number of more than 4300 digits" in err
 
     def test_atlas_to_unwritable_path(self, capsys, tmp_path):
         path = tmp_path / "missing" / "atlas.json"

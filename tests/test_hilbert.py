@@ -19,6 +19,30 @@ from borelcover.ring import Monomial
 from conftest import borel_closure, monomial_ideals
 
 
+def reference_hilbert_str(p):
+    """The printer that the shared text helpers replaced."""
+    coeffs = p.power_coeffs()
+    if not coeffs:
+        return "0"
+    chunks = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        q = abs(c)
+        if k == 0:
+            body = str(q)
+        else:
+            tpart = "t" if k == 1 else f"t^{k}"
+            body = tpart if q == 1 else f"{q}*{tpart}"
+        if not chunks:
+            chunks.append(body if sign == "+" else "-" + body)
+        else:
+            chunks.append(f"{sign}{body}")
+    return "".join(chunks)
+
+
 class TestHilbertPoly:
     def test_integer_valuedness_enforced(self):
         with pytest.raises(MathDomainError):
@@ -61,6 +85,25 @@ class TestHilbertPoly:
     def test_power_coeffs_round_trip(self, coords):
         p = HilbertPoly(coords)
         assert HilbertPoly.from_power_coeffs(p.power_coeffs()) == p
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8))
+    def test_str_against_reference(self, coords):
+        p = HilbertPoly(coords)
+        assert str(p) == reference_hilbert_str(p)
+        assert parse_hilbert_poly(str(p)) == p
+
+    @pytest.mark.parametrize("text", ["3*t", "4t", "t^2-t", "t**2", "1/2*t^2+1/2*t",
+                                      "2 t", "\u22122*t+3", "+t"])
+    def test_accepted_forms(self, text):
+        p = parse_hilbert_poly(text)
+        assert parse_hilbert_poly(str(p)) == p
+
+    @pytest.mark.parametrize("text", ["5--3", "2*t--1", "7+", "+", "-", "t2", "2t3",
+                                      "3*t^", "t**", "3*", "*t", "t^2*t", "3**t"])
+    def test_malformed(self, text):
+        with pytest.raises(ParseError):
+            parse_hilbert_poly(text)
 
     def test_arithmetic(self):
         p, q = parse_hilbert_poly("2*t+3"), parse_hilbert_poly("t+1")
@@ -123,6 +166,27 @@ class TestHilbertPolynomial:
         J = MonomialIdeal.parse("x0^2", 2)
         assert not is_strongly_stable(J)
         assert hilbert_polynomial(J) == parse_hilbert_poly("2*t+1")
+
+    @settings(max_examples=60)
+    @given(monomial_ideals(max_n=4).map(borel_closure))
+    def test_borel_degree_is_that_of_the_quotient(self, J):
+        # interpolating the closed form at degree n gives the same polynomial
+        n = J.n
+        full = HilbertPoly._from_function(lambda t: ambient_dimension(n, t) - sum(
+            binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens), n)
+        k = min(g.min_var() for g in J.gens if len(g.support()) == 1)
+        assert hilbert_polynomial(J) == full
+        assert full.degree() == k - 1
+
+    def test_borel_degree_is_capped(self):
+        # interpolating (x_n) at degree n took 11 s for n = 1200
+        assert hilbert_polynomial(MonomialIdeal.parse("x101", 101)) == \
+            HilbertPoly.binomial_shift(100, 100)
+        with pytest.raises(ScaleCapError,
+                           match="Hilbert polynomial degree 101 exceeds the cap 100"):
+            hilbert_polynomial(MonomialIdeal.parse("x102", 102))
+        assert hilbert_polynomial(MonomialIdeal.parse("x102, x101", 102)) == \
+            HilbertPoly.binomial_shift(100, 100)
 
     @pytest.mark.parametrize("text", ["x0^3, x1^3, x2^3", "x0^4, x1^4, x2^4"])
     def test_artinian_complete_intersection_is_zero(self, text):

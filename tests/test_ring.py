@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borelcover import linalg, ring
@@ -401,3 +401,181 @@ class TestSpecialize:
         tpl = template(j1sat, 2)
         with pytest.raises(MathDomainError):
             specialize(tpl.polys[0], {})
+
+
+# ---------------------------------------------------------------------------
+# The printers that the shared text helpers replaced, kept as references
+# (the HilbertPoly one is in test_hilbert.py)
+# ---------------------------------------------------------------------------
+
+def reference_monomial_str(m):
+    if m.is_one():
+        return "1"
+    parts = []
+    for i in range(len(m.exps) - 1, -1, -1):
+        e = m.exps[i]
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts)
+
+
+def _reference_cmon(cm):
+    parts = []
+    for (i, j), e in cm:
+        v = f"C[{i},{j}]"
+        parts.append(v if e == 1 else f"{v}^{e}")
+    return "*".join(parts)
+
+
+def _reference_cterm(coeff, cm):
+    if not cm:
+        return str(coeff)
+    if coeff == 1:
+        return _reference_cmon(cm)
+    return f"{coeff}*{_reference_cmon(cm)}"
+
+
+def _reference_join(signed_bodies):
+    if not signed_bodies:
+        return "0"
+    chunks = []
+    for k, (sign, body) in enumerate(signed_bodies):
+        if k == 0:
+            chunks.append(body if sign == "+" else "-" + body)
+        else:
+            chunks.append(f" {sign} {body}")
+    return "".join(chunks)
+
+
+def reference_parampoly_str(p):
+    return _reference_join([("-" if c < 0 else "+", _reference_cterm(abs(c), cm))
+                            for cm, c in p.terms])
+
+
+def _reference_xterm(mon, coeff):
+    mon_str = reference_monomial_str(mon)
+    if isinstance(coeff, ParamPoly):
+        if len(coeff.terms) == 1:
+            cm, q = coeff.terms[0]
+            sign = "-" if q < 0 else "+"
+            body = _reference_cterm(abs(q), cm)
+            if mon.is_one():
+                return sign, body
+            if body == "1":
+                return sign, mon_str
+            return sign, f"{body}*{mon_str}"
+        inner = reference_parampoly_str(coeff)
+        return "+", f"({inner})*{mon_str}" if not mon.is_one() else f"({inner})"
+    sign = "-" if coeff < 0 else "+"
+    q = abs(coeff)
+    if mon.is_one():
+        return sign, str(q)
+    if q == 1:
+        return sign, mon_str
+    return sign, f"{q}*{mon_str}"
+
+
+def reference_xpoly_str(f):
+    return _reference_join([_reference_xterm(mon, c) for mon, c in f.terms])
+
+
+# numerators and denominators of more than one digit, and 1 and -1 often
+printed_rationals = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                              st.fractions(min_value=-200, max_value=200,
+                                           max_denominator=30))
+
+
+@st.composite
+def printed_monomials(draw, n=None, degree=None):
+    """A monomial of P^n, n <= 12; of the given degree when one is given."""
+    if n is None:
+        n = draw(st.integers(0, 12))
+    if degree is None:
+        return Monomial(draw(st.lists(st.integers(0, 12), min_size=n + 1,
+                                      max_size=n + 1)))
+    return draw(st.sampled_from(monomials_of_degree(n, degree)))
+
+
+@st.composite
+def printed_param_polys(draw, min_terms=0):
+    """A ParamPoly over C[i,j], i, j <= 12, with exponents up to 11."""
+    variable = st.tuples(st.integers(1, 12), st.integers(1, 12))
+    multi_index = st.dictionaries(variable, st.integers(1, 11), max_size=3)
+    terms = draw(st.dictionaries(multi_index.map(lambda d: tuple(d.items())),
+                                 printed_rationals.filter(bool),
+                                 min_size=min_terms, max_size=5))
+    return ParamPoly(terms.items())
+
+
+@st.composite
+def printed_xpolys(draw, params):
+    """A form in P^n, n <= 3, of degree <= 3, on at most five monomials.
+
+    With params, every coefficient is a ParamPoly: a sum of several terms,
+    a constant, or +-1 times one parameter monomial.
+    """
+    n = draw(st.integers(0, 3))
+    d = draw(st.integers(0, 3))
+    mons = draw(st.lists(printed_monomials(n, d), max_size=5, unique=True))
+    if not params:
+        coeff = printed_rationals
+    else:
+        coeff = st.one_of(
+            printed_param_polys(min_terms=2),
+            printed_rationals.map(ParamPoly.const),
+            st.builds(lambda q, p: q * ParamPoly(p.terms[:1]),
+                      st.sampled_from([1, -1]), printed_param_polys(min_terms=1)))
+    terms = [(m, draw(coeff)) for m in mons]
+    return XPoly(n, [(m, c) for m, c in terms if c], d)
+
+
+class TestPrintersAgainstReference:
+    @settings(max_examples=200)
+    @given(printed_monomials())
+    def test_monomial(self, m):
+        assert str(m) == reference_monomial_str(m)
+        assert parse_xpoly(str(m), m.n) == XPoly.from_monomial(m)
+
+    @settings(max_examples=100)
+    @given(printed_param_polys())
+    def test_param_poly(self, p):
+        assert str(p) == reference_parampoly_str(p)
+        assert parse_parampoly(str(p)) == p
+
+    @settings(max_examples=200)
+    @given(printed_xpolys(params=False))
+    def test_rational_form(self, f):
+        assert str(f) == reference_xpoly_str(f)
+        assert parse_xpoly(str(f), f.n) == f
+
+    @settings(max_examples=100)
+    @given(printed_xpolys(params=True))
+    def test_parametric_form(self, f):
+        assert str(f) == reference_xpoly_str(f)
+        # the parser gives Fraction coefficients to a form without parameters
+        assume(any(c.variables() for _, c in f.terms))
+        assert parse_xpoly(str(f), f.n) == f
+
+
+class TestNumberText:
+    def test_at_the_digit_limit(self):
+        # CPython prints an int of up to 4300 digits
+        q = Fraction(-(10 ** 4300 - 1), 10 ** 4299 + 1)
+        assert ring._number(q) == str(q)
+
+    @pytest.mark.parametrize("q", [10 ** 4300, Fraction(1, 10 ** 4300),
+                                   -(10 ** 5000)],
+                             ids=["int", "denominator", "negative"])
+    def test_past_the_digit_limit(self, q):
+        with pytest.raises(ScaleCapError,
+                           match="cannot print a number of more than 4300 digits"):
+            ring._number(q)
+
+    def test_printers_raise_past_the_limit(self):
+        big = 10 ** 4300
+        for value in (XPoly(1, [(Monomial((0, 1)), big)], 1),
+                      ParamPoly.const(Fraction(1, big))):
+            with pytest.raises(ScaleCapError):
+                str(value)
