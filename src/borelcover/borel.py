@@ -7,6 +7,11 @@ of the ideal, brute-force enumeration of Borel ideals, both the degree-r
 families inside the Grassmannian and the saturated ones with a prescribed
 Hilbert polynomial, and the one test and order for the charts among them.
 
+Membership works on exponent tuples: a monomial lies in a monomial ideal when
+some generator's tuple is entrywise at most its own.  The degree-t listings
+build the set of member tuples from the multiples g * u, |u| = t - |g|, of the
+generators and filter the degrevlex listing through it.
+
 Enumeration walks the up-sets of the Borel poset on degree-r monomials, so it
 is intentionally desk-scale; the ambient size and the search tree are capped.
 Each search node is one int bitmask, and each candidate one bit test.  A
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, groupby
+from operator import add, le
 
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import ChartConstants, ambient_dimension, chart_constants
@@ -31,6 +37,9 @@ class MonomialIdeal:
 
     Generators are minimalized and kept in the canonical order (degree
     ascending, degrevlex descending), so equal ideals compare equal.
+    Membership compares exponent tuples with the generators'; the degree-t
+    listings keep the degrevlex listing's monomials whose tuples are among
+    the multiples g * u of the generators.
     """
 
     __slots__ = ("n", "gens")
@@ -47,7 +56,7 @@ class MonomialIdeal:
         # degree is tested against the generators kept below it only
         minimal = []
         for _, same in groupby(sorted(set(mons), key=canonical_key), Monomial.degree):
-            minimal += [g for g in same if not any(h.divides(g) for h in minimal)]
+            minimal += [g for g in same if not _has_divisor(minimal, g.exps)]
         self.n = n
         self.gens = tuple(minimal)
 
@@ -73,15 +82,32 @@ class MonomialIdeal:
         return bool(self.gens) and self.gens[0].is_one()
 
     def contains(self, mon):
-        return any(g.divides(mon) for g in self.gens)
+        if not isinstance(mon, Monomial):
+            raise TypeError(f"expected Monomial, got {type(mon).__name__}")
+        if len(mon.exps) != self.n + 1:
+            raise MathDomainError("monomials live in different ambient rings")
+        return _has_divisor(self.gens, mon.exps)
+
+    def _members_at(self, t):
+        """Exponent tuples of the degree-t monomials of the ideal, as a set."""
+        members = set()
+        for g in self.gens:
+            exps = g.exps
+            members.update(tuple(map(add, exps, u.exps))
+                           for u in monomials_of_degree(self.n, t - g.degree()))
+        return members
 
     def monomials_at(self, t):
         """Degree-t monomials of the ideal, degrevlex descending."""
-        return [m for m in monomials_of_degree(self.n, t) if self.contains(m)]
+        listing = monomials_of_degree(self.n, t)
+        members = self._members_at(t)
+        return [m for m in listing if m.exps in members]
 
     def sous_escalier_at(self, t):
         """Degree-t monomials outside the ideal, degrevlex descending."""
-        return [m for m in monomials_of_degree(self.n, t) if not self.contains(m)]
+        listing = monomials_of_degree(self.n, t)
+        members = self._members_at(t)
+        return [m for m in listing if m.exps not in members]
 
     def max_gen_degree(self):
         return max((g.degree() for g in self.gens), default=0)
@@ -136,6 +162,11 @@ class MonomialIdeal:
                 continue
             gens.append(_monomial_from_text(chunk, n))
         return cls(n, gens)
+
+
+def _has_divisor(gens, exps):
+    """Does the exponent tuple of some monomial in gens divide exps entrywise?"""
+    return any(all(map(le, g.exps, exps)) for g in gens)
 
 
 def ideal_json_fields(data):
@@ -214,7 +245,7 @@ def is_strongly_stable(J: MonomialIdeal) -> bool:
                 moved[i] -= 1
                 moved[j] += 1
                 moved = tuple(moved)
-                if moved not in gens and not J.contains(Monomial(moved)):
+                if moved not in gens and not _has_divisor(J.gens, moved):
                     return False
     return True
 
@@ -308,17 +339,17 @@ def star_decompose(gamma: Monomial, J: MonomialIdeal):
     """
     if not J.contains(gamma):
         raise MathDomainError(f"{gamma} is not a member of {J}")
-    n = J.n
-    eta = Monomial.one(n)
-    cur = gamma
-    while cur not in J.gens:
-        v = Monomial.variable(n, cur.min_var())
-        eta = eta * v
-        cur = cur / v
-        if not J.contains(cur):
+    basis = {g.exps for g in J.gens}
+    cur = list(gamma.exps)
+    eta = [0] * len(cur)
+    while tuple(cur) not in basis:
+        i = next(k for k, e in enumerate(cur) if e)
+        cur[i] -= 1
+        eta[i] += 1
+        if not _has_divisor(J.gens, cur):
             raise MathDomainError(
                 f"star decomposition escaped {J}; ideal is not strongly stable")
-    return eta, cur
+    return Monomial._from_exps(tuple(eta)), Monomial._from_exps(tuple(cur))
 
 
 @dataclass(frozen=True)

@@ -322,17 +322,11 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     pairs = ek_spairs(tpl.ideal)
     results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
 
-    gens = []
-    seen = set()
-    max_chain = 0
-    for res in results:
-        max_chain = max(max_chain, res.max_chain)
-        for _, coeff in res.poly.terms:
-            if isinstance(coeff, Fraction):
-                coeff = ParamPoly.const(coeff)
-            if coeff and coeff not in seen:
-                seen.add(coeff)
-                gens.append(coeff)
+    # first occurrences in S-pair order; each coefficient is hashed once
+    gens = list(dict.fromkeys(
+        ParamPoly.const(c) if isinstance(c, Fraction) else c
+        for res in results for _, c in res.poly.terms if c))
+    max_chain = max((res.max_chain for res in results), default=0)
 
     bound_count = bound_degree = None
     if m >= regularity(Jsat):

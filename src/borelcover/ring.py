@@ -225,16 +225,14 @@ class ParamPoly:
 
     @classmethod
     def var(cls, key):
-        return cls([(((tuple(key), 1),), Fraction(1))])
+        return cls._from_canonical(((((tuple(key), 1),), Fraction(1)),))
 
     def __bool__(self):
         return bool(self.terms)
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_cmon_degree(cm) for cm, _ in self.terms)
+        """Total degree; -1 for the zero polynomial.  Terms are degree-descending."""
+        return _cmon_degree(self.terms[0][0]) if self.terms else -1
 
     def constant_term(self):
         for cm, c in self.terms:
@@ -308,7 +306,8 @@ class ParamPoly:
         return isinstance(other, ParamPoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        # over numerator and denominator: Fraction.__hash__ takes a modular inverse
+        return hash(tuple([(cm, c.numerator, c.denominator) for cm, c in self.terms]))
 
     def __str__(self):
         return _signed_sum((c, _power_product(_c_factors(cm))) for cm, c in self.terms)

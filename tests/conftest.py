@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
                               is_borel_chart, regularity, rho, saturate, truncate,
                               up_moves)
+from borelcover.errors import MathDomainError
 from borelcover.ring import Monomial, canonical_key, parse_xpoly
 
 # Exact arithmetic makes example run times uneven, so no test has a deadline;
@@ -82,6 +83,28 @@ def monomial_ideals(draw, max_n=3, max_gens=3, max_degree=4):
         variables = draw(st.lists(st.integers(0, n), min_size=d, max_size=d))
         gens.append(Monomial([variables.count(i) for i in range(n + 1)]))
     return MonomialIdeal(n, gens)
+
+
+def scan_contains(J, mon):
+    """Reference membership: a scan of Monomial.divides over the generators."""
+    return any(g.divides(mon) for g in J.gens)
+
+
+def scan_star_decompose(gamma, J):
+    """Reference star decomposition on Monomial arithmetic and scan_contains."""
+    if not scan_contains(J, gamma):
+        raise MathDomainError(f"{gamma} is not a member of {J}")
+    n = J.n
+    eta = Monomial.one(n)
+    cur = gamma
+    while cur not in J.gens:
+        v = Monomial.variable(n, cur.min_var())
+        eta = eta * v
+        cur = cur / v
+        if not scan_contains(J, cur):
+            raise MathDomainError(
+                f"star decomposition escaped {J}; ideal is not strongly stable")
+    return eta, cur
 
 
 def borel_closure(J):

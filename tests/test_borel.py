@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, borel_charts,
@@ -20,7 +20,8 @@ from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
 from conftest import (CHART_FAMILIES, borel_closure, borel_leq_partial_sums,
                       monomial_ideals, mono, record_fields,
-                      reference_chart_records)
+                      reference_chart_records, scan_contains,
+                      scan_star_decompose)
 
 
 def all_pairs_minimal(gens):
@@ -79,6 +80,65 @@ class TestMonomialIdeal:
     def test_text_parse(self):
         J = MonomialIdeal.parse("(x2^2, x2*x1, x1^3)", 2)
         assert len(J.gens) == 3
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def scan_strongly_stable(J):
+    """Reference stability test: every increasing move of a generator stays in J."""
+    return all(scan_contains(J, u) for g in J.gens for u in up_moves(g))
+
+
+# Ideals of P^n, n <= 4, on generators of mixed degrees, Borel or not, with
+# the zero and the unit ideal among them
+membership_ideals = st.one_of(
+    monomial_ideals(max_n=4, max_gens=4, max_degree=3),
+    monomial_ideals(max_n=4, max_gens=3, max_degree=3).map(borel_closure),
+    st.integers(1, 4).map(MonomialIdeal.zero),
+    st.integers(1, 4).map(lambda n: MonomialIdeal(n, [Monomial.one(n)])))
+
+
+class TestMembershipAgainstScan:
+    """The tuple-based membership against the Monomial.divides scan it replaced."""
+
+    @settings(max_examples=150)
+    @given(membership_ideals)
+    def test_membership_and_listings(self, J):
+        for t in range(J.max_gen_degree() + 2):
+            mons = monomials_of_degree(J.n, t)
+            assert [J.contains(m) for m in mons] == [scan_contains(J, m) for m in mons]
+            assert J.monomials_at(t) == [m for m in mons if scan_contains(J, m)]
+            assert J.sous_escalier_at(t) == [m for m in mons if not scan_contains(J, m)]
+        assert is_strongly_stable(J) == scan_strongly_stable(J)
+
+    @settings(max_examples=100)
+    @given(membership_ideals.filter(is_strongly_stable))
+    def test_star_decompose(self, J):
+        for t in range(J.max_gen_degree() + 2):
+            for m in monomials_of_degree(J.n, t):
+                assert outcome(star_decompose, m, J) == outcome(scan_star_decompose, m, J)
+
+    def test_star_decompose_escape_message(self):
+        # outside a Borel ideal the strip can leave it; the message is unchanged
+        J = MonomialIdeal.parse("x1^2", 2)
+        gamma = mono("x2*x1^2", 2)
+        got = outcome(star_decompose, gamma, J)
+        assert got == outcome(scan_star_decompose, gamma, J)
+        assert got[0] is MathDomainError and "escaped" in got[1]
+
+    @pytest.mark.parametrize("J", [MonomialIdeal.zero(2), MonomialIdeal.parse("x2, x1^3", 2)],
+                             ids=["zero", "nonzero"])
+    def test_monomial_of_another_ambient_is_refused(self, J):
+        with pytest.raises(MathDomainError, match="different ambient rings"):
+            J.contains(Monomial((1, 2)))
+        with pytest.raises(TypeError, match="expected Monomial, got tuple"):
+            J.contains((0, 1, 2))
 
 
 class TestBorelOrder:

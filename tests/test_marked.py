@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from borelcover import marked
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               enumerate_borel_saturated, regularity, rho,
-                              saturate, star_decompose, truncate)
+                              saturate, truncate)
 from borelcover.chart import degree_basis
 from borelcover.errors import MathDomainError, ReductionCapError
 from borelcover.hilbert import chart_constants, hilbert_polynomial
@@ -19,7 +19,8 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly)
 
-from conftest import borel_closure, mono, monomial_ideals, rational_sampler
+from conftest import (borel_closure, mono, monomial_ideals, rational_sampler,
+                      scan_contains, scan_star_decompose)
 
 
 class TestTemplate:
@@ -123,17 +124,18 @@ def reference_reduce(h, tpl, strategy="largest", step_cap=None):
     """The rewriting loop on whole XPolys: rescan h, reduce, subtract.
 
     Rewrites the degrevlex-largest monomial of T first, or with
-    strategy="smallest" the smallest one.
+    strategy="smallest" the smallest one.  Membership in T and the star
+    decompositions are the test-local scans of conftest, not the library's.
     """
     T = tpl.ideal
     if step_cap is None:
         step_cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
-    depth = {mon: 1 for mon, _ in h.terms if T.contains(mon)}
+    depth = {mon: 1 for mon, _ in h.terms if scan_contains(T, mon)}
     steps = 0
     max_chain = 0
     while True:
         terms = h.terms if strategy == "largest" else tuple(reversed(h.terms))
-        hit = next(((mon, c) for mon, c in terms if T.contains(mon)), None)
+        hit = next(((mon, c) for mon, c in terms if scan_contains(T, mon)), None)
         if hit is None:
             return h, steps, max_chain
         target, c = hit
@@ -142,12 +144,12 @@ def reference_reduce(h, tpl, strategy="largest", step_cap=None):
             raise ReductionCapError(f"reduction exceeded {step_cap} steps")
         level = depth.get(target, 1)
         max_chain = max(max_chain, level)
-        eta, beta = star_decompose(target, T)
+        eta, beta = scan_star_decompose(target, T)
         i = tpl.head_index[beta]
         h = h - tpl.polys[i].times_monomial(eta).scale(c)
         for tail in tpl.tails[i]:
             new_mon = tail * eta
-            if T.contains(new_mon):
+            if scan_contains(T, new_mon):
                 depth[new_mon] = max(depth.get(new_mon, 0), level + 1)
 
 

@@ -326,6 +326,28 @@ def _assert_canonical(p):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+class TestParamPolyHashAndDegree:
+    @given(param_polys())
+    def test_equal_polynomials_hash_equal(self, p):
+        # integral coefficients as ints, the others as Fractions: still equal
+        q = ParamPoly._from_canonical(tuple(
+            (cm, c.numerator if c.denominator == 1 else c) for cm, c in p.terms))
+        rebuilt = ParamPoly(reversed(p.terms))
+        assert p == q == rebuilt
+        assert hash(p) == hash(q) == hash(rebuilt)
+
+    @given(param_polys())
+    def test_degree_is_the_largest_term_degree(self, p):
+        assert p.degree() == max((sum(e for _, e in cm) for cm, _ in p.terms), default=-1)
+
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    def test_var_is_canonical(self, key):
+        v = ParamPoly.var(list(key))
+        want = ParamPoly([(((key, 1),), 1)])
+        assert v == want and hash(v) == hash(want)
+        _assert_canonical(v)
+
+
 class TestParamPolyArithmeticIsCanonical:
     @settings(max_examples=100)
     @given(param_polys(), param_polys(),
