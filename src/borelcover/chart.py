@@ -21,10 +21,10 @@ from operator import add
 
 from . import linalg
 from .borel import BorelChartIdeal, MonomialIdeal, borel_charts
-from .errors import (IterationCapError, MathDomainError, NotInChartError)
+from .errors import IterationCapError, MathDomainError, NotInChartError, ScaleCapError
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
                       certified_hilbert_polynomial, chart_constants)
-from .ring import XPoly, apply_change_of_coords, monomials_of_degree
+from .ring import _MAX_LISTED_ENTRIES, XPoly, apply_change_of_coords, monomials_of_degree
 
 
 def _common_degree(forms):
@@ -54,13 +54,19 @@ def _span_rows(gens, t, columns=None):
     (degrevlex descending unless given): the rows of a Macaulay matrix.
     Each row is built straight from exponent tuples, the column of a term
     being that of (term exponents + multiplier exponents); no form is built
-    per multiple.  Returns (rows, columns).
+    per multiple.  Returns (rows, columns).  A matrix of more entries than
+    the listing cap raises ScaleCapError before it is built.
     """
     if not gens:
         raise MathDomainError("empty generator list")
     n = gens[0].n
     if columns is None:
         columns = monomials_of_degree(n, t)
+    size = len(columns) * sum(ambient_dimension(n, t - f.degree)
+                              for f in gens if f.degree <= t)
+    if size > _MAX_LISTED_ENTRIES:
+        raise ScaleCapError(f"the degree-{t} Macaulay matrix of {size} entries exceeds "
+                            f"the cap of {_MAX_LISTED_ENTRIES} entries")
     index = {m.exps: j for j, m in enumerate(columns)}
     zero = Fraction(0)
     rows = []

@@ -19,7 +19,7 @@ truncation levels.  The order of the rewrites does not change the normal
 form: each monomial of T has one star decomposition, hence one rewrite, and
 rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
-coefficient a mutable dict from parameter multi-index to number.
+coefficient the dict a ParamPoly keeps, from parameter multi-index to Fraction.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .chart import dimension_in_degree, marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       chart_constants, hilbert_polynomial)
-from .ring import (Monomial, ParamPoly, XPoly, _cmon_mul, _term_sort_key,
-                   specialize)
+from .ring import Monomial, ParamPoly, XPoly, _cmon_mul, specialize
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class MarkedTemplate:
     hp_degree: int                # degree of the Hilbert polynomial of S/Jsat
     heads: tuple
     tails: tuple                  # tails[i] lists N(T)_{deg head_i}, descending
-    polys: tuple                  # polys[i] = F_{heads[i]}
     _members: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _rewrites: dict = field(default_factory=dict, init=False, repr=False,
@@ -72,6 +70,15 @@ class MarkedTemplate:
         """Position of each head in `heads`."""
         return {h: i for i, h in enumerate(self.heads)}
 
+    @cached_property
+    def polys(self):
+        """polys[i] = F_{heads[i]}, built from heads and tails on first use."""
+        polys = []
+        for i, (head, tail) in enumerate(zip(self.heads, self.tails), start=1):
+            terms = [(g, -ParamPoly.var((i, j))) for j, g in enumerate(tail, start=1)]
+            polys.append(XPoly(self.ideal.n, [(head, 1)] + terms, head.degree()))
+        return tuple(polys)
+
     def poly_for(self, head):
         i = self.head_index.get(head)
         if i is None:
@@ -86,19 +93,20 @@ class MarkedTemplate:
             self._members[d] = out
         return out
 
-    def rewrite(self, exps):
-        """Tails of x^eta * F_b, for the star decomposition x^eta * x^b of x^exps.
+    def _shifted_tails(self, head, shift):
+        """(exponents of x^shift * x^g, multi-index of C[i,j]) for each tail
+        x^g of F_head, which carries -C[i,j] there."""
+        i = self.head_index[head] + 1
+        return ((tuple(map(add, g.exps, shift)), (((i, j), 1),))
+                for j, g in enumerate(self.tails[i - 1], start=1))
 
-        One (exponents of x^eta * x^g, multi-index of C[i,j]) pair per tail
-        x^g of F_b, which carries -C[i,j]; memoized per exps.
-        """
+    def rewrite(self, exps):
+        """Tails of x^eta * F_b, for the star decomposition x^eta * x^b of x^exps:
+        the `_shifted_tails` of b by eta, memoized per exps."""
         out = self._rewrites.get(exps)
         if out is None:
             eta, beta = star_decompose(Monomial(exps), self.ideal)
-            i = self.head_index[beta] + 1
-            out = tuple((tuple(map(add, g.exps, eta.exps)), (((i, j), 1),))
-                        for j, g in enumerate(self.tails[i - 1], start=1))
-            self._rewrites[exps] = out
+            out = self._rewrites[exps] = tuple(self._shifted_tails(beta, eta.exps))
         return out
 
 
@@ -136,20 +144,11 @@ def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
     _validate_level(Jsat, m)
     T = truncate(Jsat, m)
     heads = T.gens
-    outside = {d: T.sous_escalier_at(d) for d in {h.degree() for h in heads}}
-    tails = []
-    polys = []
-    for i, head in enumerate(heads, start=1):
-        tail = outside[head.degree()]
-        terms = [(head, Fraction(1))]
-        terms.extend((g, -ParamPoly.var((i, j)))
-                     for j, g in enumerate(tail, start=1))
-        tails.append(tuple(tail))
-        polys.append(XPoly(Jsat.n, terms, head.degree()))
+    outside = {d: tuple(T.sous_escalier_at(d)) for d in {h.degree() for h in heads}}
     d = hilbert_polynomial(Jsat).degree()
     return MarkedTemplate(ideal=T, saturation=Jsat, m=m, hp_degree=max(d, 0),
-                          heads=tuple(heads), tails=tuple(tails),
-                          polys=tuple(polys))
+                          heads=tuple(heads),
+                          tails=tuple(outside[h.degree()] for h in heads))
 
 
 def specialize_template(tpl: MarkedTemplate, assignment):
@@ -196,15 +195,16 @@ def ek_spairs(T: MonomialIdeal):
 
 
 def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
-    """x_j * F_a - x^eta * F_b, built from the exponent tuples of the template."""
+    """x_j * F_a - x^eta * F_b: the heads cancel, leaving -C[a,k] * x_j * x^g_k
+    and C[b,l] * x^eta * x^g_l; a != b (j > min(a)), so no multi-index repeats."""
     x_j = Monomial.variable(tpl.ideal.n, pair.var).exps
-    acc = {tuple(map(add, g.exps, x_j)): k
-           for g, k in tpl.poly_for(pair.alpha).terms}
-    for g, k in tpl.poly_for(pair.beta).terms:
-        mon = tuple(map(add, g.exps, pair.eta.exps))
-        prev = acc.get(mon)
-        acc[mon] = -k if prev is None else prev - k
-    terms = tuple((Monomial._from_exps(e), acc[e]) for e in sorted(acc) if acc[e])
+    acc = {}
+    for c, head, shift in ((Fraction(-1), pair.alpha, x_j),
+                           (Fraction(1), pair.beta, pair.eta.exps)):
+        for mon, cm in tpl._shifted_tails(head, shift):
+            acc.setdefault(mon, {})[cm] = c
+    terms = tuple((Monomial._from_exps(e), ParamPoly._from_dict(acc[e]))
+                  for e in sorted(acc))
     return XPoly._from_canonical(tpl.ideal.n, terms, pair.alpha.degree() + 1)
 
 
@@ -230,9 +230,9 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
     rewritten; membership in T and star decompositions are looked up on the
     template.  Every tail of F_b carries -C[i,j] and its head cancels, so a
     touched coefficient is a mutable dict from parameter multi-index to
-    number (an int where the denominator is 1) to which c * C[i,j] is added.
-    Each becomes one canonical ParamPoly with Fraction values at the end;
-    untouched ones come back as they went in, so the result and its types
+    Fraction, the kind a ParamPoly keeps, to which c * C[i,j] is added; at
+    the end each is wrapped as a ParamPoly as it stands.  Untouched
+    coefficients come back as they went in, so the result and its types
     are those of repeated ``h - c * x^e * F_b``.
     """
     if h.n != tpl.ideal.n:
@@ -259,7 +259,9 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
             d = acc[mon] = _coefficient_dict(acc.get(mon))
             for cm, v in c:
                 key = _cmon_mul(cm, param)
-                v += d.get(key, 0)
+                prev = d.get(key)
+                if prev is not None:
+                    v += prev
                 if v:
                     d[key] = v
                 else:
@@ -272,25 +274,20 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
                     inside.add(mon)
                 else:
                     inside.discard(mon)
-    terms = []
-    for e in sorted(acc):
-        c = acc[e]
-        if type(c) is dict:
-            c = ParamPoly._from_canonical(tuple(sorted(
-                ((cm, Fraction(v)) for cm, v in c.items()), key=_term_sort_key)))
-        terms.append((Monomial._from_exps(e), c))
-    poly = XPoly._from_canonical(h.n, tuple(terms), h.degree)
+    terms = tuple((Monomial._from_exps(e),
+                   ParamPoly._from_dict(c) if type(c) is dict else c)
+                  for e, c in sorted(acc.items()))
+    poly = XPoly._from_canonical(h.n, terms, h.degree)
     return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
 
 
 def _coefficient_dict(c):
-    """c as a dict {parameter multi-index: number}; None is 0, a dict is kept."""
+    """c as a dict {multi-index: Fraction} of its own; None is 0, a dict is kept."""
     if c is None:
         return {}
     if type(c) is dict:
         return c
-    terms = c.terms if isinstance(c, ParamPoly) else (((), c),)
-    return {cm: v.numerator if v.denominator == 1 else v for cm, v in terms}
+    return dict(c._terms) if isinstance(c, ParamPoly) else {(): c}
 
 
 @dataclass(frozen=True)
@@ -322,10 +319,9 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     pairs = ek_spairs(tpl.ideal)
     results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
 
-    # first occurrences in S-pair order; each coefficient is hashed once
-    gens = list(dict.fromkeys(
-        ParamPoly.const(c) if isinstance(c, Fraction) else c
-        for res in results for _, c in res.poly.terms if c))
+    # first occurrences in S-pair order; each coefficient is hashed once.  The
+    # S-polynomials' coefficients are ParamPolys and reduce drops zeros.
+    gens = list(dict.fromkeys(c for res in results for _, c in res.poly.terms))
     max_chain = max((res.max_chain for res in results), default=0)
 
     bound_count = bound_degree = None
@@ -419,7 +415,7 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     if sorted(heads, key=lambda m: m.exps) != sorted(T.gens, key=lambda m: m.exps):
         raise MathDomainError("heads of the marked set do not form the basis of T")
     r = chart_constants(hilbert_polynomial(T), T.n).r
-    return all(dimension_in_degree(G, t) == len(T.monomials_at(t))
+    return all(dimension_in_degree(G, t) == borel_dim_at(T, t)
                for t in range(T.min_gen_degree(), max(T.max_gen_degree(), r) + 2))
 
 

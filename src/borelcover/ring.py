@@ -4,11 +4,11 @@ Three layers, all immutable and hashable:
 
 * ``Monomial`` -- an exponent tuple over the ambient variables x_0 < ... < x_n;
 * ``ParamPoly`` -- a sparse polynomial with rational coefficients in the chart
-  parameters ``C[i,j]``, kept in a canonical term order so ``==`` and ``hash``
-  agree with mathematical equality.  Terms are made canonical once at the
-  boundary: ``ParamPoly(...)`` normalises outside input, while ``+``, ``-``
-  and ``*`` merge already canonical operands into a dict, drop zeros and
-  sort once, without normalising every term again;
+  parameters ``C[i,j]``, kept as a dict from multi-index to nonzero
+  ``Fraction``, so ``==`` and ``hash`` agree with mathematical equality.
+  ``ParamPoly(...)`` normalises outside input once; ``+``, ``-`` and ``*``
+  merge the dicts of their operands and drop zeros.  The canonical term
+  order is computed only where it can be seen: in ``.terms`` and in text;
 * ``XPoly`` -- a homogeneous form in the x-variables whose coefficients are
   either ``Fraction`` scalars or ``ParamPoly`` values.
 
@@ -188,12 +188,13 @@ def _term_sort_key(item):
 class ParamPoly:
     """Polynomial over Q in the chart parameters, keyed by pairs (i, j).
 
-    A term's multi-index is a sorted tuple of ((i, j), exponent) pairs; terms
-    are stored sorted (degree descending, then multi-index), with no zero
-    coefficients, so structural equality is mathematical equality.
+    A term's multi-index is a sorted tuple of ((i, j), exponent) pairs.  The
+    terms live in a dict from multi-index to nonzero Fraction, so structural
+    equality is mathematical equality; ``.terms`` lists them in the
+    canonical order (degree descending, then multi-index).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         acc = {}
@@ -206,14 +207,19 @@ class ParamPoly:
                     acc[cm] = prev
                 elif cm in acc:
                     del acc[cm]
-        self.terms = tuple(sorted(acc.items(), key=_term_sort_key))
+        self._terms = acc
 
     @classmethod
-    def _from_canonical(cls, terms):
-        """Wrap terms that are already canonical (merged, nonzero, sorted)."""
+    def _from_dict(cls, terms):
+        """Wrap a canonical dict {multi-index: nonzero Fraction}, not copied."""
         out = cls.__new__(cls)
-        out.terms = terms
+        out._terms = terms
         return out
+
+    @property
+    def terms(self):
+        """The (multi-index, Fraction) terms in the canonical order."""
+        return tuple(sorted(self._terms.items(), key=_term_sort_key))
 
     @classmethod
     def zero(cls):
@@ -225,43 +231,36 @@ class ParamPoly:
 
     @classmethod
     def var(cls, key):
-        return cls._from_canonical(((((tuple(key), 1),), Fraction(1)),))
+        return cls._from_dict({((tuple(key), 1),): Fraction(1)})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial.  Terms are degree-descending."""
-        return _cmon_degree(self.terms[0][0]) if self.terms else -1
+        """Total degree; -1 for the zero polynomial."""
+        return max(map(_cmon_degree, self._terms), default=-1)
 
     def constant_term(self):
-        for cm, c in self.terms:
-            if not cm:
-                return c
-        return Fraction(0)
+        return self._terms.get((), Fraction(0))
 
     def variables(self):
-        seen = set()
-        for cm, _ in self.terms:
-            for v, _ in cm:
-                seen.add(v)
-        return sorted(seen)
+        return sorted({v for cm in self._terms for v, _ in cm})
 
     def __add__(self, other):
         other = _coerce_param(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for cm, c in other.terms:
+        acc = dict(self._terms)
+        for cm, c in other._terms.items():
             v = acc.pop(cm, 0) + c
             if v:
                 acc[cm] = v
-        return ParamPoly._from_canonical(tuple(sorted(acc.items(), key=_term_sort_key)))
+        return ParamPoly._from_dict(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._from_canonical(tuple((cm, -c) for cm, c in self.terms))
+        return ParamPoly._from_dict({cm: -c for cm, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce_param(other)
@@ -276,24 +275,22 @@ class ParamPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ParamPoly.zero()
-            return ParamPoly._from_canonical(
-                tuple((cm, c * other) for cm, c in self.terms))
+            return ParamPoly._from_dict({cm: c * other for cm, c in self._terms.items()})
         if not isinstance(other, ParamPoly):
             return NotImplemented
         acc = {}
-        for cm1, c1 in self.terms:
-            for cm2, c2 in other.terms:
+        for cm1, c1 in self._terms.items():
+            for cm2, c2 in other._terms.items():
                 cm = _cmon_mul(cm1, cm2)
                 acc[cm] = acc.get(cm, 0) + c1 * c2
-        return ParamPoly._from_canonical(
-            tuple(sorted(((cm, c) for cm, c in acc.items() if c), key=_term_sort_key)))
+        return ParamPoly._from_dict({cm: c for cm, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def evaluate(self, assignment):
         """Evaluate at a {(i, j): Fraction} map covering every variable."""
         total = Fraction(0)
-        for cm, c in self.terms:
+        for cm, c in self._terms.items():
             val = c
             for v, e in cm:
                 if v not in assignment:
@@ -303,11 +300,12 @@ class ParamPoly:
         return total
 
     def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.terms == other.terms
+        return isinstance(other, ParamPoly) and self._terms == other._terms
 
     def __hash__(self):
         # over numerator and denominator: Fraction.__hash__ takes a modular inverse
-        return hash(tuple([(cm, c.numerator, c.denominator) for cm, c in self.terms]))
+        return hash(frozenset([(cm, c.numerator, c.denominator)
+                               for cm, c in self._terms.items()]))
 
     def __str__(self):
         return _signed_sum((c, _power_product(_c_factors(cm))) for cm, c in self.terms)
@@ -451,7 +449,7 @@ class XPoly:
         terms = []
         for mon, c in self.terms:
             factors = _x_factors(mon)
-            if isinstance(c, ParamPoly) and len(c.terms) > 1:
+            if isinstance(c, ParamPoly) and len(c._terms) > 1:
                 # a sum stays bracketed, as one factor: (C[1,1] + 2)*x2
                 factors = [(f"({c})", 1)] + factors
                 c = 1

@@ -14,7 +14,7 @@ from borelcover.chart import (_common_degree, _draw_invertible, _span_rows,
                               initial_monomials_gauss, marked_slice,
                               pluecker_coordinate, random_coordinate_change)
 from borelcover.errors import (IterationCapError, MathDomainError,
-                               NotInChartError)
+                               NotInChartError, ScaleCapError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial, \
     parse_hilbert_poly
 from borelcover.marked import marked_set_from_ideal
@@ -421,6 +421,19 @@ class TestSpanRowsAgainstFormMultiples:
                 call([], 2)
             with pytest.raises(MathDomainError, match="scalar coefficients"):
                 call([parse_xpoly("C[1,1]*x1 + x0", 1)], 2)
+
+    def test_matrix_cap_before_building(self):
+        # rows x columns = 3 * N(18) * N(24) in P^3: 3990 x 2925 > 10 M, while
+        # degree 23 (3420 x 2600) stays under the cap
+        sextics = [parse_xpoly(f"x{i}^6", 3) for i in (3, 2, 1)]
+        with pytest.raises(ScaleCapError, match="degree-24 Macaulay matrix of "
+                           "11670750 entries exceeds the cap of 10000000"):
+            _span_rows(sextics, 24)
+        # the column listing's cap keeps precedence: N(2) * 3001 > 10 M
+        with pytest.raises(ScaleCapError, match=r"degree-2 monomials of P\^3000"):
+            _span_rows([parse_xpoly("x1", 3000)], 2)
+        rows, columns = _span_rows([parse_xpoly("x1", 3000)], 1)
+        assert len(rows) == 1 and len(columns) == 3001
 
 
 class TestBorelOpenSet:

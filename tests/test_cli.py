@@ -278,6 +278,18 @@ class TestListingCap:
         assert "Traceback" not in err
         assert time.perf_counter() - start < 10
 
+    def test_macaulay_matrix_cap(self, capsys):
+        # the Hilbert walk of the sextics ranked ever larger degree slices,
+        # past 1.1 GiB, before a cap on the size of one matrix
+        start = time.perf_counter()
+        code, out, err = run(capsys, "open-set", "--ideal",
+                             '{"n":3,"gens":["x3^6","x2^6","x1^6"]}')
+        assert code == 4 and not out
+        assert ("the degree-24 Macaulay matrix of 11670750 entries exceeds the "
+                "cap of 10000000 entries") in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 30
+
     def test_largest_listing_under_the_cap(self, capsys):
         # the 3001 linear forms of P^3000 hold 9 006 001 exponent entries
         ideal = '{"n":3000,"gens":["x1"]}'

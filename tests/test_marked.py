@@ -1,8 +1,10 @@
 import gc
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from borelcover import marked
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
@@ -19,8 +21,8 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly)
 
-from conftest import (borel_closure, mono, monomial_ideals, rational_sampler,
-                      scan_contains, scan_star_decompose)
+from conftest import (CHART_FAMILIES, borel_closure, mono, monomial_ideals,
+                      rational_sampler, scan_contains, scan_star_decompose)
 
 
 class TestTemplate:
@@ -166,6 +168,32 @@ def reference_spair_polynomial(pair, tpl):
             - tpl.poly_for(pair.beta).times_monomial(pair.eta))
 
 
+def eager_template_polys(sat, m):
+    """F_a for every head of truncate(sat, m), built as template() once built
+    them: an XPoly per head, with -C[i,j] on the j-th tail."""
+    T = truncate(sat, m)
+    polys = []
+    for i, head in enumerate(T.gens, start=1):
+        terms = [(head, Fraction(1))]
+        terms.extend((g, -ParamPoly.var((i, j)))
+                     for j, g in enumerate(T.sous_escalier_at(head.degree()), start=1))
+        polys.append(XPoly(sat.n, terms, head.degree()))
+    return dict(zip(T.gens, polys))
+
+
+def dict_spair_polynomial(pair, polys):
+    """x_j * F_a - x^eta * F_b on exponent dicts, subtracting ParamPolys."""
+    n = pair.alpha.n
+    x_j = Monomial.variable(n, pair.var).exps
+    acc = {tuple(map(add, g.exps, x_j)): k for g, k in polys[pair.alpha].terms}
+    for g, k in polys[pair.beta].terms:
+        mon = tuple(map(add, g.exps, pair.eta.exps))
+        prev = acc.get(mon)
+        acc[mon] = -k if prev is None else prev - k
+    return XPoly(n, [(Monomial(e), c) for e, c in acc.items() if c],
+                 pair.alpha.degree() + 1)
+
+
 def reference_scheme_equations(sat, m, strategy):
     """(generators, num_vars, spair_count, max_chain, max_degree) from the
     reference reduction of the reference S-polynomials, deduplicated in
@@ -295,6 +323,63 @@ class TestReduceAgainstReference:
         tpl = template(j1sat, 2)
         with pytest.raises(MathDomainError):
             reduce(parse_xpoly("x3^3", 3), tpl)
+
+
+class TestTemplateAgainstEagerConstruction:
+    @pytest.mark.parametrize("n, p", CHART_FAMILIES)
+    def test_polys_and_spair_polynomials(self, n, p):
+        for sat in enumerate_borel_saturated(n, p):
+            for m in {max(rho(sat) - 1, 0), regularity(sat)}:
+                tpl = template(sat, m)
+                polys = eager_template_polys(sat, m)
+                assert tpl.polys == tuple(polys.values())
+                assert [str(f) for f in tpl.polys] == [str(f) for f in polys.values()]
+                for pair in ek_spairs(tpl.ideal):
+                    got = spair_polynomial(pair, tpl)
+                    want = dict_spair_polynomial(pair, polys)
+                    assert got == want and str(got) == str(want)
+                    assert (got.degree, _coefficient_types(got)) == \
+                        (want.degree, _coefficient_types(want))
+
+
+@st.composite
+def shuffled_forms(draw):
+    """A degree-3 form in P^2 with ParamPoly coefficients, and the same form
+    with each coefficient built from its terms in another order."""
+    variable = st.tuples(st.integers(1, 3), st.integers(1, 4))
+    multi_index = st.dictionaries(variable, st.integers(1, 2), max_size=2)
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    coefficient = st.lists(st.tuples(multi_index, value), min_size=1, max_size=4)
+    mons = draw(st.lists(st.sampled_from(monomials_of_degree(2, 3)), min_size=1,
+                         max_size=5, unique=True))
+    pairs = []
+    for mon in mons:
+        terms = [(cm.items(), c) for cm, c in draw(coefficient)]
+        order = draw(st.permutations(range(len(terms))))
+        pairs.append(((mon, ParamPoly(terms)),
+                      (mon, ParamPoly([terms[k] for k in order]))))
+    assume(all(c for (_, c), _ in pairs))
+    return XPoly(2, [a for a, _ in pairs], 3), XPoly(2, [b for _, b in pairs], 3)
+
+
+class TestReductionIsOrderFree:
+    @settings(max_examples=40)
+    @given(shuffled_forms())
+    def test_shuffled_coefficients_reduce_alike(self, forms):
+        # the dicts reduce builds depend on the order of the input's terms;
+        # equality, hashes, text and .terms must not
+        tpl = template(MonomialIdeal.parse("x2^2, x2*x1, x1^3", 2), 2)
+        h, shuffled = forms
+        a, b = reduce(h, tpl).poly, reduce(shuffled, tpl).poly
+        assert a == b and str(a) == str(b)
+        for (mon, c), (mon2, c2) in zip(a.terms, b.terms):
+            assert mon == mon2 and isinstance(c, ParamPoly)
+            rebuilt = ParamPoly(reversed(c.terms))
+            assert c == c2 == rebuilt
+            assert hash(c) == hash(c2) == hash(rebuilt)
+            assert str(c) == str(c2) == str(rebuilt)
+            assert c.terms == c2.terms == tuple(sorted(
+                c.terms, key=lambda t: (-sum(e for _, e in t[0]), t[0])))
 
 
 class TestSchemeEquationsAgainstReference:

@@ -330,8 +330,8 @@ class TestParamPolyHashAndDegree:
     @given(param_polys())
     def test_equal_polynomials_hash_equal(self, p):
         # integral coefficients as ints, the others as Fractions: still equal
-        q = ParamPoly._from_canonical(tuple(
-            (cm, c.numerator if c.denominator == 1 else c) for cm, c in p.terms))
+        q = ParamPoly._from_dict(
+            {cm: c.numerator if c.denominator == 1 else c for cm, c in p.terms})
         rebuilt = ParamPoly(reversed(p.terms))
         assert p == q == rebuilt
         assert hash(p) == hash(q) == hash(rebuilt)
@@ -371,6 +371,33 @@ class TestParamPolyArithmeticIsCanonical:
         assert a * b == b * a and hash(a * b) == hash(b * a)
         assert not (a + (-a)) and (a + (-a)) == ParamPoly.zero()
         assert (a - a).terms == ()
+
+
+def _assert_same(p, q):
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    assert p.terms == q.terms
+    _assert_canonical(p)
+
+
+class TestParamPolyTermOrderIsInvisible:
+    @settings(max_examples=60)
+    @given(param_polys(), param_polys(), st.data())
+    def test_same_terms_in_any_order(self, a, b, data):
+        # each way of building a polynomial fills its dict in another order
+        def shuffled(p):
+            order = data.draw(st.permutations(range(len(p.terms))))
+            return [p.terms[k] for k in order]
+
+        def summed(terms):
+            return sum((ParamPoly([t]) for t in terms), ParamPoly.zero())
+
+        _assert_same(ParamPoly(shuffled(a)), a)
+        _assert_same(summed(shuffled(a)), a)
+        _assert_same(-summed((cm, -c) for cm, c in shuffled(a)), a)
+        _assert_same(ParamPoly.zero() - summed((cm, -c) for cm, c in shuffled(a)), a)
+        _assert_same(ParamPoly(shuffled(a)) * ParamPoly(shuffled(b)), a * b)
+        _assert_same(b * a, a * b)
+        _assert_same(summed(shuffled(b)) + ParamPoly(shuffled(a)), a + b)
 
 
 class TestXPoly:
