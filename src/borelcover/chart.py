@@ -42,7 +42,7 @@ def _common_degree(forms):
 def _basis_of_rows(rows, columns, n, d):
     """RREF rows of a coefficient matrix as forms over the columns, and the pivots."""
     R, pivots = linalg.rref(rows)
-    return [XPoly(n, [(m, c) for m, c in zip(columns, row) if c], d)
+    return [XPoly._from_dict(n, {m.exps: c for m, c in zip(columns, row) if c}, d)
             for row in R[:len(pivots)]], pivots
 
 
@@ -77,11 +77,10 @@ def _span_rows(gens, t, columns=None):
             raise MathDomainError("forms live in different ambient rings")
         if not f.is_scalar():
             raise MathDomainError("coefficient matrix needs scalar coefficients")
-        terms = [(m.exps, c) for m, c in f.terms]
         for mult in monomials_of_degree(n, t - f.degree):
             s = mult.exps
             row = [zero] * len(columns)
-            for e, c in terms:
+            for e, c in f._terms.items():
                 row[index[tuple(map(add, e, s))]] = c
             rows.append(row)
     return rows, columns
@@ -97,10 +96,17 @@ def degree_basis(gens, t):
     return _basis_of_rows(*_span_rows(gens, t), gens[0].n, t)[0]
 
 
-def _single_degree_chart(J):
+def _check_chart_forms(forms, J):
+    """Degree r of the single-degree chart J; the forms must share r and J's ambient."""
     if J.is_zero() or not J.generated_in_single_degree():
         raise MathDomainError(f"chart ideal must be generated in one degree: {J}")
-    return J.gens[0].degree()
+    r = J.gens[0].degree()
+    d = _common_degree(forms)
+    if d != r:
+        raise MathDomainError(f"forms of degree {d} against a degree-{r} chart")
+    if forms[0].n != J.n:
+        raise MathDomainError("ambient mismatch between forms and chart")
+    return r
 
 
 def pluecker_coordinate(forms, J: MonomialIdeal) -> Fraction:
@@ -109,16 +115,11 @@ def pluecker_coordinate(forms, J: MonomialIdeal) -> Fraction:
     The value depends on the chosen basis of the span only up to a global
     nonzero scalar, so only the zero / nonzero dichotomy is intrinsic.
     """
-    r = _single_degree_chart(J)
-    d = _common_degree(forms)
-    if d != r:
-        raise MathDomainError(f"forms of degree {d} against a degree-{r} chart")
-    if forms[0].n != J.n:
-        raise MathDomainError("ambient mismatch between forms and chart")
+    r = _check_chart_forms(forms, J)
     if len(forms) != len(J.gens):
         raise MathDomainError(
             f"expected {len(J.gens)} forms for this chart, got {len(forms)}")
-    rows, cols = _span_rows(forms, d)
+    rows, cols = _span_rows(forms, r)
     col_index = {m: i for i, m in enumerate(cols)}
     sub = [[row[col_index[g]] for g in J.gens] for row in rows]
     return linalg.det(sub)
@@ -164,10 +165,7 @@ def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
     order of B_J.  Raises NotInChartError when the Plucker coordinate of J
     vanishes.
     """
-    r = _single_degree_chart(J)
-    d = _common_degree(forms)
-    if d != r:
-        raise MathDomainError(f"forms of degree {d} against a degree-{r} chart")
+    r = _check_chart_forms(forms, J)
     marked = marked_slice(forms, J, r)
     return ChartPoint(chart=J, marked_set=tuple(marked[h] for h in J.gens))
 

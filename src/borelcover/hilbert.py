@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
-from .ring import _power_product, _signed_sum
+from .ring import _integers, _power_product, _signed_sum
 
 _MAX_GOTZMANN_TERMS = 512
 # Cap on the exponent of t in a parsed Hilbert polynomial; converting to the
@@ -56,7 +56,7 @@ class HilbertPoly:
     __slots__ = ("coords",)
 
     def __init__(self, coords=()):
-        coords = [int(c) for c in coords]
+        coords = list(_integers(coords))
         while coords and coords[-1] == 0:
             coords.pop()
         self.coords = tuple(coords)

@@ -203,9 +203,9 @@ def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
                            (Fraction(1), pair.beta, pair.eta.exps)):
         for mon, cm in tpl._shifted_tails(head, shift):
             acc.setdefault(mon, {})[cm] = c
-    terms = tuple((Monomial._from_exps(e), ParamPoly._from_dict(acc[e]))
-                  for e in sorted(acc))
-    return XPoly._from_canonical(tpl.ideal.n, terms, pair.alpha.degree() + 1)
+    return XPoly._from_dict(tpl.ideal.n,
+                            {e: ParamPoly._from_dict(d) for e, d in acc.items()},
+                            pair.alpha.degree() + 1)
 
 
 @dataclass(frozen=True)
@@ -226,21 +226,21 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
     rewrites in which each reduced monomial was introduced by the previous
     step.
 
-    The form is a dict from exponent tuples to coefficients while it is
-    rewritten; membership in T and star decompositions are looked up on the
-    template.  Every tail of F_b carries -C[i,j] and its head cancels, so a
-    touched coefficient is a mutable dict from parameter multi-index to
+    The form is rewritten on a copy of its dict from exponent tuples to
+    coefficients; membership in T and star decompositions are looked up on
+    the template.  Every tail of F_b carries -C[i,j] and its head cancels, so
+    a touched coefficient is a mutable dict from parameter multi-index to
     Fraction, the kind a ParamPoly keeps, to which c * C[i,j] is added; at
-    the end each is wrapped as a ParamPoly as it stands.  Untouched
-    coefficients come back as they went in, so the result and its types
-    are those of repeated ``h - c * x^e * F_b``.
+    the end each is wrapped as a ParamPoly and the dict as an XPoly, as they
+    stand, unsorted.  Untouched coefficients come back as they went in, so
+    the result and its types are those of repeated ``h - c * x^e * F_b``.
     """
     if h.n != tpl.ideal.n:
         raise MathDomainError("form and template live in different ambient rings")
     if step_cap is None:
-        step_cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
+        step_cap = 10 * (tpl.hp_degree + 2) * max(len(h._terms), 1)
     members = tpl.members_at(h.degree)
-    acc = {mon.exps: c for mon, c in h.terms}
+    acc = dict(h._terms)
     inside = {e for e in acc if e in members}
     depth = dict.fromkeys(inside, 1)
     steps = 0
@@ -274,10 +274,8 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
                     inside.add(mon)
                 else:
                     inside.discard(mon)
-    terms = tuple((Monomial._from_exps(e),
-                   ParamPoly._from_dict(c) if type(c) is dict else c)
-                  for e, c in sorted(acc.items()))
-    poly = XPoly._from_canonical(h.n, terms, h.degree)
+    poly = XPoly._from_dict(h.n, {e: ParamPoly._from_dict(c) if type(c) is dict else c
+                                  for e, c in acc.items()}, h.degree)
     return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
 
 
@@ -319,7 +317,8 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     pairs = ek_spairs(tpl.ideal)
     results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
 
-    # first occurrences in S-pair order; each coefficient is hashed once.  The
+    # first occurrences in S-pair order, each normal form walked by `.terms`
+    # in ascending exponent order; each coefficient is hashed once.  The
     # S-polynomials' coefficients are ParamPolys and reduce drops zeros.
     gens = list(dict.fromkeys(c for res in results for _, c in res.poly.terms))
     max_chain = max((res.max_chain for res in results), default=0)
@@ -441,7 +440,6 @@ def assignment_from_marked_set(G, tpl: MarkedTemplate):
     by_head = dict(zip(_heads_of_marked_set(G, tpl.ideal), G))
     for i, (head, tail) in enumerate(zip(tpl.heads, tpl.tails), start=1):
         f = by_head[head]
-        lookup = dict(f.terms)
         for j, mon in enumerate(tail, start=1):
-            values[(i, j)] = -lookup.get(mon, Fraction(0))
+            values[(i, j)] = -f.coefficient(mon)
     return values

@@ -89,7 +89,7 @@ class _Ring(dict):
     def from_param(self, p):
         pos, n = self.pos, len(self.variables)
         out = {}
-        for cm, c in p.terms:
+        for cm, c in p._terms.items():
             e = [0] * n
             for v, x in cm:
                 e[pos[v]] = x
@@ -97,9 +97,11 @@ class _Ring(dict):
         return out
 
     def to_param(self, f):
-        return ParamPoly(
-            [(tuple((v, x) for v, x in zip(self.variables, e) if x), c)
-             for e, c in f.items()])
+        """f, whose coefficients are nonzero Fractions, as a ParamPoly; the
+        variables are sorted, so each multi-index comes out canonical."""
+        return ParamPoly._from_dict(
+            {tuple((v, x) for v, x in zip(self.variables, e) if x): c
+             for e, c in f.items()})
 
     def monic(self, f):
         """(leading exponent, f divided by its leading coefficient)."""

@@ -10,11 +10,14 @@ Three layers, all immutable and hashable:
   merge the dicts of their operands and drop zeros.  The canonical term
   order is computed only where it can be seen: in ``.terms`` and in text;
 * ``XPoly`` -- a homogeneous form in the x-variables whose coefficients are
-  either ``Fraction`` scalars or ``ParamPoly`` values.
+  either ``Fraction`` scalars or ``ParamPoly`` values, kept in the same way
+  as a dict from exponent tuple to nonzero coefficient.
 
 The fixed term order on x-monomials is degree-reverse-lexicographic with
 x_n > ... > x_0; it is the column order of every coefficient matrix in the
-package and the order in which tail monomials are indexed.
+package and the order in which tail monomials are indexed.  Neither sparse
+form stores it: ``.terms`` and the printers sort when they are asked.  The
+parser computes on ``ParamPoly``, with x_i the parameter key (i,).
 
 A linear change of coordinates g = G / D checks that g is invertible once
 per distinct g, and keeps the integer images of x^e under G for the last g
@@ -30,9 +33,19 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import add, sub
 
 from . import linalg
 from .errors import MathDomainError, ParseError, ScaleCapError
+
+
+def _integers(values):
+    """The values as a tuple of ints; ValueError if one is not integral (1.5, 1/2)."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"non-integral entry in {values}")
+    return ints
 
 
 class Monomial:
@@ -41,7 +54,7 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        exps = _integers(exps)
         if not exps:
             raise ValueError("empty exponent vector")
         if any(e < 0 for e in exps):
@@ -94,7 +107,7 @@ class Monomial:
 
     def __mul__(self, other):
         self._check_ambient(other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        return Monomial._from_exps(tuple(map(add, self.exps, other.exps)))
 
     def divides(self, other):
         self._check_ambient(other)
@@ -104,7 +117,7 @@ class Monomial:
         self._check_ambient(other)
         if not other.divides(self):
             raise MathDomainError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
+        return Monomial._from_exps(tuple(map(sub, self.exps, other.exps)))
 
     def _check_ambient(self, other):
         if not isinstance(other, Monomial):
@@ -188,10 +201,11 @@ def _term_sort_key(item):
 class ParamPoly:
     """Polynomial over Q in the chart parameters, keyed by pairs (i, j).
 
-    A term's multi-index is a sorted tuple of ((i, j), exponent) pairs.  The
-    terms live in a dict from multi-index to nonzero Fraction, so structural
-    equality is mathematical equality; ``.terms`` lists them in the
-    canonical order (degree descending, then multi-index).
+    A term's multi-index is a sorted tuple of ((i, j), exponent) pairs, one
+    per variable, with positive exponents.  The terms live in a dict from
+    multi-index to nonzero Fraction, so structural equality is mathematical
+    equality; ``.terms`` lists them in the canonical order (degree
+    descending, then multi-index).
     """
 
     __slots__ = ("_terms",)
@@ -201,7 +215,12 @@ class ParamPoly:
         for cm, c in terms:
             c = Fraction(c)
             if c:
-                cm = tuple(sorted((tuple(v), int(e)) for v, e in cm if e))
+                cm = tuple(cm)
+                exps = _integers(e for _, e in cm)
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"negative exponent in {cm}")
+                # as the product of its factors, a repeated variable is merged
+                cm = _cmon_mul((), [(tuple(v), e) for (v, _), e in zip(cm, exps) if e])
                 prev = acc.get(cm, 0) + c
                 if prev:
                     acc[cm] = prev
@@ -328,12 +347,14 @@ def _coerce_param(x):
 class XPoly:
     """Homogeneous form in x_0..x_n.
 
-    Coefficients are Fractions or ParamPolys.  Terms are stored in
-    degrevlex-descending order of their monomials; the zero form keeps an
-    explicit degree tag.
+    Coefficients are Fractions or ParamPolys.  The terms live in a dict from
+    exponent tuple to nonzero coefficient, like a ParamPoly's, so equality
+    and hash do not depend on the order in which terms were added;
+    ``.terms`` lists them in degrevlex-descending order of their monomials.
+    The zero form keeps an explicit degree tag.
     """
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ("n", "degree", "_terms")
 
     def __init__(self, n, terms=(), degree=0):
         acc = {}
@@ -344,28 +365,30 @@ class XPoly:
                 raise MathDomainError("monomial ambient mismatch")
             if isinstance(c, int):
                 c = Fraction(c)
-            prev = acc.get(mon)
+            prev = acc.pop(mon.exps, None)
             c = c if prev is None else prev + c
-            if not c:
-                acc.pop(mon, None)
-            else:
-                acc[mon] = c
-        degs = {m.degree() for m in acc}
+            if c:
+                acc[mon.exps] = c
+        degs = {sum(e) for e in acc}
         if len(degs) > 1:
             raise MathDomainError(f"inhomogeneous support with degrees {sorted(degs)}")
         self.n = n
         self.degree = degs.pop() if degs else degree
-        self.terms = tuple(sorted(acc.items(), key=lambda t: t[0].exps))
+        self._terms = acc
 
     @classmethod
-    def _from_canonical(cls, n, terms, degree):
-        """Wrap terms that are already canonical (merged, nonzero, sorted by
-        exponent tuple, all of the given degree)."""
+    def _from_dict(cls, n, terms, degree):
+        """Wrap a dict {exponent tuple: nonzero coefficient} of the degree, not copied."""
         out = cls.__new__(cls)
         out.n = n
-        out.terms = terms
+        out._terms = terms
         out.degree = degree
         return out
+
+    @property
+    def terms(self):
+        """The (Monomial, coefficient) terms in degrevlex-descending order."""
+        return tuple((Monomial._from_exps(e), self._terms[e]) for e in sorted(self._terms))
 
     @classmethod
     def zero(cls, n, degree=0):
@@ -376,32 +399,34 @@ class XPoly:
         return cls(mon.n, [(mon, coeff)], mon.degree())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def support(self):
         return [m for m, _ in self.terms]
 
     def coefficient(self, mon):
-        for m, c in self.terms:
-            if m == mon:
-                return c
-        return Fraction(0)
+        return self._terms.get(mon.exps, Fraction(0))
 
     def _check(self, other):
         if self.n != other.n:
             raise MathDomainError("forms live in different ambient rings")
-        if self.terms and other.terms and self.degree != other.degree:
+        if self._terms and other._terms and self.degree != other.degree:
             raise MathDomainError("inhomogeneous sum of forms")
 
     def __add__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
         self._check(other)
-        deg = self.degree if self.terms else other.degree
-        return XPoly(self.n, self.terms + other.terms, deg)
+        acc = dict(self._terms)
+        for e, c in other._terms.items():
+            prev = acc.pop(e, None)
+            c = c if prev is None else prev + c
+            if c:
+                acc[e] = c
+        return XPoly._from_dict(self.n, acc, self.degree if self._terms else other.degree)
 
     def __neg__(self):
-        return XPoly(self.n, [(m, -c) for m, c in self.terms], self.degree)
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, XPoly):
@@ -415,35 +440,35 @@ class XPoly:
             return NotImplemented
         if self.n != other.n:
             raise MathDomainError("forms live in different ambient rings")
-        acc = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                acc.append((m1 * m2, c1 * c2))
-        return XPoly(self.n, acc, self.degree + other.degree)
+        return XPoly(self.n, [(tuple(map(add, e1, e2)), c1 * c2)
+                              for e1, c1 in self._terms.items()
+                              for e2, c2 in other._terms.items()],
+                     self.degree + other.degree)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c):
         if not c:
             return XPoly.zero(self.n, self.degree)
-        return XPoly(self.n, [(m, k * c) for m, k in self.terms], self.degree)
+        return XPoly._from_dict(self.n, {e: k * c for e, k in self._terms.items()},
+                                self.degree)
 
     def times_monomial(self, mon):
-        return XPoly(self.n, [(m * mon, c) for m, c in self.terms],
-                     self.degree + mon.degree())
+        if mon.n != self.n:
+            raise MathDomainError("monomials live in different ambient rings")
+        return XPoly._from_dict(self.n, {tuple(map(add, e, mon.exps)): c
+                                         for e, c in self._terms.items()},
+                                self.degree + mon.degree())
 
     def is_scalar(self):
-        return all(isinstance(c, Fraction) for _, c in self.terms)
+        return all(isinstance(c, Fraction) for c in self._terms.values())
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.n == other.n
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n, self.terms))
+        return hash((self.n, frozenset(self._terms.items())))
 
     def __str__(self):
         terms = []
@@ -519,34 +544,34 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
     under it in a row (a basis, say).  The coefficients c of f are scaled to
     k = c * L, L the lcm of their Fraction denominators (ints for Fractions,
     ParamPolys times an int otherwise), the terms k * image(x^e) are
-    accumulated per target monomial, and the sums are divided by L * D^d
-    once.
+    accumulated per target exponent tuple, and the sums are divided by
+    L * D^d once; that dict is the image form as it stands, unsorted.
     """
     n = f.n
     rows = tuple(tuple(map(Fraction, row)) for row in g)
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
     D, G, images, successors = _image_memo(rows)
-    L = math.lcm(*(c.denominator for _, c in f.terms if isinstance(c, Fraction)))
+    L = math.lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
     acc = {}
-    for mon, c in f.terms:
+    for e, c in f._terms.items():
         k = c.numerator * (L // c.denominator) if isinstance(c, Fraction) else c * L
-        for m, a in _image(mon.exps, G, images, successors).items():
+        for m, a in _image(e, G, images, successors).items():
             prev = acc.get(m)
             acc[m] = k * a if prev is None else prev + k * a
     scale = Fraction(1, L * D ** f.degree)
-    return XPoly._from_canonical(n, tuple(
-        (Monomial._from_exps(m), v * scale) for m, v in sorted(acc.items()) if v), f.degree)
+    return XPoly._from_dict(n, {m: v * scale for m, v in acc.items() if v}, f.degree)
 
 
 def specialize(f: XPoly, assignment) -> XPoly:
     """Evaluate every ParamPoly coefficient of f at the given C-assignment."""
-    terms = []
-    for mon, c in f.terms:
+    out = {}
+    for e, c in f._terms.items():
         if isinstance(c, ParamPoly):
             c = c.evaluate(assignment)
-        terms.append((mon, c))
-    return XPoly(f.n, terms, f.degree)
+        if c:
+            out[e] = c
+    return XPoly._from_dict(f.n, out, f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -630,44 +655,12 @@ def _tokenize(text):
     return tokens
 
 
-class _RawTerms:
-    """Work representation during parsing: {(x-exps, c-mon): Fraction}."""
-
-    def __init__(self, items=()):
-        self.d = {}
-        for k, v in items:
-            v = self.d.get(k, 0) + v
-            if v:
-                self.d[k] = v
-            else:
-                self.d.pop(k, None)
-
-    @classmethod
-    def const(cls, q):
-        return cls([((tuple(), tuple()), Fraction(q))])
-
-    def add(self, other):
-        return _RawTerms(list(self.d.items()) + list(other.d.items()))
-
-    def mul(self, other):
-        out = {}
-        for (xa, ca), qa in self.d.items():
-            for (xb, cb), qb in other.d.items():
-                xs = dict(xa)
-                for i, e in xb:
-                    xs[i] = xs.get(i, 0) + e
-                key = (tuple(sorted(xs.items())), _cmon_mul(ca, cb))
-                out[key] = out.get(key, 0) + qa * qb
-        return _RawTerms(out.items())
-
-    def neg(self):
-        return _RawTerms([(k, -v) for k, v in self.d.items()])
-
-
-# Caps on the work of one parse: the exponent after '^', and the number of
-# term products that expanding the expression forms.
+# Caps on the work of one parse: the exponent after '^', the number of term
+# products that expanding the expression forms, and the nesting of
+# parentheses, which the parser follows by recursion.
 _MAX_PARSE_EXPONENT = 1000
 _MAX_PARSE_PRODUCTS = 100_000
+_MAX_PARSE_DEPTH = 100
 
 
 class _Parser:
@@ -675,13 +668,14 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.products = 0
+        self.depth = 0
 
     def mul(self, a, b):
-        self.products += len(a.d) * len(b.d)
+        self.products += len(a._terms) * len(b._terms)
         if self.products > _MAX_PARSE_PRODUCTS:
             raise ScaleCapError(f"expanding the expression needs more than "
                                 f"{_MAX_PARSE_PRODUCTS} term products")
-        return a.mul(b)
+        return a * b
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -696,13 +690,13 @@ class _Parser:
             kind, _ = self.next()
             total = self.parse_product()
             if kind == "-":
-                total = total.neg()
+                total = -total
         else:
             total = self.parse_product()
         while self.peek() in ("+", "-"):
             kind, _ = self.next()
             term = self.parse_product()
-            total = total.add(term.neg() if kind == "-" else term)
+            total = total - term if kind == "-" else total + term
         return total
 
     def parse_product(self):
@@ -725,7 +719,7 @@ class _Parser:
             if e > _MAX_PARSE_EXPONENT:
                 raise ScaleCapError(
                     f"exponent {e} exceeds the cap {_MAX_PARSE_EXPONENT}")
-            power = _RawTerms.const(1)
+            power = ParamPoly.const(1)
             for _ in range(e):
                 power = self.mul(power, base)
             return power
@@ -746,60 +740,64 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator")
                 q = Fraction(val, den)
-            return _RawTerms.const(q)
+            return ParamPoly.const(q)
         if kind == "x":
             _, i = self.next()
-            return _RawTerms([(((((i, 1),)), tuple()), Fraction(1))])
+            return ParamPoly.var((i,))
         if kind == "C":
             _, key = self.next()
-            return _RawTerms([((tuple(), ((key, 1),)), Fraction(1))])
+            return ParamPoly.var(key)
         if kind == "(":
             self.next()
+            self.depth += 1
+            if self.depth > _MAX_PARSE_DEPTH:
+                raise ScaleCapError(
+                    f"parentheses nest deeper than the cap {_MAX_PARSE_DEPTH}")
             inner = self.parse_sum()
             if self.peek() != ")":
                 raise ParseError("unbalanced parenthesis")
             self.next()
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {kind!r}")
 
 
-def _parse_raw(text):
+def _parse(text):
     try:
         parser = _Parser(_tokenize(text))
     except ValueError as exc:  # int() refuses a literal of too many digits
         raise ParseError(f"cannot read a number: {exc}") from exc
-    raw = parser.parse_sum()
+    p = parser.parse_sum()
     if parser.pos != len(parser.tokens):
         raise ParseError(f"trailing input in {text!r}")
-    return raw
+    return p
 
 
 def parse_xpoly(text, n) -> XPoly:
     """Parse a homogeneous form; C[i,j] factors land in ParamPoly coefficients."""
-    raw = _parse_raw(text)
-    acc = {}
-    has_params = any(cm for (_, cm) in raw.d)
-    for (xexps, cm), q in raw.d.items():
+    by_exps = {}
+    for cm, q in _parse(text)._terms.items():
         exps = [0] * (n + 1)
-        for i, e in xexps:
-            if i > n:
-                raise ParseError(f"variable x{i} out of range for n={n}")
-            exps[i] = e
-        mon = Monomial(exps)
-        coeff = ParamPoly([(cm, q)]) if has_params else q
-        acc[mon] = acc.get(mon, (ParamPoly.zero() if has_params else Fraction(0))) + coeff
+        for v, e in cm:
+            if len(v) == 1:
+                if v[0] > n:
+                    raise ParseError(f"variable x{v[0]} out of range for n={n}")
+                exps[v[0]] = e
+        params = tuple(x for x in cm if len(x[0]) == 2)
+        by_exps.setdefault(tuple(exps), {})[params] = q
+    if any(cm for d in by_exps.values() for cm in d):
+        terms = [(e, ParamPoly._from_dict(d)) for e, d in by_exps.items()]
+    else:
+        terms = [(e, d[()]) for e, d in by_exps.items()]
     try:
-        return XPoly(n, acc.items())
+        return XPoly(n, terms)
     except MathDomainError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def parse_parampoly(text) -> ParamPoly:
     """Parse a polynomial in the chart parameters only."""
-    raw = _parse_raw(text)
-    terms = []
-    for (xexps, cm), q in raw.d.items():
-        if xexps:
-            raise ParseError("x-variables not allowed in a parameter polynomial")
-        terms.append((cm, q))
-    return ParamPoly(terms)
+    p = _parse(text)
+    if any(len(v) == 1 for cm in p._terms for v, _ in cm):
+        raise ParseError("x-variables not allowed in a parameter polynomial")
+    return p

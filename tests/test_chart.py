@@ -94,6 +94,26 @@ class TestPluecker:
                                 truncate(j1sat, 4))
 
 
+class TestChartInputChecks:
+    # pluecker_coordinate and chart_form share these checks, in this order
+    @pytest.mark.parametrize("forms, chart, message", [
+        (["x2^2", "x1"], "x2^2, x1", r"chart ideal must be generated in one degree: \("),
+        ([], "x2^2, x2*x1", "empty list of forms"),
+        (["x2^2", "x1"], "x2^2, x2*x1", r"forms of mixed degrees \[1, 2\]"),
+        (["x2", "x3"], "x2^2, x2*x1", "forms live in different ambient rings"),
+        (["x2", "x1"], "x2^2, x2*x1", "forms of degree 1 against a degree-2 chart"),
+        (["x3", "x3 + x0"], "x2^2, x2*x1", "forms of degree 1 against a degree-2 chart"),
+        (["x3^2", "x3*x2"], "x2^2, x2*x1", "ambient mismatch between forms and chart"),
+    ], ids=["chart", "no-forms", "mixed", "ambients", "degree", "degree-first",
+            "ambient"])
+    def test_same_messages(self, forms, chart, message):
+        J = MonomialIdeal.parse(chart, 2)
+        parsed = [parse_xpoly(f, 3 if "x3" in f else 2) for f in forms]
+        for check in (pluecker_coordinate, chart_form):
+            with pytest.raises(MathDomainError, match=f"^{message}"):
+                check(parsed, J)
+
+
 class TestChartForm:
     def test_sheared_quadrics(self, two_quadrics, g_shear):
         transformed = [apply_change_of_coords(f, g_shear) for f in two_quadrics]

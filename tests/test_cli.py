@@ -393,6 +393,23 @@ class TestExitCodes:
         assert code == 4 and not out and message in err
         assert time.perf_counter() - start < 10
 
+    DEEP = "(" * 3000 + "x1" + ")" * 3000
+
+    @pytest.mark.parametrize("argv", [
+        ("chart-form", "--ideal", '{"n":2,"gens":["%s"]}' % DEEP,
+         "--chart", '{"n":2,"gens":[[0,1,0]]}'),
+        ("chart-form", "--ideal", '{"n":2,"gens":["x1"]}',
+         "--chart", '{"n":2,"gens":["%s"]}' % DEEP),
+        ("marked-scheme", "--sat", '{"n":2,"gens":["%s"]}' % DEEP, "--m", "1"),
+        ("check-basis", "--sat", '{"n":2,"gens":[[0,1,0]]}', "--m", "1",
+         "--set", '["%s"]' % DEEP),
+    ], ids=["ideal", "chart", "sat", "set"])
+    def test_deep_parentheses_are_capped(self, capsys, argv):
+        # 3000 nested parentheses used to end in a RecursionError traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and not out
+        assert err == "error: parentheses nest deeper than the cap 100\n"
+
     @pytest.mark.parametrize("hp", [LONG_LITERAL, LONG_LITERAL + "*t",
                                     "t^" + LONG_LITERAL],
                              ids=["constant", "coefficient", "exponent"])

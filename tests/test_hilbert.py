@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,19 @@ class TestHilbertPoly:
     @given(st.integers(0, 6), st.integers(-10, 12), st.integers(-15, 15))
     def test_binomial_shift_is_the_binomial(self, a, c, t):
         assert HilbertPoly.binomial_shift(a, c).evaluate(t) == binom(t + c, a)
+
+    @pytest.mark.parametrize("coords", [[Fraction(1, 2), 3], [2, -1.5], [0, 0, 7.25]])
+    def test_non_integral_coordinates_refused(self, coords):
+        # int() used to truncate them: HilbertPoly([1/2, 3]).coords == (0, 3)
+        with pytest.raises(ValueError, match="non-integral"):
+            HilbertPoly(coords)
+
+    def test_integral_fraction_coordinates_accepted(self):
+        p = HilbertPoly([Fraction(-2), Fraction(6, 2), Fraction(0)])
+        assert p.coords == (-2, 3) and all(type(c) is int for c in p.coords)
+        # _from_function builds its coordinates as Fractions
+        half = Fraction(1, 2)
+        assert HilbertPoly.from_power_coeffs([0, half, half]).coords == (0, -1, 1)
 
     @given(st.lists(st.integers(-50, 50), max_size=5))
     def test_power_coeffs_round_trip(self, coords):

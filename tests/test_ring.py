@@ -38,6 +38,16 @@ class TestMonomial:
         for text in ["x2^2*x1", "x0^3", "1"]:
             assert str(mono(text, 2)) == text
 
+    @pytest.mark.parametrize("exps", [(1.5, 0), (Fraction(1, 2), 1), (0, 2.25)])
+    def test_non_integral_exponents_refused(self, exps):
+        # int() used to truncate them: Monomial((1.5, 0)).exps == (1, 0)
+        with pytest.raises(ValueError, match="non-integral"):
+            Monomial(exps)
+
+    def test_integral_fractions_become_ints(self):
+        m = Monomial((Fraction(2), Fraction(0), 1))
+        assert m.exps == (2, 0, 1) and all(type(e) is int for e in m.exps)
+
 
 class TestDegrevlex:
     def test_spec_examples(self):
@@ -291,19 +301,33 @@ class TestParamPoly:
         with pytest.raises(MathDomainError):
             p.evaluate({})
 
+    def test_repeated_variable_merged(self):
+        # used to keep both factors: printed C[1,1]*C[1,1] and != C[1,1]^2
+        p = ParamPoly([((((1, 1), 1), ((1, 1), 1)), 1)])
+        square = parse_parampoly("C[1,1]^2")
+        assert p == square and hash(p) == hash(square) and str(p) == "C[1,1]^2"
+        q = ParamPoly([((((2, 1), 1), ((1, 1), 2), ((2, 1), 0), ((2, 1), 3)), 3)])
+        assert q == parse_parampoly("3*C[1,1]^2*C[2,1]^4")
+
+    @pytest.mark.parametrize("e, match", [(-1, "negative exponent"),
+                                          (Fraction(1, 2), "non-integral"),
+                                          (1.5, "non-integral")])
+    def test_bad_exponents_refused(self, e, match):
+        # a negative exponent used to print as C[1,1]^-1
+        with pytest.raises(ValueError, match=match):
+            ParamPoly([((((1, 1), e),), 1)])
+
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
 def param_polys(draw):
-    """A ParamPoly built by __init__ from a raw term list, zeros and repeats included."""
+    """A ParamPoly built by __init__ from a raw term list, zeros and repeats
+    (of terms and of variables within a multi-index) included."""
     variable = st.tuples(st.integers(1, 2), st.integers(1, 2))
     multi_index = st.lists(st.tuples(variable, st.integers(0, 2)), max_size=3)
-    raw = draw(st.lists(st.tuples(multi_index, small_rationals), max_size=5))
-    # __init__ takes each multi-index with distinct variables
-    raw = [(dict(cm).items(), c) for cm, c in raw]
-    return ParamPoly(raw)
+    return ParamPoly(draw(st.lists(st.tuples(multi_index, small_rationals), max_size=5)))
 
 
 def _naive_product(a, b):
@@ -398,6 +422,58 @@ class TestParamPolyTermOrderIsInvisible:
         _assert_same(ParamPoly(shuffled(a)) * ParamPoly(shuffled(b)), a * b)
         _assert_same(b * a, a * b)
         _assert_same(summed(shuffled(b)) + ParamPoly(shuffled(a)), a + b)
+
+
+def _assert_same_form(f, g):
+    assert f == g and hash(f) == hash(g) and str(f) == str(g)
+    assert f.terms == g.terms and f.degree == g.degree
+    exps = [m.exps for m, _ in f.terms]
+    assert exps == sorted(exps) and len(set(exps)) == len(exps)
+    assert all(type(c) in (Fraction, ParamPoly) and c for _, c in f.terms)
+
+
+@st.composite
+def forms_and_orders(draw):
+    """(f, shuffled): a form in P^n, n <= 3, of degree <= 3, with rational or
+    C[i,j] coefficients, and a function drawing its terms in another order."""
+    n = draw(st.integers(0, 3))
+    f = form_of_degree(draw, n, draw(st.integers(0, 3)),
+                       draw(st.sampled_from([rationals, parametric])))
+
+    def shuffled(g):
+        return [g.terms[k] for k in draw(st.permutations(range(len(g.terms))))]
+
+    return f, shuffled
+
+
+class TestXPolyTermOrderIsInvisible:
+    @settings(max_examples=60)
+    @given(forms_and_orders(), forms_and_orders())
+    def test_same_terms_in_any_order(self, fs, gs):
+        (f, shuffled), (g, _) = fs, gs
+        n, d = f.n, f.degree
+
+        def summed(terms):
+            return sum((XPoly(n, [t], d) for t in terms), XPoly.zero(n, d))
+
+        halves = [(m, c * Fraction(1, 2)) for m, c in shuffled(f) for _ in range(2)]
+        _assert_same_form(XPoly(n, shuffled(f), d), f)
+        _assert_same_form(XPoly(n, halves, d), f)
+        _assert_same_form(summed(shuffled(f)), f)
+        _assert_same_form(-summed((m, -c) for m, c in shuffled(f)), f)
+        _assert_same_form(XPoly.zero(n, d) - summed((m, -c) for m, c in shuffled(f)), f)
+        _assert_same_form(f - XPoly(n, shuffled(f), d), XPoly.zero(n, d))
+        if g.n == n:
+            _assert_same_form(XPoly(n, shuffled(f), d) * g, g * f)
+
+    @settings(max_examples=40)
+    @given(forms_and_orders(), st.integers(0, 2 ** 32))
+    def test_coordinate_change_of_a_shuffled_form(self, fs, seed):
+        from borelcover.chart import random_coordinate_change
+        f, shuffled = fs
+        g = random_coordinate_change(f.n, seed, bound=3)
+        _assert_same_form(apply_change_of_coords(XPoly(f.n, shuffled(f), f.degree), g),
+                          apply_change_of_coords(f, g))
 
 
 class TestXPoly:
@@ -628,3 +704,259 @@ class TestNumberText:
                       ParamPoly.const(Fraction(1, big))):
             with pytest.raises(ScaleCapError):
                 str(value)
+
+
+# ---------------------------------------------------------------------------
+# The parser on its former private polynomial type, kept as a reference
+# ---------------------------------------------------------------------------
+
+class _RawTerms:
+    """{(x-exps, c-mon): Fraction}, the parser's work representation before
+    it computed on ParamPoly."""
+
+    def __init__(self, items=()):
+        self.d = {}
+        for k, v in items:
+            v = self.d.get(k, 0) + v
+            if v:
+                self.d[k] = v
+            else:
+                self.d.pop(k, None)
+
+    @classmethod
+    def const(cls, q):
+        return cls([((tuple(), tuple()), Fraction(q))])
+
+    def add(self, other):
+        return _RawTerms(list(self.d.items()) + list(other.d.items()))
+
+    def mul(self, other):
+        out = {}
+        for (xa, ca), qa in self.d.items():
+            for (xb, cb), qb in other.d.items():
+                xs = dict(xa)
+                for i, e in xb:
+                    xs[i] = xs.get(i, 0) + e
+                key = (tuple(sorted(xs.items())), ring._cmon_mul(ca, cb))
+                out[key] = out.get(key, 0) + qa * qb
+        return _RawTerms(out.items())
+
+    def neg(self):
+        return _RawTerms([(k, -v) for k, v in self.d.items()])
+
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += len(a.d) * len(b.d)
+        if self.products > ring._MAX_PARSE_PRODUCTS:
+            raise ScaleCapError("term products")
+        return a.mul(b)
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse_sum(self):
+        if self.peek() in ("+", "-"):
+            kind, _ = self.next()
+            total = self.parse_product()
+            if kind == "-":
+                total = total.neg()
+        else:
+            total = self.parse_product()
+        while self.peek() in ("+", "-"):
+            kind, _ = self.next()
+            term = self.parse_product()
+            total = total.add(term.neg() if kind == "-" else term)
+        return total
+
+    def parse_product(self):
+        total = self.parse_power()
+        while True:
+            nxt = self.peek()
+            if nxt == "*":
+                self.next()
+            elif nxt not in ("num", "x", "C", "("):
+                return total
+            total = self.mul(total, self.parse_power())
+
+    def parse_power(self):
+        base = self.parse_atom()
+        if self.peek() == "^":
+            self.next()
+            if self.peek() != "num":
+                raise ParseError("expected integer exponent after '^'")
+            _, e = self.next()
+            if e > ring._MAX_PARSE_EXPONENT:
+                raise ScaleCapError("exponent cap")
+            power = _RawTerms.const(1)
+            for _ in range(e):
+                power = self.mul(power, base)
+            return power
+        return base
+
+    def parse_atom(self):
+        kind = self.peek()
+        if kind is None:
+            raise ParseError("unexpected end of expression")
+        if kind == "num":
+            _, val = self.next()
+            q = Fraction(val)
+            if self.peek() == "/":
+                self.next()
+                if self.peek() != "num":
+                    raise ParseError("expected integer denominator")
+                _, den = self.next()
+                if den == 0:
+                    raise ParseError("zero denominator")
+                q = Fraction(val, den)
+            return _RawTerms.const(q)
+        if kind == "x":
+            _, i = self.next()
+            return _RawTerms([((((i, 1),), tuple()), Fraction(1))])
+        if kind == "C":
+            _, key = self.next()
+            return _RawTerms([((tuple(), ((key, 1),)), Fraction(1))])
+        if kind == "(":
+            self.next()
+            inner = self.parse_sum()
+            if self.peek() != ")":
+                raise ParseError("unbalanced parenthesis")
+            self.next()
+            return inner
+        raise ParseError(f"unexpected token {kind!r}")
+
+
+def _reference_raw(text):
+    try:
+        parser = _ReferenceParser(ring._tokenize(text))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    raw = parser.parse_sum()
+    if parser.pos != len(parser.tokens):
+        raise ParseError("trailing input")
+    return raw
+
+
+def reference_parse_xpoly(text, n):
+    raw = _reference_raw(text)
+    acc = {}
+    has_params = any(cm for (_, cm) in raw.d)
+    for (xexps, cm), q in raw.d.items():
+        exps = [0] * (n + 1)
+        for i, e in xexps:
+            if i > n:
+                raise ParseError(f"variable x{i} out of range for n={n}")
+            exps[i] = e
+        mon = Monomial(exps)
+        coeff = ParamPoly([(cm, q)]) if has_params else q
+        acc[mon] = acc.get(mon, (ParamPoly.zero() if has_params else Fraction(0))) + coeff
+    try:
+        return XPoly(n, acc.items())
+    except MathDomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_parse_parampoly(text):
+    raw = _reference_raw(text)
+    terms = []
+    for (xexps, cm), q in raw.d.items():
+        if xexps:
+            raise ParseError("x-variables not allowed in a parameter polynomial")
+        terms.append((cm, q))
+    return ParamPoly(terms)
+
+
+def _outcome(parse, *args):
+    """(value, None) or (None, error class) of a parse."""
+    try:
+        return parse(*args), None
+    except (ParseError, MathDomainError, ScaleCapError) as exc:
+        return None, type(exc)
+
+
+def _expressions(atoms):
+    return st.recursive(atoms, lambda inner: st.one_of(
+        inner.map(lambda s: f"({s})"),
+        inner.map(lambda s: f"-{s}"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(inner, st.sampled_from([" + ", " - ", "-", "*", " ", "", "**"]),
+                  inner).map("".join)), max_leaves=8)
+
+
+parsed_texts = st.tuples(
+    _expressions(st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.integers(0, 3)).map(lambda t: "%d/%d" % t),
+        st.integers(0, 3).map(lambda i: f"x{i}"),
+        st.tuples(st.integers(1, 2), st.integers(1, 3)).map(lambda t: "C[%d,%d]" % t))),
+    st.integers(0, 200),
+    st.sampled_from(["", "", "", "(", ")", "+", "-", "^", "/", "*", "$", "x", "C[1,"]),
+).map(lambda t: t[0][:t[1] % (len(t[0]) + 1)] + t[2] + t[0][t[1] % (len(t[0]) + 1):])
+
+
+class TestParserAgainstRawTerms:
+    @settings(max_examples=300)
+    @given(parsed_texts)
+    def test_forms(self, text):
+        got, err = _outcome(parse_xpoly, text, 2)
+        want, want_err = _outcome(reference_parse_xpoly, text, 2)
+        assert err is want_err
+        if err is None:
+            assert got == want and got.degree == want.degree and str(got) == str(want)
+            assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+
+    @settings(max_examples=300)
+    @given(parsed_texts)
+    def test_parameter_polynomials(self, text):
+        got, err = _outcome(parse_parampoly, text)
+        want, want_err = _outcome(reference_parse_parampoly, text)
+        assert err is want_err
+        if err is None:
+            assert got == want and got.terms == want.terms and str(got) == str(want)
+
+    @settings(max_examples=200)
+    @given(parsed_texts)
+    def test_same_term_products(self, text):
+        # the product cap counts len(a) * len(b) per product, on both types
+        try:
+            tokens = ring._tokenize(text)
+        except (ParseError, ValueError):
+            return
+        counts = []
+        for parser in (ring._Parser(tokens), _ReferenceParser(tokens)):
+            try:
+                parser.parse_sum()
+            except (ParseError, ScaleCapError):
+                pass
+            counts.append(parser.products)
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("text", ["(x2+x1+x0+C[1,1])^40", "(x1+x0)^400*(x2+x1)^400"])
+    def test_product_cap(self, text):
+        assert _outcome(parse_xpoly, text, 2) == (None, ScaleCapError)
+        assert _outcome(reference_parse_xpoly, text, 2) == (None, ScaleCapError)
+
+
+class TestParseNesting:
+    def test_at_the_cap(self):
+        depth = ring._MAX_PARSE_DEPTH
+        text = "(" * depth + "x1 + C[1,1]*x0" + ")" * depth
+        assert parse_xpoly(text, 2) == parse_xpoly("x1 + C[1,1]*x0", 2)
+
+    @pytest.mark.parametrize("depth", [101, 3000, 100_000])
+    def test_past_the_cap(self, depth):
+        # the recursion used to end in RecursionError
+        for parse in (lambda s: parse_xpoly(s, 2), parse_parampoly):
+            with pytest.raises(ScaleCapError,
+                               match="parentheses nest deeper than the cap 100"):
+                parse("(" * depth + "1" + ")" * depth)
