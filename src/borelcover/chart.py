@@ -9,7 +9,8 @@ Hilbert-scheme membership test at the Gotzmann level, the Hilbert
 polynomial of a system of forms (certified by Gotzmann persistence from
 exact ranks), and the seeded random-coordinate search that locates an
 arbitrary ideal in a Borel chart.  Ranks, minors and echelon forms all come
-from the one sparse elimination in ``linalg``.
+from the one sparse elimination in ``linalg``; every row passed to or from
+it is a dict from column index to nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _common_degree(forms):
 def _basis_of_rows(rows, columns, n, d):
     """RREF rows of a coefficient matrix as forms over the columns, and the pivots."""
     R, pivots = linalg.rref(rows)
-    return [XPoly._from_dict(n, {m.exps: c for m, c in zip(columns, row) if c}, d)
-            for row in R[:len(pivots)]], pivots
+    return [XPoly._from_dict(n, {columns[j].exps: c for j, c in row.items()}, d)
+            for row in R], pivots
 
 
 def _span_rows(gens, t, columns=None):
@@ -52,10 +53,11 @@ def _span_rows(gens, t, columns=None):
     One row per generator f of degree at most t and per degree (t - deg f)
     monomial x^m, in that order, against the degree-t columns
     (degrevlex descending unless given): the rows of a Macaulay matrix.
-    Each row is built straight from exponent tuples, the column of a term
-    being that of (term exponents + multiplier exponents); no form is built
-    per multiple.  Returns (rows, columns).  A matrix of more entries than
-    the listing cap raises ScaleCapError before it is built.
+    Each row is a dict from column index to coefficient holding exactly the
+    terms of x^m * f, built straight from exponent tuples, the column of a
+    term being that of (term exponents + multiplier exponents); no form is
+    built per multiple.  Returns (rows, columns).  A matrix whose dense size
+    exceeds the listing cap raises ScaleCapError before it is built.
     """
     if not gens:
         raise MathDomainError("empty generator list")
@@ -68,7 +70,6 @@ def _span_rows(gens, t, columns=None):
         raise ScaleCapError(f"the degree-{t} Macaulay matrix of {size} entries exceeds "
                             f"the cap of {_MAX_LISTED_ENTRIES} entries")
     index = {m.exps: j for j, m in enumerate(columns)}
-    zero = Fraction(0)
     rows = []
     for f in gens:
         if f.degree > t:
@@ -79,10 +80,7 @@ def _span_rows(gens, t, columns=None):
             raise MathDomainError("coefficient matrix needs scalar coefficients")
         for mult in monomials_of_degree(n, t - f.degree):
             s = mult.exps
-            row = [zero] * len(columns)
-            for e, c in f._terms.items():
-                row[index[tuple(map(add, e, s))]] = c
-            rows.append(row)
+            rows.append({index[tuple(map(add, e, s))]: c for e, c in f._terms.items()})
     return rows, columns
 
 
@@ -120,9 +118,10 @@ def pluecker_coordinate(forms, J: MonomialIdeal) -> Fraction:
         raise MathDomainError(
             f"expected {len(J.gens)} forms for this chart, got {len(forms)}")
     rows, cols = _span_rows(forms, r)
-    col_index = {m: i for i, m in enumerate(cols)}
-    sub = [[row[col_index[g]] for g in J.gens] for row in rows]
-    return linalg.det(sub)
+    position = {m: k for k, m in enumerate(J.gens)}
+    keep = {j: position[m] for j, m in enumerate(cols) if m in position}
+    return linalg.det([{keep[j]: c for j, c in row.items() if j in keep}
+                       for row in rows])
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ def _draw_invertible(rng, n, bound):
     for _ in range(_MAX_DRAWS):
         g = tuple(tuple(rng.randint(-bound, bound) for _ in range(n + 1))
                   for _ in range(n + 1))
-        if linalg.det([list(r) for r in g]) != 0:
+        if linalg.det([{j: a for j, a in enumerate(row) if a} for row in g]) != 0:
             return g
     raise IterationCapError(
         f"no invertible matrix with entries in [-{bound}, {bound}] "
@@ -210,9 +209,9 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
     """Membership at the Gotzmann level: rank of the next-degree matrix.
 
     Requires dim I_r = q(r); membership holds iff dim S_1*I_r equals q(r+1).
-    By the Macaulay lower bound the rank can never be smaller.  The rows
-    x_j*f come from the RREF basis of the forms: each has its pivot and
-    otherwise only the N(r) - q(r) non-pivot columns, so stays sparse.
+    By the Macaulay lower bound the rank can never be smaller.  The dict
+    rows x_j*f come from the RREF basis of the forms: each holds its pivot
+    and otherwise only the N(r) - q(r) non-pivot columns, so stays sparse.
     """
     r = constants.r
     d = _common_degree(forms)

@@ -1,8 +1,9 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q on sparse rows.
 
-One sparse fraction-free elimination serves rank, determinant and reduced
-row echelon form.  Each row is scaled to a primitive integer vector, stored as
-a dict from column to int, reduced against the pivot rows found so far by
+A row is a dict from column index to its nonzero int or Fraction entries;
+an absent column is zero.  One sparse fraction-free elimination serves rank,
+determinant and reduced row echelon form.  Each row is scaled to a
+primitive integer vector, reduced against the pivot rows found so far by
 r <- a*r - b*p (a the pivot's leading entry, b the entry of r in the pivot
 column) and divided by its content.
 """
@@ -40,23 +41,19 @@ def _reduce(r, pivots, cols):
 
 
 def _echelon(rows):
-    """Sparse fraction-free forward elimination of a dense matrix.
+    """Sparse fraction-free forward elimination.
 
-    Entries are ints or Fractions.  Returns (pivots, found): pivots maps each
-    pivot column to its primitive integer row, whose least nonzero column it
-    is; found lists (pivot column, n, d) for each input row that did not
-    reduce to zero, in input order, where the stored row is n/d times the
-    input row plus a combination of earlier input rows.
+    Returns (pivots, found): pivots maps each pivot column to its primitive
+    integer row, whose least column it is; found lists (pivot column, n, d)
+    for each input row that did not reduce to zero, in input order, where
+    the stored row is n/d times the input row plus a combination of earlier
+    input rows.
     """
-    rows = list(rows)
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise MathDomainError("ragged matrix")
     pivots, found = {}, []
     for row in rows:
-        q = [(j, x) for j, x in enumerate(row) if x]
-        den = lcm(*(x.denominator for _, x in q))
-        r, m, g = _reduce({j: x.numerator * (den // x.denominator) for j, x in q},
-                          pivots, sorted(pivots))
+        den = lcm(*(x.denominator for x in row.values()))
+        r, m, g = _reduce({j: x.numerator * (den // x.denominator)
+                           for j, x in row.items()}, pivots, sorted(pivots))
         if r:
             c = min(r)
             pivots[c] = r
@@ -70,13 +67,13 @@ def rank(rows):
 
 
 def det(rows):
-    """Determinant of a square matrix.
+    """Determinant of the square matrix of m rows over the columns 0..m-1.
 
     The product of the leading entries of the pivot rows, each divided by
     its row's scale, times the sign of the pivot-column permutation.
     """
     m = len(rows)
-    if any(len(r) != m for r in rows):
+    if any(j >= m for row in rows for j in row):
         raise MathDomainError("determinant of a non-square matrix")
     pivots, found = _echelon(rows)
     if len(found) < m:
@@ -90,19 +87,15 @@ def det(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form: (pivot rows, pivot columns), both ascending.
 
-    Returns (matrix, pivot column indices); zero rows stay at the bottom.
     Each pivot row is cleared of the later pivot columns by the same
-    fraction-free step, then divided by its leading entry.
+    fraction-free step, then divided by its leading entry, so it is a dict
+    of Fractions in column order whose leading entry is 1.
     """
-    rows = list(rows)
     pivots = _echelon(rows)[0]
     cols = sorted(pivots)
     for k in reversed(range(len(cols))):
         pivots[cols[k]] = _reduce(pivots[cols[k]], pivots, cols[k + 1:])[0]
-    ncols = len(rows[0]) if rows else 0
-    zero = Fraction(0)
-    out = [[Fraction(pivots[c].get(j, 0), pivots[c][c]) for j in range(ncols)]
-           for c in cols]
-    return out + [[zero] * ncols for _ in range(len(rows) - len(cols))], cols
+    return [{j: Fraction(v, pivots[c][c]) for j, v in sorted(pivots[c].items())}
+            for c in cols], cols

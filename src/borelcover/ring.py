@@ -498,11 +498,11 @@ def _image_memo(rows):
     `_image` fills both.  A new g frees the memo of the last; a singular g
     raises on every call, since exceptions are not cached.
     """
-    if linalg.det([list(row) for row in rows]) == 0:
-        raise MathDomainError("singular change of coordinates")
     D = math.lcm(*(q.denominator for row in rows for q in row))
     G = tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
               for row in rows)
+    if linalg.det([dict(row) for row in G]) == 0:  # det G = D^(n+1) * det g
+        raise MathDomainError("singular change of coordinates")
     one = (0,) * len(rows)
     return D, G, {one: {one: 1}}, {}
 

@@ -51,6 +51,11 @@ def mono(text, n):
     return poly.terms[0][0]
 
 
+def dict_rows(matrix):
+    """The rows of a dense matrix as linalg takes them: dicts of nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def rational_sampler(seed, num_bound=4, den_bound=3):
     rng = random.Random(seed)
 

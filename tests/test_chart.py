@@ -22,7 +22,7 @@ from borelcover import linalg
 from borelcover.ring import (XPoly, apply_change_of_coords, monomials_of_degree,
                              parse_xpoly)
 
-from conftest import (borel_closure, monomial_ideals, record_fields,
+from conftest import (borel_closure, dict_rows, monomial_ideals, record_fields,
                       reference_chart_records)
 
 TWO_POINTS = [
@@ -55,9 +55,9 @@ def coefficient_matrix(forms):
 def row_space_basis(forms):
     """A canonical basis (RREF rows) of the span of the given forms."""
     rows, columns = coefficient_matrix(forms)
-    R, pivots = linalg.rref(rows)
-    return [XPoly(forms[0].n, [(m, c) for m, c in zip(columns, row) if c],
-                  forms[0].degree) for row in R[:len(pivots)]]
+    R, _ = linalg.rref(dict_rows(rows))
+    return [XPoly(forms[0].n, [(columns[j], c) for j, c in row.items()],
+                  forms[0].degree) for row in R]
 
 
 class TestPluecker:
@@ -165,7 +165,7 @@ class TestChartForm:
         point = chart_form(transformed, J)
         stacked = list(transformed) + list(point.marked_set)
         rows, _ = coefficient_matrix(stacked)
-        assert linalg.rank(rows) == len(J.gens)
+        assert linalg.rank(dict_rows(rows)) == len(J.gens)
 
 
 class TestMarkedSlice:
@@ -232,7 +232,7 @@ class TestRandomCoordinateChange:
     def test_invertible_even_with_tiny_bound(self):
         for seed in range(10):
             g = random_coordinate_change(2, seed, bound=1)
-            assert linalg.det([list(r) for r in g]) != 0
+            assert linalg.det(dict_rows(g)) != 0
 
     def test_singular_draws_are_capped(self):
         # entries in [0, 0] are always singular; the draw gives up
@@ -240,7 +240,7 @@ class TestRandomCoordinateChange:
             _draw_invertible(random.Random(0), 2, 0)
 
     def test_explicit_shear_is_invertible(self, g_shear):
-        assert linalg.det([list(r) for r in g_shear]) != 0
+        assert linalg.det(dict_rows(g_shear)) != 0
 
 
 class TestInHilb:
@@ -348,7 +348,7 @@ class TestInHilbAgainstRawForms:
         assert in_hilb(forms, c)
         (rows,) = calls
         assert len(rows) == (c.n + 1) * c.s
-        assert max(sum(1 for x in row if x) for row in rows) <= 1 + c.N_r - c.s
+        assert max(len(row) for row in rows) <= 1 + c.N_r - c.s
 
 
 class TestHilbertPolynomialOfForms:
@@ -424,15 +424,29 @@ class TestSpanRowsAgainstFormMultiples:
         t = max(f.degree for f in gens) + shift
         forms = old_span_in_degree(gens, t)
         assert dimension_in_degree(gens, t) == \
-            (linalg.rank(coefficient_matrix(forms)[0]) if forms else 0)
+            (linalg.rank(dict_rows(coefficient_matrix(forms)[0])) if forms else 0)
         assert degree_basis(gens, t) == (row_space_basis(forms) if forms else [])
+
+    @settings(max_examples=40)
+    @given(generator_lists(), st.integers(0, 2))
+    def test_each_row_holds_exactly_its_multiple(self, gens, shift):
+        # zero forms included: each gives empty rows, one per multiplier
+        t = max(f.degree for f in gens) + shift
+        rows, columns = _span_rows(gens, t)
+        multiples = [f.times_monomial(m) for f in gens if f.degree <= t
+                     for m in monomials_of_degree(gens[0].n, t - f.degree)]
+        assert len(rows) == len(multiples)
+        for row, h in zip(rows, multiples):
+            assert all(c for c in row.values())
+            assert {columns[j]: c for j, c in row.items()} == dict(h.terms)
 
     @settings(max_examples=40)
     @given(generator_lists())
     def test_forms_of_one_degree_against_coefficient_matrix(self, gens):
         d = gens[0].degree
         forms = [f for f in gens if f.degree == d]
-        assert _span_rows(forms, d) == coefficient_matrix(forms)
+        rows, columns = coefficient_matrix(forms)
+        assert _span_rows(forms, d) == (dict_rows(rows), columns)
         assert degree_basis(forms, d) == row_space_basis(forms)
 
     def test_errors(self):

@@ -10,6 +10,8 @@ from borelcover.borel import MonomialIdeal, truncate
 from borelcover.cli import main
 from borelcover.ring import monomials_of_degree, parse_xpoly
 
+from conftest import dict_rows
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -187,7 +189,7 @@ def _span_dimension(forms, t):
             for mon, c in f.terms:
                 row[cols[mon * u]] = c
             rows.append(row)
-    return linalg.rank(rows)
+    return linalg.rank(dict_rows(rows))
 
 
 class TestClassifyAndAtlas:
@@ -276,6 +278,18 @@ class TestListingCap:
                              "--set", json.dumps([head]))
         assert code == exit_code and not out and message in err
         assert "Traceback" not in err
+        assert time.perf_counter() - start < 10
+
+    def test_check_basis_refused_at_the_matrix_cap(self, capsys):
+        # the walk ranks the sparse Macaulay rows of each degree up to 78;
+        # dense rows of N(t) entries took about 20 s to reach the cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-basis", "--sat",
+                             '{"n":2,"gens":[[0,0,1],[0,120,0]]}', "--m", "1",
+                             "--set", '["x2","x1^120"]')
+        assert code == 4 and not out
+        assert err == ("error: the degree-79 Macaulay matrix of 10238400 entries "
+                       "exceeds the cap of 10000000 entries\n")
         assert time.perf_counter() - start < 10
 
     def test_macaulay_matrix_cap(self, capsys):

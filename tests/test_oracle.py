@@ -466,7 +466,7 @@ def _linear_rank(gens):
         assert not g.constant_term()  # the monomial ideal lies on the chart
         rows.append({cols.setdefault(cm[0][0], len(cols)): c
                      for cm, c in g.terms if len(cm) == 1 and cm[0][1] == 1})
-    return linalg.rank([[row.get(j, 0) for j in range(len(cols))] for row in rows])
+    return linalg.rank(rows)
 
 
 @pytest.mark.parametrize("points", [3, 4])
