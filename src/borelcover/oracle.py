@@ -161,15 +161,17 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
                    max_pairs=DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis by Buchberger, pairs taken by the normal selection.
 
-    Pending S-pairs sit in a heap keyed by (lcm total degree, insertion
-    count).  Each new basis element passes through the Gebauer-Moeller
-    update (Becker-Weispfenning, Groebner Bases, 1993, UPDATE): of the new
-    pairs it keeps only those whose lcm no other new pair's lcm divides,
-    minus pairs with coprime leading terms; it drops the pending pairs that
-    the new leading term settles; and it retires basis elements whose
-    leading term the new one divides.  Raises ScaleCapError beyond the caps;
-    `max_pairs` counts the pairs taken from the heap.  The result is monic
-    and sorted by leading term, smallest first.
+    Pending S-pairs sit in a heap keyed by (lcm in the term order, insertion
+    count); ranked by total degree alone, lex-block systems on three
+    parameters built intermediate elements of degree 25 with coefficients of
+    tens of thousands of bits.  Each new basis element passes through the
+    Gebauer-Moeller update (Becker-Weispfenning, Groebner Bases, 1993,
+    UPDATE): of the new pairs it keeps only those whose lcm no other new
+    pair's lcm divides, minus pairs with coprime leading terms; it drops the
+    pending pairs that the new leading term settles; and it retires basis
+    elements whose leading term the new one divides.  Raises ScaleCapError
+    beyond the caps; `max_pairs` counts the pairs taken from the heap.  The
+    result is monic and sorted by leading term, smallest first.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -205,7 +207,7 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
         for g, l, coprime in kept:
             if not coprime:
                 pending[(g, h)] = l
-                heapq.heappush(heap, (sum(l), counter, g, h))
+                heapq.heappush(heap, (ring[l], counter, g, h))
                 counter += 1
         active = [g for g in active if not _divides(lh, polys[g][0])] + [h]
 

@@ -16,7 +16,7 @@ from borelcover.marked import scheme_equations
 from borelcover.oracle import (EliminationResult, greedy_linear_eliminate,
                                groebner_basis, ideal_equal, make_order,
                                normal_form)
-from borelcover.ring import ParamPoly, _cmon_degree, _cmon_mul, parse_parampoly
+from borelcover.ring import ParamPoly, _cmon_mul, parse_parampoly
 
 from conftest import rational_sampler
 
@@ -186,6 +186,8 @@ def test_small_plane_charts_match_sympy(points, pick, m):
 
 # The plain Buchberger that the engine replaced (normal strategy, coprime
 # criterion only, membership loops for ideal equality), kept as a test oracle.
+# Like the engine, it ranks pairs by their lcm in the term order; ranked by
+# total degree, some drawn lex-block systems ran for minutes.
 
 def _old_leading_term(p, key):
     return max(p.terms, key=lambda t: key(t[0]))
@@ -240,21 +242,27 @@ def _old_groebner_basis(gens, order="degrevlex", block=()):
     def lt(b):
         return _old_leading_term(b, key)[0]
 
-    basis = []
+    basis, lts = [], []  # lts[i] is the leading monomial of basis[i]
+
+    def append(nf):
+        lm, lc = _old_leading_term(nf, key)
+        basis.append(nf * (1 / lc))
+        lts.append(lm)
+
     for g in gens:
         nf = _old_normal_form(g, basis, key)
         if nf:
-            basis.append(nf * (1 / _old_leading_term(nf, key)[1]))
+            append(nf)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
-        best = min(range(len(pairs)), key=lambda k: _cmon_degree(
-            _old_lcm(lt(basis[pairs[k][0]]), lt(basis[pairs[k][1]]))))
+        best = min(range(len(pairs)),
+                   key=lambda k: key(_old_lcm(lts[pairs[k][0]], lts[pairs[k][1]])))
         i, j = pairs.pop(best)
-        if _cmon_mul(lt(basis[i]), lt(basis[j])) == _old_lcm(lt(basis[i]), lt(basis[j])):
+        if _cmon_mul(lts[i], lts[j]) == _old_lcm(lts[i], lts[j]):
             continue
         nf = _old_normal_form(_old_s_polynomial(basis[i], basis[j], key), basis, key)
         if nf:
-            basis.append(nf * (1 / _old_leading_term(nf, key)[1]))
+            append(nf)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     basis.sort(key=lambda b: key(lt(b)))
     minimal = []
