@@ -6,13 +6,11 @@ and produces explicit defining equations for each chart by a term-order-free
 marked-basis reduction, with all arithmetic over Q.
 """
 
-from .borel import (BorelChartIdeal, MonomialIdeal, borel_leq,
-                    enumerate_borel_in_g, enumerate_borel_saturated,
-                    is_m_truncation, is_strongly_stable, regularity, rho,
-                    saturate, star_decompose, truncate)
+from .borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
+                    enumerate_borel_saturated, is_strongly_stable, regularity,
+                    rho, saturate, star_decompose, truncate)
 from .chart import (ChartPoint, all_charts, borel_open_set, chart_form,
-                    in_hilb, initial_monomials_gauss, pluecker_coordinate,
-                    random_coordinate_change)
+                    in_hilb, pluecker_coordinate, random_coordinate_change)
 from .cover import atlas, classify_grassmannian_borel, gluing_degree
 from .errors import (BorelCoverError, InadmissiblePolynomialError,
                      IterationCapError, MathDomainError, NotInChartError,

@@ -1,11 +1,11 @@
 """Strongly stable (Borel-fixed) monomial ideals.
 
-Covers the combinatorial layer: the Borel partial order by increasing
-elementary moves, the stability test, saturation and regularity of Borel
-ideals, truncations, the invariant rho, the star decomposition of a monomial
-of the ideal, brute-force enumeration of Borel ideals, both the degree-r
-families inside the Grassmannian and the saturated ones with a prescribed
-Hilbert polynomial, and the one test and order for the charts among them.
+Covers the combinatorial layer: the stability test under increasing
+elementary moves, saturation and regularity of Borel ideals, truncations,
+the invariant rho, the star decomposition of a monomial of the ideal,
+brute-force enumeration of Borel ideals, both the degree-r families inside
+the Grassmannian and the saturated ones with a prescribed Hilbert
+polynomial, and the one test and order for the charts among them.
 
 Membership works on exponent tuples: a monomial lies in a monomial ideal when
 some generator's tuple is entrywise at most its own.  The degree-t listings
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import add, le
 
 from .errors import MathDomainError, ParseError, ScaleCapError
@@ -205,28 +205,6 @@ def _monomial_from_text(text, n):
     return poly.terms[0][0]
 
 
-def up_moves(mon):
-    """Results of increasing elementary moves x_i -> x_j, j > i."""
-    out = []
-    n = mon.n
-    for i in mon.support():
-        for j in range(i + 1, n + 1):
-            out.append(mon / Monomial.variable(n, i) * Monomial.variable(n, j))
-    return out
-
-
-def borel_leq(a: Monomial, b: Monomial) -> bool:
-    """Is b >= a in the Borel partial order (b reachable by increasing moves)?
-
-    Exactly when every top partial sum of b's exponents is at least a's.
-    """
-    a._check_ambient(b)
-    if a.degree() != b.degree():
-        raise MathDomainError("Borel order compares only monomials of equal degree")
-    return all(sb >= sa for sa, sb in zip(accumulate(reversed(a.exps)),
-                                          accumulate(reversed(b.exps))))
-
-
 def is_strongly_stable(J: MonomialIdeal) -> bool:
     """Check closure of the basis under increasing moves (suffices by transitivity).
 
@@ -317,11 +295,6 @@ def saturate_any(J: MonomialIdeal) -> MonomialIdeal:
     for i in range(1, J.n + 1):
         out = _intersect(out, _colon_variable_power(J, i))
     return out
-
-
-def is_m_truncation(I: MonomialIdeal, m) -> bool:
-    """Does I equal the degree->=m part of its saturation?"""
-    return I == truncate(saturate_any(I), m)
 
 
 def rho(Jsat: MonomialIdeal) -> int:

@@ -2,19 +2,25 @@
 
 One row builder, ``_span_rows``, gives the Macaulay rows of the degree-t
 slice of an ideal, which for forms of degree t are their coefficient rows.
-On them rest Plucker coordinates of a monomial chart (maximal minors),
-marked slices and the chart form of an ideal (reduced row echelon against
-the head columns of a monomial ideal), Gaussian initial monomials, the
-Hilbert-scheme membership test at the Gotzmann level, the Hilbert
-polynomial of a system of forms (certified by Gotzmann persistence from
-exact ranks), and the seeded random-coordinate search that locates an
-arbitrary ideal in a Borel chart.  Ranks, minors and echelon forms all come
-from the one sparse elimination in ``linalg``; every row passed to or from
-it is a dict from column index to nonzero coefficient.
+On them rest the Hilbert polynomial of a system of forms (certified by
+Gotzmann persistence from exact ranks) and the canonical degree basis of a
+span, ``degree_basis``: its reduced row echelon rows.  The degree basis is
+memoized by value for the last two spans, the forms' own and their image
+under a change of coordinates, and its forms are immutable XPolys shared
+by every caller, so locating an ideal row reduces each span once.  The
+seeded random-coordinate search that locates an arbitrary ideal in a Borel
+chart takes Plucker coordinates (maximal minors) of the reduced rows,
+``chart_form`` reads the marked slice (reduced row echelon against the head
+columns of a monomial ideal) off them, and the Hilbert-scheme membership
+test at the Gotzmann level builds the next degree from them.  Ranks, minors
+and echelon forms all come from the one sparse elimination in ``linalg``;
+every row passed to or from it is a dict from column index to nonzero
+coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,8 +96,27 @@ def dimension_in_degree(gens, t):
 
 
 def degree_basis(gens, t):
-    """A canonical basis of the degree-t slice of the generated ideal."""
-    return _basis_of_rows(*_span_rows(gens, t), gens[0].n, t)[0]
+    """A canonical basis of the degree-t slice of the generated ideal.
+
+    The reduced row echelon rows of the slice over the degrevlex-descending
+    columns, as forms; each holds its pivot and otherwise only the columns
+    of no pivot.  The last two spans asked for are memoized by value, so
+    an equal list of forms built elsewhere hits the memo; each call returns
+    a fresh list of the same forms, which nothing mutates.  Errors are not
+    cached.
+    """
+    return list(_degree_basis(tuple(gens), t))
+
+
+@functools.lru_cache(maxsize=2)
+def _degree_basis(gens, t):
+    """The degree basis of a generator tuple, as a tuple.
+
+    Two entries cover locating an ideal: the forms' own span and its image
+    under the coordinate change, which the chart search, ``chart_form`` and
+    ``in_hilb`` all read.
+    """
+    return tuple(_basis_of_rows(*_span_rows(gens, t), gens[0].n, t)[0])
 
 
 def _check_chart_forms(forms, J):
@@ -161,22 +186,13 @@ def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
     """Unique marked-set presentation of span(forms) over the chart J.
 
     The marked polynomials are the degree-r marked slice of the span, in the
-    order of B_J.  Raises NotInChartError when the Plucker coordinate of J
-    vanishes.
+    order of B_J, read off its degree basis: the marked set is unique, so
+    the sparse reduced rows serve as well as the forms.  Raises
+    NotInChartError when the Plucker coordinate of J vanishes.
     """
     r = _check_chart_forms(forms, J)
-    marked = marked_slice(forms, J, r)
+    marked = marked_slice(degree_basis(forms, r), J, r)
     return ChartPoint(chart=J, marked_set=tuple(marked[h] for h in J.gens))
-
-
-def initial_monomials_gauss(forms) -> MonomialIdeal:
-    """Degrevlex-leading monomials of a linearly independent system of forms."""
-    rows, cols = _span_rows(forms, _common_degree(forms))
-    pivots = linalg.rref(rows)[1]
-    if len(pivots) != len(forms):
-        raise MathDomainError(
-            f"forms are linearly dependent (rank {len(pivots)} of {len(forms)})")
-    return MonomialIdeal(forms[0].n, [cols[c] for c in pivots])
 
 
 def _check_bound(bound):
@@ -210,8 +226,9 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
 
     Requires dim I_r = q(r); membership holds iff dim S_1*I_r equals q(r+1).
     By the Macaulay lower bound the rank can never be smaller.  The dict
-    rows x_j*f come from the RREF basis of the forms: each holds its pivot
-    and otherwise only the N(r) - q(r) non-pivot columns, so stays sparse.
+    rows x_j*f come from the memoized degree basis of the forms: each holds
+    its pivot and otherwise only the N(r) - q(r) non-pivot columns, so stays
+    sparse.
     """
     r = constants.r
     d = _common_degree(forms)
@@ -269,11 +286,17 @@ def _chart_search_setup(gens, max_ambient, max_nodes):
     return constants, charts, basis
 
 
-def _charts_containing(basis, g, charts):
-    """Lazily yield the charts, in order, that contain the span of basis after g."""
-    transformed = [apply_change_of_coords(f, g) for f in basis]
+def _charts_containing(basis, g, charts, r):
+    """Lazily yield the charts, in order, that contain the span of basis after g.
+
+    The transformed span is row reduced once, through the memoized
+    degree_basis that chart_form and in_hilb read next; each chart's
+    Plucker coordinate is then a minor of the sparse reduced rows, and
+    whether it vanishes does not depend on the basis.
+    """
+    reduced = degree_basis([apply_change_of_coords(f, g) for f in basis], r)
     return (chart for chart in charts
-            if pluecker_coordinate(transformed, chart.chart) != 0)
+            if pluecker_coordinate(reduced, chart.chart) != 0)
 
 
 def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
@@ -292,7 +315,7 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     while tried < max_tries:
         tried += 1
         gm = g if g is not None else _draw_invertible(rng, gens[0].n, bound)
-        chart = next(_charts_containing(basis, gm, charts), None)
+        chart = next(_charts_containing(basis, gm, charts, constants.r), None)
         if chart is not None:
             return OpenSetResult(g=gm, chart=chart, tried=tried,
                                  constants=constants)
@@ -305,5 +328,5 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
 
 def all_charts(gens, g, max_ambient=120, max_nodes=2_000_000):
     """Every Borel chart (for the ideal's Hilbert polynomial) containing I^g."""
-    _, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
-    return list(_charts_containing(basis, g, charts))
+    constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
+    return list(_charts_containing(basis, g, charts, constants.r))

@@ -468,7 +468,11 @@ class XPoly:
                 and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._terms.items())))
+        # over numerator and denominator, as ParamPoly's: Fraction.__hash__
+        # takes a modular inverse; an int hashes as the Fraction it equals
+        return hash((self.n, frozenset([(e, c) if isinstance(c, ParamPoly)
+                                        else (e, c.numerator, c.denominator)
+                                        for e, c in self._terms.items()])))
 
     def __str__(self):
         terms = []

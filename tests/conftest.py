@@ -6,8 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
-                              is_borel_chart, regularity, rho, saturate, truncate,
-                              up_moves)
+                              is_borel_chart, regularity, rho, saturate, truncate)
 from borelcover.errors import MathDomainError
 from borelcover.ring import Monomial, canonical_key, parse_xpoly
 
@@ -65,17 +64,11 @@ def rational_sampler(seed, num_bound=4, den_bound=3):
     return draw
 
 
-def borel_leq_partial_sums(a: Monomial, b: Monomial) -> bool:
-    """Independent oracle for the Borel order: top partial sums dominate."""
-    if a.degree() != b.degree():
-        raise ValueError("equal degrees required")
-    ta = tb = 0
-    for i in range(len(a.exps) - 1, -1, -1):
-        ta += a.exps[i]
-        tb += b.exps[i]
-        if tb < ta:
-            return False
-    return True
+def up_moves(mon):
+    """Reference increasing elementary moves x_i -> x_j, j > i, on Monomials."""
+    n = mon.n
+    return [mon / Monomial.variable(n, i) * Monomial.variable(n, j)
+            for i in mon.support() for j in range(i + 1, n + 1)]
 
 
 @st.composite

@@ -6,22 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, borel_charts,
-                              borel_leq, ek_histogram,
-                              enumerate_borel_in_g, enumerate_borel_saturated,
-                              is_borel_chart, is_m_truncation,
-                              is_strongly_stable, regularity,
-                              rho, saturate, saturate_any, star_decompose,
-                              truncate, up_moves)
+                              ek_histogram, enumerate_borel_in_g,
+                              enumerate_borel_saturated, is_borel_chart,
+                              is_strongly_stable, regularity, rho, saturate,
+                              saturate_any, star_decompose, truncate)
 from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.hilbert import (ChartConstants, ambient_dimension, binom,
                                borel_dim_at, chart_constants,
                                hilbert_polynomial, parse_hilbert_poly)
 from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
-from conftest import (CHART_FAMILIES, borel_closure, borel_leq_partial_sums,
-                      monomial_ideals, mono, record_fields,
-                      reference_chart_records, scan_contains,
-                      scan_star_decompose)
+from conftest import (CHART_FAMILIES, borel_closure, monomial_ideals, mono,
+                      record_fields, reference_chart_records, scan_contains,
+                      scan_star_decompose, up_moves)
 
 
 def all_pairs_minimal(gens):
@@ -141,50 +138,6 @@ class TestMembershipAgainstScan:
             J.contains((0, 1, 2))
 
 
-class TestBorelOrder:
-    def test_chain_to_top(self):
-        assert borel_leq(mono("x1^2", 2), mono("x2^2", 2))
-
-    def test_incomparable_pair(self):
-        a, b = mono("x1^2", 2), mono("x2*x0", 2)
-        assert not borel_leq(a, b)
-        assert not borel_leq(b, a)
-
-    def test_reflexive(self):
-        m = mono("x2*x1*x0", 2)
-        assert borel_leq(m, m)
-
-    def test_unequal_degrees(self):
-        with pytest.raises(MathDomainError):
-            borel_leq(mono("x1", 2), mono("x1^2", 2))
-
-    def test_matches_partial_sum_criterion(self):
-        # independent characterization: top partial sums dominate
-        for n, d in [(2, 3), (3, 2)]:
-            mons = monomials_of_degree(n, d)
-            for a, b in itertools.product(mons, mons):
-                assert borel_leq(a, b) == borel_leq_partial_sums(a, b)
-
-    @pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (3, 2), (3, 3), (4, 2)])
-    def test_matches_breadth_first_search(self, n, d):
-        # independent of the criterion: b is reachable from a by increasing moves
-        mons = monomials_of_degree(n, d)
-        for a, b in itertools.product(mons, mons):
-            assert borel_leq(a, b) == _reachable_by_up_moves(a, b)
-
-
-def _reachable_by_up_moves(a, b):
-    """Breadth-first search over increasing elementary moves from a to b."""
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        if b in frontier:
-            return True
-        frontier = [u for m in frontier for u in up_moves(m) if u not in seen]
-        seen.update(frontier)
-    return False
-
-
 class TestStability:
     def test_reference_cases(self, j1sat):
         assert is_strongly_stable(j1sat)
@@ -262,14 +215,16 @@ class TestRegularityTruncationRho:
             truncate(unit, 140)
 
     def test_squares_not_a_truncation(self):
+        # an m-truncation is the degree->=m part of its saturation
         J = MonomialIdeal.parse("x0^2, x1^2, x2^2", 2)
-        assert not is_m_truncation(J, 2)
+        assert J != truncate(saturate_any(J), 2)
 
     def test_chart_ideals_are_truncations(self):
         for n, p in [(2, "4"), (3, "3*t")]:
             c = chart_constants(parse_hilbert_poly(p), n)
             for sat in enumerate_borel_saturated(n, c.p):
-                assert is_m_truncation(truncate(sat, c.r), c.r)
+                T = truncate(sat, c.r)
+                assert T == truncate(saturate_any(T), c.r)
 
     def test_rho(self, j1sat, lex_cubic, j2sat):
         assert rho(j1sat) == 3

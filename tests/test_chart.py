@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
-from borelcover.chart import (_common_degree, _draw_invertible, _span_rows,
-                              all_charts, borel_open_set, chart_form,
+from borelcover.chart import (_common_degree, _degree_basis, _draw_invertible,
+                              _span_rows, all_charts, borel_open_set, chart_form,
                               degree_basis, dimension_in_degree,
                               hilbert_polynomial_of_forms, in_hilb,
-                              initial_monomials_gauss, marked_slice,
-                              pluecker_coordinate, random_coordinate_change)
+                              marked_slice, pluecker_coordinate,
+                              random_coordinate_change)
 from borelcover.errors import (IterationCapError, MathDomainError,
                                NotInChartError, ScaleCapError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial, \
@@ -74,9 +74,6 @@ class TestPluecker:
         forms = [parse_xpoly("x2^2 + x1*x0", 2), XPoly.zero(2, 2)]
         J = MonomialIdeal.parse("x2^2, x2*x1", 2)
         assert pluecker_coordinate(forms, J) == 0
-        with pytest.raises(MathDomainError,
-                           match=r"forms are linearly dependent \(rank 1 of 2\)"):
-            initial_monomials_gauss(forms)
 
     def test_different_monomial_ideal_vanishes(self):
         J = MonomialIdeal.parse("x2^2, x2*x1", 2)
@@ -194,34 +191,21 @@ class TestMarkedSlice:
         assert all(f == XPoly.from_monomial(m) for m, f in marked.items())
 
 
+def initial_monomials(forms):
+    """Degrevlex-leading monomials of the span: the pivot columns of its RREF."""
+    rows, columns = coefficient_matrix(forms)
+    return MonomialIdeal(forms[0].n,
+                         [columns[c] for c in linalg.rref(dict_rows(rows))[1]])
+
+
 class TestGaussianInitialMonomials:
-    def test_sheared_quadrics(self, two_quadrics, g_shear):
-        transformed = [apply_change_of_coords(f, g_shear) for f in two_quadrics]
-        got = initial_monomials_gauss(transformed)
-        assert got == MonomialIdeal.parse("x2^2, x2*x1", 2)
-
-    def test_monomials_fixed(self, j1sat):
-        T = truncate(j1sat, 4)
-        assert initial_monomials_gauss(_monomial_forms(T)) == T
-
-    def test_single_elimination_step(self):
-        forms = [parse_xpoly("x1^2 + x0^2", 2), parse_xpoly("x0^2", 2)]
-        assert initial_monomials_gauss(forms) == \
-            MonomialIdeal.parse("x1^2, x0^2", 2)
-
-    def test_dependent_rows_rejected(self):
-        f = parse_xpoly("x1^2 + x0^2", 2)
-        with pytest.raises(MathDomainError):
-            initial_monomials_gauss([f, f])
-
     def test_initial_ideal_chart_is_nonzero(self, two_quadrics):
         # the Gaussian initial monomials always give a usable chart
-        rng = random.Random(5)
         basis = degree_basis(two_quadrics, 4)
         for seed in range(4):
             g = random_coordinate_change(2, seed, bound=5)
             transformed = [apply_change_of_coords(f, g) for f in basis]
-            J = initial_monomials_gauss(row_space_basis(transformed))
+            J = initial_monomials(transformed)
             assert pluecker_coordinate(row_space_basis(transformed), J) != 0
 
 
@@ -570,3 +554,116 @@ class TestNonBorelChartCaution:
         basis = degree_basis(forms, c.r)
         assert pluecker_coordinate(basis, J) != 0
         assert in_hilb(basis, c)
+
+
+def complete_intersection(n, degrees, seed):
+    """Seeded dense forms of the degrees in P^n, integer coefficients in [-5, 5]."""
+    rng = random.Random(seed)
+    return [XPoly(n, [(m, rng.randint(-5, 5)) for m in monomials_of_degree(n, d)], d)
+            for d in degrees]
+
+
+MEMO_CALLS = {
+    "degree_basis": lambda gens, res, forms: degree_basis(gens, res.constants.r),
+    "degree_basis-transformed":
+        lambda gens, res, forms: degree_basis(forms, res.constants.r),
+    "chart_form": lambda gens, res, forms: chart_form(forms, res.chart.chart),
+    "in_hilb": lambda gens, res, forms: in_hilb(forms, res.constants),
+    "borel_open_set": lambda gens, res, forms: borel_open_set(gens, seed=1),
+    "all_charts": lambda gens, res, forms: all_charts(gens, res.g),
+}
+
+
+class TestDegreeBasisMemo:
+    @pytest.fixture
+    def located(self):
+        """Six plane points: a (2,3) complete intersection, its chart search
+        result and its transformed degree-r basis."""
+        gens = complete_intersection(2, (2, 3), 1)
+        assert hilbert_polynomial_of_forms(gens) == parse_hilbert_poly("6")
+        res = borel_open_set(gens, seed=1)
+        basis = degree_basis(gens, res.constants.r)
+        return gens, res, [apply_change_of_coords(f, res.g) for f in basis]
+
+    @pytest.mark.parametrize("name", list(MEMO_CALLS))
+    def test_cold_and_warm_results_agree(self, located, name):
+        _degree_basis.cache_clear()
+        cold = MEMO_CALLS[name](*located)
+        assert MEMO_CALLS[name](*located) == cold
+
+    def test_equal_lists_share_one_entry(self, located):
+        gens, res, transformed = located
+        r = res.constants.r
+        _degree_basis.cache_clear()
+        first = degree_basis(transformed, r)
+        again = degree_basis([apply_change_of_coords(f, res.g)
+                              for f in degree_basis(gens, r)], r)
+        assert again == first and all(a is b for a, b in zip(again, first))
+        assert _degree_basis.cache_info().misses == 2
+
+    def test_mutating_a_result_leaves_the_memo(self, located):
+        gens, res, _ = located
+        r = res.constants.r
+        basis = degree_basis(gens, r)
+        want = list(basis)
+        basis.append(basis[0])
+        basis[0] = XPoly.zero(2, r)
+        assert degree_basis(gens, r) == want
+
+    def test_errors_are_raised_again(self):
+        sextics = [parse_xpoly(f"x{i}^6", 3) for i in (3, 2, 1)]
+        param = [parse_xpoly("C[1,1]*x1 + x0", 1)]
+        _degree_basis.cache_clear()
+        for gens, t, error, match in ((sextics, 24, ScaleCapError, "exceeds the cap"),
+                                      (param, 2, MathDomainError, "scalar coefficients")):
+            for _ in range(2):
+                with pytest.raises(error, match=match):
+                    degree_basis(gens, t)
+        assert _degree_basis.cache_info().currsize == 0
+
+    def test_redundant_spanning_set(self, located):
+        _, res, transformed = located
+        J, r = res.chart.chart, res.constants.r
+        redundant = transformed + [transformed[0] + transformed[1],
+                                   transformed[2].scale(3), transformed[-1]]
+        point = chart_form(redundant, J)
+        assert point == chart_form(degree_basis(redundant, r), J) == \
+            chart_form(transformed, J)
+        assert point.marked_set == tuple(marked_slice(transformed, J, r)[h]
+                                         for h in J.gens)
+
+
+class TestOneEliminationPerSpan:
+    @pytest.mark.parametrize("n, degrees, seed", [
+        (2, (2, 3), 1), (2, (2, 3), 2), (2, (2, 2), 1), (3, (1, 2), 1), (3, (1, 3), 1),
+    ], ids=["P2-23-seed1", "P2-23-seed2", "P2-22", "P3-12", "P3-13"])
+    def test_locate_sequence_reduces_the_transformed_span_once(
+            self, monkeypatch, n, degrees, seed):
+        # the open-set search, the basis, the change of coordinates, the
+        # chart form and the membership test, as certify runs them
+        gens = complete_intersection(n, degrees, seed)
+        calls = []
+        for name in ("rref", "det"):
+            def counted(rows, name=name, real=getattr(linalg, name)):
+                calls.append((name, rows))
+                return real(rows)
+            monkeypatch.setattr(linalg, name, counted)
+        _degree_basis.cache_clear()
+        res = borel_open_set(gens, seed=seed)
+        c = res.constants
+        basis = degree_basis(gens, c.r)
+        transformed = [apply_change_of_coords(f, res.g) for f in basis]
+        chart_form(transformed, res.chart.chart)
+        assert in_hilb(transformed, c)
+        monkeypatch.undo()
+        assert res.tried == 1
+        # a row of the degree basis holds its pivot and otherwise only the
+        # N(r) - s columns of no pivot; the transformed forms are denser
+        width = 1 + c.N_r - c.s
+        assert min(len(f.terms) for f in transformed) > width
+        own = _span_rows(gens, c.r)[0]
+        dense = [(name, rows) for name, rows in calls
+                 if rows != own and any(len(row) > width for row in rows)]
+        assert dense == [("rref", _span_rows(transformed, c.r)[0])]
+        # the forms' basis, the transformed basis and the marked slice
+        assert [name for name, _ in calls].count("rref") == 3

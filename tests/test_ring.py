@@ -13,7 +13,7 @@ from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              degrevlex_cmp, degrevlex_key, monomials_of_degree,
                              parse_parampoly, parse_xpoly, specialize)
 
-from conftest import dict_rows, mono, rational_sampler
+from conftest import dict_rows, mono, rational_sampler, up_moves
 
 
 class TestMonomial:
@@ -95,7 +95,6 @@ class TestDegrevlex:
 
     def test_refines_borel_moves(self):
         # every single increasing move raises the degrevlex position
-        from borelcover.borel import up_moves
         for n in (2, 3):
             for d in (1, 2, 3):
                 for m in monomials_of_degree(n, d):
@@ -472,6 +471,40 @@ class TestXPolyTermOrderIsInvisible:
         g = random_coordinate_change(f.n, seed, bound=3)
         _assert_same_form(apply_change_of_coords(XPoly(f.n, shuffled(f), f.degree), g),
                           apply_change_of_coords(f, g))
+
+
+@st.composite
+def form_dicts(draw):
+    """(n, d, terms): a dict of a form's terms in P^n, n <= 3, of degree <= 3,
+    each coefficient a nonzero int, Fraction or ParamPoly."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    exps = draw(st.lists(st.sampled_from([m.exps for m in monomials_of_degree(n, d)]),
+                         max_size=6, unique=True))
+    coeff = st.one_of(st.integers(-4, 4), rationals, param_polys()).filter(bool)
+    return n, d, {e: draw(coeff) for e in exps}
+
+
+class TestXPolyHash:
+    @settings(max_examples=100)
+    @given(form_dicts(), st.data())
+    def test_equal_forms_hash_equal(self, form, data):
+        # __init__ turns ints into Fractions; _from_dict keeps what it is given,
+        # and an int or an integral Fraction must hash as the other does
+        n, d, terms = form
+
+        def integral_as_int(c):
+            return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+        def rebuilt(c):
+            return ParamPoly(reversed(c.terms)) if isinstance(c, ParamPoly) else c
+
+        order = data.draw(st.permutations(list(terms)))
+        f = XPoly(n, list(terms.items()), d)
+        for g in (XPoly._from_dict(n, dict(terms), d),
+                  XPoly._from_dict(n, {e: integral_as_int(c) for e, c in terms.items()}, d),
+                  XPoly._from_dict(n, {e: rebuilt(terms[e]) for e in order}, d),
+                  XPoly(n, [(e, rebuilt(terms[e])) for e in order], d)):
+            assert g == f and hash(g) == hash(f)
 
 
 class TestXPoly:
