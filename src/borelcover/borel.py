@@ -279,24 +279,6 @@ def _colon_variable_power(J, i):
                                for g in J.gens])
 
 
-def _intersect(A, B):
-    if A.is_zero() or B.is_zero():
-        return MonomialIdeal.zero(A.n)
-    gens = []
-    for a in A.gens:
-        for b in B.gens:
-            gens.append(Monomial(max(x, y) for x, y in zip(a.exps, b.exps)))
-    return MonomialIdeal(A.n, gens)
-
-
-def saturate_any(J: MonomialIdeal) -> MonomialIdeal:
-    """Saturation of an arbitrary monomial ideal w.r.t. (x_0, ..., x_n)."""
-    out = _colon_variable_power(J, 0)
-    for i in range(1, J.n + 1):
-        out = _intersect(out, _colon_variable_power(J, i))
-    return out
-
-
 def rho(Jsat: MonomialIdeal) -> int:
     """Largest degree of a basis monomial divisible by x_1; 0 if none exists."""
     degs = [g.degree() for g in Jsat.gens if Jsat.n >= 1 and g.exps[1] > 0]

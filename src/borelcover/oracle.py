@@ -6,10 +6,11 @@ this module; it exists to certify its output.  Hard scale caps keep it honest
 about what it can do.
 
 Inside one call a polynomial is a dict from exponent tuples over the
-collected variables to Fractions, and `_sub_multiple` adds multiples of one
-to another.  The order key of each monomial is computed once and memoized,
-basis elements are kept monic with their leading exponent cached, and every
-reduction goes through `_reduce`.
+collected variables to coefficients, and `_sub_multiple` adds multiples of
+one to another.  Buchberger and normal forms reduce fraction-free on
+primitive integer dicts through `_reduce`; greedy elimination computes on
+Fractions.  Results have Fraction coefficients.  The order key of each
+monomial is computed once and memoized.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import MathDomainError, ScaleCapError
@@ -87,6 +90,7 @@ class _Ring(dict):
         return k
 
     def from_param(self, p):
+        """p as a dict from exponent tuples to its Fraction coefficients."""
         pos, n = self.pos, len(self.variables)
         out = {}
         for cm, c in p._terms.items():
@@ -96,18 +100,21 @@ class _Ring(dict):
             out[tuple(e)] = c
         return out
 
+    def primitive(self, p):
+        """(s, f): p = s * f, f a primitive integer dict (lcm of denominators
+        cleared, content divided out)."""
+        f = self.from_param(p)
+        den = lcm(*(c.denominator for c in f.values()))
+        f = {e: c.numerator * (den // c.denominator) for e, c in f.items()}
+        g = gcd(*f.values()) or 1
+        return Fraction(g, den), {e: c // g for e, c in f.items()}
+
     def to_param(self, f):
         """f, whose coefficients are nonzero Fractions, as a ParamPoly; the
         variables are sorted, so each multi-index comes out canonical."""
         return ParamPoly._from_dict(
             {tuple((v, x) for v, x in zip(self.variables, e) if x): c
              for e, c in f.items()})
-
-    def monic(self, f):
-        """(leading exponent, f divided by its leading coefficient)."""
-        lead = max(f, key=self.__getitem__)
-        inv = 1 / f[lead]
-        return lead, {e: c * inv for e, c in f.items()}
 
 
 def _divides(a, b):
@@ -130,31 +137,51 @@ def _sub_multiple(work, c, shift, g):
 
 
 def _reduce(f, reducers, ring):
-    """Fully reduced remainder of f against (lead, monic poly) reducers.
+    """Fully reduced remainder of the integer dict f against (lead, integer
+    dict) reducers, fraction-free (Becker-Weispfenning, Groebner Bases).
 
-    Each step divides the leading term of what is left by the first reducer
-    in listed order whose leading exponent divides it.
+    Each step takes the leading term a*x^m of what is left and the first
+    reducer g in listed order whose leading exponent divides x^m, with
+    leading coefficient b, and sets work <- (b/k)*work - (a/k)*x^(m-lead)*g
+    for k = gcd(a, b), scaling the remainder so far by b/k too.  Returns
+    (rem, n, d): rem, primitive with a positive leading coefficient, is n/d
+    times the remainder.  Its first key is its leading exponent.
     """
     work = dict(f)
     rem = {}
+    n = 1
     sort_key = ring.__getitem__
     while work:
         m = max(work, key=sort_key)
         for lead, g in reducers:
             if _divides(lead, m):
-                _sub_multiple(work, work[m], tuple(map(sub, m, lead)), g)
+                a, b = work[m], g[lead]
+                k = gcd(a, b)
+                a, b = a // k, b // k
+                if b != 1:
+                    work = {e: b * c for e, c in work.items()}
+                    rem = {e: b * c for e, c in rem.items()}
+                    n *= b
+                _sub_multiple(work, a, tuple(map(sub, m, lead)), g)
                 break
         else:
             rem[m] = work.pop(m)
-    return rem
+    d = gcd(*rem.values()) or 1
+    if rem and next(iter(rem.values())) < 0:
+        d = -d
+    return {e: c // d for e, c in rem.items()}, n, d
 
 
 def normal_form(p: ParamPoly, basis, key) -> ParamPoly:
     """Fully reduced remainder of p against the marked leading terms of basis."""
     basis = [b for b in basis if b]
     ring = _Ring(_collect_vars([p, *basis]), key)
-    reducers = [ring.monic(ring.from_param(b)) for b in basis]
-    return ring.to_param(_reduce(ring.from_param(p), reducers, ring))
+    reducers = [(max(g, key=ring.__getitem__), g)
+                for g in (ring.primitive(b)[1] for b in basis)]
+    s, f = ring.primitive(p)
+    rem, n, d = _reduce(f, reducers, ring)
+    scale = s * d / n  # the exact remainder, not a multiple of it
+    return ring.to_param({e: c * scale for e, c in rem.items()})
 
 
 def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
@@ -171,7 +198,8 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     pending pairs that the new leading term settles; and it retires basis
     elements whose leading term the new one divides.  Raises ScaleCapError
     beyond the caps; `max_pairs` counts the pairs taken from the heap.  The
-    result is monic and sorted by leading term, smallest first.
+    elements are primitive integer dicts; the result is monic and sorted by
+    leading term, smallest first.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -182,16 +210,16 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
             f"{len(variables)} parameters exceed the oracle cap {max_vars}")
     ring = _Ring(variables, make_order(variables, order, block))
 
-    polys = []     # every element ever added: (lead, monic poly)
+    polys = []     # every element ever added: (lead, primitive integer dict)
     active = []    # indices of the current basis, in insertion order
     pending = {}   # (i, j) -> lcm of the leading exponents, i < j
     heap = []
     counter = 0
 
     def add(f):
-        """Append f made monic, then apply the Gebauer-Moeller update."""
+        """Append the remainder f, then apply the Gebauer-Moeller update."""
         nonlocal active, counter
-        polys.append(ring.monic(f))
+        polys.append((next(iter(f)), f))
         h, lh = len(polys) - 1, polys[-1][0]
         new = [(g, _lcm(polys[g][0], lh)) for g in active]
         kept = []
@@ -212,7 +240,7 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
         active = [g for g in active if not _divides(lh, polys[g][0])] + [h]
 
     for g in gens:
-        nf = _reduce(ring.from_param(g), [polys[k] for k in active], ring)
+        nf = _reduce(ring.primitive(g)[1], [polys[h] for h in active], ring)[0]
         if nf:
             add(nf)
 
@@ -226,17 +254,22 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
         if processed > max_pairs:
             raise ScaleCapError(f"Buchberger exceeded {max_pairs} S-pairs")
         (lead_i, f_i), (lead_j, f_j) = polys[i], polys[j]
-        s = {}  # x^(l - lead_i) * f_i - x^(l - lead_j) * f_j
-        _sub_multiple(s, -1, tuple(map(sub, l, lead_i)), f_i)
-        _sub_multiple(s, 1, tuple(map(sub, l, lead_j)), f_j)
-        nf = _reduce(s, [polys[k] for k in active], ring)
+        a, b = f_i[lead_i], f_j[lead_j]
+        k = gcd(a, b)
+        s = {}  # (b/k) * x^(l - lead_i) * f_i - (a/k) * x^(l - lead_j) * f_j
+        _sub_multiple(s, -(b // k), tuple(map(sub, l, lead_i)), f_i)
+        _sub_multiple(s, a // k, tuple(map(sub, l, lead_j)), f_j)
+        nf = _reduce(s, [polys[h] for h in active], ring)[0]
         if nf:
             add(nf)
 
-    # the active leading terms are minimal; reduce every tail
+    # the active leading terms are minimal; reduce every tail, make it monic
     basis = sorted((polys[k] for k in active), key=lambda lp: ring[lp[0]])
-    return [ring.to_param(_reduce(f, basis[:k] + basis[k + 1:], ring))
-            for k, (_, f) in enumerate(basis)]
+    out = []
+    for k, (lead, f) in enumerate(basis):
+        f = _reduce(f, basis[:k] + basis[k + 1:], ring)[0]
+        out.append(ring.to_param({e: Fraction(c, f[lead]) for e, c in f.items()}))
+    return out
 
 
 def ideal_equal(A, B, order="degrevlex", max_vars=DEFAULT_MAX_VARS,

@@ -9,7 +9,7 @@ from borelcover.borel import (BorelChartIdeal, MonomialIdeal, borel_charts,
                               ek_histogram, enumerate_borel_in_g,
                               enumerate_borel_saturated, is_borel_chart,
                               is_strongly_stable, regularity, rho, saturate,
-                              saturate_any, star_decompose, truncate)
+                              star_decompose, truncate)
 from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.hilbert import (ChartConstants, ambient_dimension, binom,
                                borel_dim_at, chart_constants,
@@ -27,6 +27,30 @@ def all_pairs_minimal(gens):
     return sorted((g for g in distinct
                    if not any(h != g and h.divides(g) for h in distinct)),
                   key=canonical_key)
+
+
+# Saturation of an arbitrary monomial ideal, kept as a test-local reference
+# for `saturate` and the truncation tests: J : (x_0, ..., x_n)^infinity is
+# the intersection over i of J : x_i^infinity.
+
+def colon_variable_power(J, i):
+    """J : x_i^infinity: delete x_i from each generator."""
+    return MonomialIdeal(J.n, [Monomial(g.exps[:i] + (0,) + g.exps[i + 1:])
+                               for g in J.gens])
+
+
+def intersect(A, B):
+    if A.is_zero() or B.is_zero():
+        return MonomialIdeal.zero(A.n)
+    return MonomialIdeal(A.n, [Monomial(map(max, a.exps, b.exps))
+                               for a in A.gens for b in B.gens])
+
+
+def saturate_any(J):
+    out = colon_variable_power(J, 0)
+    for i in range(1, J.n + 1):
+        out = intersect(out, colon_variable_power(J, i))
+    return out
 
 
 @st.composite

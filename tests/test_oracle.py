@@ -300,10 +300,23 @@ def param_polys(draw, variables):
 
 
 @st.composite
-def small_systems(draw):
+def wide_param_polys(draw, variables):
+    """Like param_polys, with numerators up to 10^6 in size, denominators
+    1-97 and no coefficient 0 or +-1, so leading coefficients are not units."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        cm = tuple((v, draw(st.integers(0, 2))) for v in variables)
+        c = draw(st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97))
+                 .filter(lambda c: c not in (0, 1, -1)))
+        terms.append((cm, c))
+    return ParamPoly(terms)
+
+
+@st.composite
+def small_systems(draw, polys=param_polys):
     variables = VARS[:draw(st.integers(1, len(VARS)))]
-    gens = draw(st.lists(param_polys(variables), min_size=1, max_size=3))
-    return variables, gens, draw(param_polys(variables))
+    gens = draw(st.lists(polys(variables), min_size=1, max_size=3))
+    return variables, gens, draw(polys(variables))
 
 
 def _system(variables, gens, p):
@@ -323,6 +336,16 @@ LCM_CASE_LEX_BLOCK = _system(
      "2*C[1,1]*C[1,3] + 2*C[1,3]^2",
      "-3/2*C[1,1]^2*C[1,2]^2*C[1,3] - C[1,2]^2*C[1,3] - C[1,1]*C[1,2]"],
     "-3*C[1,1]*C[1,2]*C[1,3]^2 + 3/2*C[1,2]^2*C[1,3]^2")
+# p - 2*g is the remainder in both orders: 3/2 times the primitive
+# C[1,1] + 2*C[1,2], a scale the fraction-free reduction must restore.
+NON_PRIMITIVE_REMAINDER = _system(
+    VARS, ["97*C[2,1]^2 - 1000/3*C[1,1]*C[2,1]"],
+    "3/2*C[1,1] + 3*C[1,2] + 194*C[2,1]^2 - 2000/3*C[1,1]*C[2,1]")
+
+
+def _order_of(variables, order):
+    block = variables[:1] if order == "lex-block" else ()
+    return block, make_order(variables, order, block)
 
 
 class TestAgainstPlainBuchberger:
@@ -332,11 +355,29 @@ class TestAgainstPlainBuchberger:
     @given(system=small_systems(), order=st.sampled_from(["degrevlex", "lex-block"]))
     def test_same_reduced_basis_and_normal_form(self, system, order):
         variables, gens, p = system
-        block = variables[:1] if order == "lex-block" else ()
+        block, key = _order_of(variables, order)
         assert groebner_basis(gens, order, block) == \
             _old_groebner_basis(gens, order, block)
-        key = make_order(variables, order, block)
         assert normal_form(p, gens, key) == _old_normal_form(p, gens, key)
+
+    @settings(max_examples=60)
+    @example(system=NON_PRIMITIVE_REMAINDER, order="degrevlex")
+    @example(system=NON_PRIMITIVE_REMAINDER, order="lex-block")
+    @given(system=small_systems(wide_param_polys),
+           order=st.sampled_from(["degrevlex", "lex-block"]))
+    def test_wide_coefficients(self, system, order):
+        variables, gens, p = system
+        block, key = _order_of(variables, order)
+        gb = groebner_basis(gens, order, block)
+        assert gb == _old_groebner_basis(gens, order, block)
+        assert normal_form(p, gens, key) == _old_normal_form(p, gens, key)
+        assert normal_form(p, gb, key) == _old_normal_form(p, gb, key)
+
+    @pytest.mark.parametrize("order", ["degrevlex", "lex-block"])
+    def test_remainder_that_is_not_primitive(self, order):
+        variables, gens, p = NON_PRIMITIVE_REMAINDER
+        nf = normal_form(p, gens, _order_of(variables, order)[1])
+        assert nf == parse_parampoly("3/2*C[1,1] + 3*C[1,2]")
 
     @settings(max_examples=40)
     @given(system=small_systems(), scale=st.integers(-2, 2))
@@ -345,6 +386,37 @@ class TestAgainstPlainBuchberger:
         other = gens[::-1] + [p * gens[0] + gens[-1] * scale]
         assert ideal_equal(gens, other) == _old_ideal_equal(gens, other)
         assert ideal_equal(gens + [p], gens) == _old_ideal_equal(gens + [p], gens)
+
+
+def _assert_fraction_coefficients(polys):
+    # 3 == Fraction(3), so equality with a reference misses an int coefficient
+    assert all(type(c) is Fraction for q in polys for _, c in q.terms)
+
+
+class TestCoefficientType:
+    @settings(max_examples=40)
+    @given(system=small_systems(wide_param_polys),
+           order=st.sampled_from(["degrevlex", "lex-block"]))
+    def test_fractions_out_and_monic_bases(self, system, order):
+        variables, gens, p = system
+        block, key = _order_of(variables, order)
+        gb = groebner_basis(gens, order, block)
+        _assert_fraction_coefficients(gb)
+        assert all(_old_leading_term(g, key)[1] == 1 for g in gb)
+        _assert_fraction_coefficients([normal_form(p, gens, key)])
+        res = greedy_linear_eliminate(gens + [p + ParamPoly.var(variables[0])])
+        _assert_fraction_coefficients(res.residual)
+        _assert_fraction_coefficients(expr for _, expr in res.eliminated)
+
+    def test_certify_charts(self):
+        gens = list(scheme_equations(MonomialIdeal.parse("x2, x1^2", 2), 2).generators)
+        key = make_order(_variables(gens))
+        gb = groebner_basis(gens)
+        _assert_fraction_coefficients(gb)
+        assert all(_old_leading_term(g, key)[1] == 1 for g in gb)
+        res = greedy_linear_eliminate(reference_equations(A8_CHART))
+        assert res.eliminated
+        _assert_fraction_coefficients(expr for _, expr in res.eliminated)
 
 
 class TestPairCap:
@@ -356,6 +428,14 @@ class TestPairCap:
     def test_one_pair_is_not_enough(self):
         with pytest.raises(ScaleCapError, match="exceeded 1 S-pairs"):
             groebner_basis(self.GENS, max_pairs=1)
+
+    def test_certify_chart_takes_exactly_102_pairs(self):
+        # the (x2, x1^3) chart at m = 2 that perfbench's certify workload
+        # solves; the count pins the pair selection and the update criteria
+        gens = list(scheme_equations(MonomialIdeal.parse("x2, x1^3", 2), 2).generators)
+        assert len(groebner_basis(gens, max_pairs=102)) == 27
+        with pytest.raises(ScaleCapError, match="exceeded 101 S-pairs"):
+            groebner_basis(gens, max_pairs=101)
 
 
 # ---------------------------------------------------------------------------
