@@ -214,14 +214,19 @@ def coerce_hilbert_poly(p) -> HilbertPoly:
 # Gotzmann number and chart constants
 # ---------------------------------------------------------------------------
 
-def gotzmann_representation(p, n):
-    """The a_i sequence of the unique binomial representation of p."""
-    p = coerce_hilbert_poly(p)
+def require_admissible_degree(p, n):
+    """p is nonzero and of degree below n, as an admissible polynomial in P^n is."""
     if p.is_zero():
         raise InadmissiblePolynomialError("zero Hilbert polynomial")
     if p.degree() >= n:
         raise InadmissiblePolynomialError(
             f"degree {p.degree()} polynomial is not admissible in P^{n}")
+
+
+def gotzmann_representation(p, n):
+    """The a_i sequence of the unique binomial representation of p."""
+    p = coerce_hilbert_poly(p)
+    require_admissible_degree(p, n)
     seq = []
     cur = p
     i = 1

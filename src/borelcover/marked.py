@@ -1,6 +1,8 @@
-"""Marked templates over Borel truncations and their defining equations.
+"""Marked templates over Borel ideals, their defining equations and the
+marked-basis criterion.
 
-A template over a truncation T = Jsat_{>=m} consists of the polynomials
+A template over a strongly stable ideal T, for a chart the truncation
+T = Jsat_{>=m}, consists of the polynomials
 
     F_a = x^a - sum_g C[i,j] * x^g,     x^a in B_T,  x^g in N(T)_{|a|},
 
@@ -20,6 +22,10 @@ form: each monomial of T has one star decomposition, hence one rewrite, and
 rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
 coefficient the dict a ParamPoly keeps, from parameter multi-index to Fraction.
+
+The same reduction decides whether an explicit marked set G over T is a
+marked basis (the Eliahou-Kervaire criterion): G's point must satisfy the
+template's equations.
 """
 
 from __future__ import annotations
@@ -32,21 +38,19 @@ from operator import add
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     star_decompose, truncate)
-from .chart import dimension_in_degree, marked_slice
+from .chart import marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
-                      chart_constants, hilbert_polynomial)
+                      hilbert_polynomial, require_admissible_degree)
 from .ring import Monomial, ParamPoly, XPoly, _cmon_mul, specialize
 
 
 @dataclass(frozen=True)
 class MarkedTemplate:
-    """The generic marked set over a Borel truncation."""
+    """The generic marked set over a strongly stable ideal."""
 
-    ideal: MonomialIdeal          # the truncation T = Jsat_{>=m}
-    saturation: MonomialIdeal
-    m: int
-    hp_degree: int                # degree of the Hilbert polynomial of S/Jsat
+    ideal: MonomialIdeal          # T, for a chart the truncation Jsat_{>=m}
+    hp_degree: int                # degree of the Hilbert polynomial of S/T
     heads: tuple
     tails: tuple                  # tails[i] lists N(T)_{deg head_i}, descending
     _members: dict = field(default_factory=dict, init=False, repr=False,
@@ -142,12 +146,20 @@ def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
     differ from the saturation (the template is then the same object).
     """
     _validate_level(Jsat, m)
-    T = truncate(Jsat, m)
-    heads = T.gens
+    return _template_over(truncate(Jsat, m), Jsat)
+
+
+def _template_over(T: MonomialIdeal, J: MonomialIdeal) -> MarkedTemplate:
+    """Generic marked set over any strongly stable T: one head per generator,
+    whatever its degree, with the tail N(T) in that degree.
+
+    J is an ideal with the Hilbert polynomial of S/T, formed after the tails
+    are listed; a saturation has fewer generators than its truncations.
+    """
+    heads = tuple(T.gens)
     outside = {d: tuple(T.sous_escalier_at(d)) for d in {h.degree() for h in heads}}
-    d = hilbert_polynomial(Jsat).degree()
-    return MarkedTemplate(ideal=T, saturation=Jsat, m=m, hp_degree=max(d, 0),
-                          heads=tuple(heads),
+    d = hilbert_polynomial(J).degree()
+    return MarkedTemplate(ideal=T, hp_degree=max(d, 0), heads=heads,
                           tails=tuple(outside[h.degree()] for h in heads))
 
 
@@ -382,7 +394,7 @@ def naive_minor_count(constants: ChartConstants) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Marked-basis certificate and chart coordinates of explicit ideals
+# Marked-basis criterion and chart coordinates of explicit ideals
 # ---------------------------------------------------------------------------
 
 def _heads_of_marked_set(G, T):
@@ -400,12 +412,16 @@ def _heads_of_marked_set(G, T):
 
 
 def is_marked_basis(G, T: MonomialIdeal) -> bool:
-    """Linear-algebra certificate that the quotient by (G) is free on N(T).
+    """Whether the quotient by (G) is free on N(T): G is a marked basis.
 
-    T must be strongly stable.  Checks dim (G)_t = dim T_t for every t from
-    the least head degree up to max(largest head degree, r) + 1, with r the
-    Gotzmann number of the Hilbert polynomial of S/T; Gotzmann persistence
-    makes this range a finite certificate.
+    T must be strongly stable, of any head degrees, not necessarily
+    saturated or a truncation, and its Hilbert polynomial admissible; G must
+    have scalar coefficients.  By the Eliahou-Kervaire criterion G is a
+    marked basis exactly when every S-polynomial x_j*F_a - x^e*F_b of G
+    reduces to 0.  Those normal forms are `reduce`'s normal forms over the
+    template on T, evaluated at G's parameter values, so the answer is
+    whether every coefficient of them vanishes there; the first nonzero one
+    ends the check.
     """
     if not is_strongly_stable(T):
         raise MathDomainError(f"{T} is not strongly stable")
@@ -413,9 +429,14 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     heads = _heads_of_marked_set(G, T)
     if sorted(heads, key=lambda m: m.exps) != sorted(T.gens, key=lambda m: m.exps):
         raise MathDomainError("heads of the marked set do not form the basis of T")
-    r = chart_constants(hilbert_polynomial(T), T.n).r
-    return all(dimension_in_degree(G, t) == borel_dim_at(T, t)
-               for t in range(T.min_gen_degree(), max(T.max_gen_degree(), r) + 2))
+    require_admissible_degree(hilbert_polynomial(T), T.n)
+    if not all(f.is_scalar() for f in G):
+        raise MathDomainError("coefficient matrix needs scalar coefficients")
+    tpl = _template_over(T, T)
+    values = assignment_from_marked_set(G, tpl)
+    normal_forms = (reduce(spair_polynomial(pair, tpl), tpl).poly
+                    for pair in ek_spairs(T))
+    return not any(c.evaluate(values) for h in normal_forms for c in h._terms.values())
 
 
 def marked_set_from_ideal(gens, T: MonomialIdeal):

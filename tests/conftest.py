@@ -6,8 +6,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
-                              is_borel_chart, regularity, rho, saturate, truncate)
+                              is_borel_chart, is_strongly_stable, regularity, rho,
+                              saturate, truncate)
+from borelcover.chart import dimension_in_degree
 from borelcover.errors import MathDomainError
+from borelcover.hilbert import borel_dim_at, chart_constants, hilbert_polynomial
+from borelcover.marked import _heads_of_marked_set
 from borelcover.ring import Monomial, canonical_key, parse_xpoly
 
 # Exact arithmetic makes example run times uneven, so no test has a deadline;
@@ -118,6 +122,26 @@ def borel_closure(J):
                     nxt.append(u)
         frontier = nxt
     return MonomialIdeal(J.n, seen)
+
+
+def _rank_is_marked_basis(G, T):
+    """Reference marked-basis certificate by ranks of Macaulay matrices.
+
+    Checks dim (G)_t = dim T_t for every t from the least head degree up to
+    max(largest head degree, r) + 1, with r the Gotzmann number of the
+    Hilbert polynomial of S/T; Gotzmann persistence makes this range a
+    finite certificate for a strongly stable T.  It shares no code with the
+    Eliahou-Kervaire reduction that is_marked_basis runs.
+    """
+    if not is_strongly_stable(T):
+        raise MathDomainError(f"{T} is not strongly stable")
+    G = list(G)
+    heads = _heads_of_marked_set(G, T)
+    if sorted(heads, key=lambda m: m.exps) != sorted(T.gens, key=lambda m: m.exps):
+        raise MathDomainError("heads of the marked set do not form the basis of T")
+    r = chart_constants(hilbert_polynomial(T), T.n).r
+    return all(dimension_in_degree(G, t) == borel_dim_at(T, t)
+               for t in range(T.min_gen_degree(), max(T.max_gen_degree(), r) + 2))
 
 
 def reference_chart_records(c):

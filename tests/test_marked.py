@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 from operator import add
 
@@ -10,8 +11,10 @@ from borelcover import marked
 from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               enumerate_borel_saturated, regularity, rho,
                               saturate, truncate)
-from borelcover.chart import degree_basis
-from borelcover.errors import MathDomainError, ReductionCapError
+from borelcover.chart import (borel_open_set, chart_form, degree_basis, in_hilb,
+                              random_coordinate_change)
+from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
+                               NotInChartError, ReductionCapError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                embedding_dimension, is_marked_basis,
@@ -21,8 +24,9 @@ from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly)
 
-from conftest import (CHART_FAMILIES, borel_closure, mono, monomial_ideals,
-                      rational_sampler, scan_contains, scan_star_decompose)
+from conftest import (CHART_FAMILIES, _rank_is_marked_basis, borel_closure, mono,
+                      monomial_ideals, rational_sampler, scan_contains,
+                      scan_star_decompose)
 
 
 class TestTemplate:
@@ -499,6 +503,122 @@ class TestIsMarkedBasis:
         with pytest.raises(MathDomainError):
             is_marked_basis(bad, T)
 
+    def test_rejects_parametric_coefficients(self):
+        # a marked set is a point: its coefficients are numbers
+        T = MonomialIdeal.parse("x2, x1^2", 2)
+        f = XPoly(2, [(mono("x2", 2), Fraction(1)),
+                      (mono("x1", 2), ParamPoly.var((1, 1)))])
+        with pytest.raises(MathDomainError,
+                           match="^coefficient matrix needs scalar coefficients$"):
+            is_marked_basis([f, parse_xpoly("x1^2", 2)], T)
+
+    def test_rejects_the_zero_ideal(self):
+        # S/(0) has Hilbert polynomial C(t+2, 2), of degree n = 2
+        with pytest.raises(InadmissiblePolynomialError,
+                           match="^degree 2 polynomial is not admissible in P\\^2$"):
+            is_marked_basis([], MonomialIdeal(2, []))
+
+    def test_heads_above_the_gotzmann_number(self):
+        # (x2, x1^120) has Gotzmann number 120: a rank walk would reach degree
+        # 121.  Each marked set over it cuts out 120 points on a line, so
+        # each is a basis
+        T = MonomialIdeal.parse("x2, x1^120", 2)
+        assert is_marked_basis([XPoly.from_monomial(g) for g in T.gens], T)
+        G = [parse_xpoly("x2 + x1", 2), parse_xpoly("x1^120 + x1^119*x0", 2)]
+        assert is_marked_basis(G, T)
+
+
+@st.composite
+def marked_sets(draw):
+    """A strongly stable T with a marked set G over it: (T, G).
+
+    T is the Borel closure of random monomials in P^2 or P^3: a power x_n^a,
+    a monomial of higher degree in x_0..x_{n-1}, which keeps its closure's
+    generators out of (x_n^a), and up to one more.  So its heads have mixed
+    degrees, and it is not saturated when a monomial holds x_0.  No monomial
+    is a pure power of x_0, which would make S/T finite, and none has degree
+    above 3, past which the rank reference can take seconds.  G is the
+    monomial set (the zero assignment), random tails, one coefficient per
+    tail (sparse), or the lifted point: the marked set over T of the ideal
+    of T after a random coordinate change.
+    """
+    n = draw(st.integers(2, 3))
+    a = draw(st.integers(1, 2))
+
+    def monomials(d, top):
+        return st.lists(st.integers(0, top), min_size=d, max_size=d).filter(
+            any).map(lambda vs: Monomial([vs.count(i) for i in range(n + 1)]))
+
+    gens = [Monomial([0] * n + [a]), draw(monomials(draw(st.integers(a + 1, 3)), n - 1))]
+    gens += draw(st.lists(st.integers(1, 3).flatmap(lambda d: monomials(d, n)), max_size=1))
+    T = borel_closure(MonomialIdeal(n, gens))
+    kind = draw(st.sampled_from(["zero", "random", "sparse", "lifted"]))
+    if kind == "lifted":
+        g = random_coordinate_change(T.n, draw(st.integers(0, 2 ** 32)), bound=3)
+        moved = [apply_change_of_coords(XPoly.from_monomial(h), g) for h in T.gens]
+        try:
+            return T, marked_set_from_ideal(moved, T)
+        except NotInChartError:
+            assume(False)
+    coefficients = st.fractions(-4, 4, max_denominator=3)
+    G = []
+    for h in T.gens:
+        tail = T.sous_escalier_at(h.degree())
+        cs = [0] * len(tail)
+        if kind == "random":
+            cs = [draw(coefficients) for _ in tail]
+        elif kind == "sparse" and tail:
+            cs[draw(st.integers(0, len(tail) - 1))] = draw(coefficients)
+        G.append(XPoly(T.n, [(h, 1)] + [(m, c) for m, c in zip(tail, cs) if c]))
+    return T, G
+
+
+class TestIsMarkedBasisAgainstRanks:
+    @settings(max_examples=100)
+    @given(marked_sets())
+    def test_borel_closures(self, T_and_G):
+        T, G = T_and_G
+        assert is_marked_basis(G, T) == _rank_is_marked_basis(G, T)
+
+
+def _located(n, degrees, seed):
+    """Forms placed in a Borel chart as `locate` does: random integer forms
+    of the given degrees, moved by the change of coordinates that
+    borel_open_set finds, as their degree-r basis; returns them with the
+    chart J and the chart constants."""
+    rng = random.Random(seed)
+    forms = [XPoly(n, [(m, rng.randint(-5, 5)) for m in monomials_of_degree(n, d)])
+             for d in degrees]
+    res = borel_open_set(forms, seed=rng.randrange(1 << 30))
+    basis = degree_basis(forms, res.constants.r)
+    moved = [apply_change_of_coords(f, res.g) for f in basis]
+    return moved, res.chart.chart, res.constants
+
+
+class TestMarkedSchemeIsHilbertSchemeOnTheChart:
+    @pytest.mark.parametrize("n, degrees", [(2, (2, 2)), (2, (2, 3)), (3, (1, 1)),
+                                            (3, (1, 2)), (3, (1, 3))])
+    def test_in_hilb_iff_marked_basis(self, n, degrees):
+        # Hilb^p meets the chart of J in its marked scheme: the forms lie in
+        # the Hilbert scheme exactly when their marked set over J is a basis
+        verdicts = []
+        for seed in (1, 2, 3):
+            forms, J, constants = _located(n, degrees, seed)
+            rng = random.Random(seed)
+            outside = J.sous_escalier_at(constants.r)
+            copies = [forms]
+            for _ in range(2):
+                k = rng.randrange(len(forms))
+                bump = XPoly.from_monomial(rng.choice(outside), rng.randint(1, 3))
+                copies.append(forms[:k] + [forms[k] + bump] + forms[k + 1:])
+            for fs in copies:
+                verdict = in_hilb(fs, constants)
+                assert verdict == is_marked_basis(chart_form(fs, J).marked_set, J)
+                verdicts.append(verdict)
+        # two independent linear forms always cut out a line
+        assert verdicts[0::3] == [True] * 3
+        assert (False in verdicts) == (degrees != (1, 1))
+
 
 class TestDimensionsAndBounds:
     def test_embedding_dimensions(self, j1sat):
@@ -607,7 +727,7 @@ class TestSoundnessCompleteness:
             samples.append(zero_assignment(tpl))
             for c in samples:
                 vanishes = all(g.evaluate(c) == 0 for g in S.generators)
-                basis = is_marked_basis(specialize_template(tpl, c), tpl.ideal)
+                basis = _rank_is_marked_basis(specialize_template(tpl, c), tpl.ideal)
                 assert vanishes == basis
 
 
