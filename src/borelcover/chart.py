@@ -9,7 +9,9 @@ memoized by value for the last two spans, the forms' own and their image
 under a change of coordinates, and its forms are immutable XPolys shared
 by every caller, so locating an ideal row reduces each span once.  The
 seeded random-coordinate search that locates an arbitrary ideal in a Borel
-chart takes Plucker coordinates (maximal minors) of the reduced rows,
+chart takes each Plucker coordinate as the determinant of the reduced
+rows' coefficient dicts on the columns of B_J (no Macaulay matrix, no
+listing of degree r) and hands those rows back as ``OpenSetResult.basis``;
 ``chart_form`` reads the marked slice (reduced row echelon against the head
 columns of a monomial ideal) off them, and the Hilbert-scheme membership
 test at the Gotzmann level builds the next degree from them.  Ranks, minors
@@ -133,20 +135,20 @@ def _check_chart_forms(forms, J):
 
 
 def pluecker_coordinate(forms, J: MonomialIdeal) -> Fraction:
-    """Maximal minor of the coefficient matrix on the columns of B_J.
+    """Maximal minor of the forms' coefficient dicts on the columns of B_J.
 
     The value depends on the chosen basis of the span only up to a global
     nonzero scalar, so only the zero / nonzero dichotomy is intrinsic.
     """
-    r = _check_chart_forms(forms, J)
+    _check_chart_forms(forms, J)
     if len(forms) != len(J.gens):
         raise MathDomainError(
             f"expected {len(J.gens)} forms for this chart, got {len(forms)}")
-    rows, cols = _span_rows(forms, r)
-    position = {m: k for k, m in enumerate(J.gens)}
-    keep = {j: position[m] for j, m in enumerate(cols) if m in position}
-    return linalg.det([{keep[j]: c for j, c in row.items() if j in keep}
-                       for row in rows])
+    if not all(f.is_scalar() for f in forms):
+        raise MathDomainError("coefficient matrix needs scalar coefficients")
+    position = {m.exps: k for k, m in enumerate(J.gens)}
+    return linalg.det([{position[e]: c for e, c in f._terms.items() if e in position}
+                       for f in forms])
 
 
 @dataclass(frozen=True)
@@ -267,12 +269,13 @@ def hilbert_polynomial_of_forms(gens) -> HilbertPoly:
 
 @dataclass(frozen=True)
 class OpenSetResult:
-    """Output of the chart search: the coordinate change and the chart found."""
+    """Output of the chart search: the coordinate change, chart and span found."""
 
     g: tuple
     chart: BorelChartIdeal
     tried: int
     constants: ChartConstants
+    basis: tuple        # degree_basis of the degree-r basis after g
 
 
 def _chart_search_setup(gens, max_ambient, max_nodes):
@@ -287,7 +290,7 @@ def _chart_search_setup(gens, max_ambient, max_nodes):
 
 
 def _charts_containing(basis, g, charts, r):
-    """Lazily yield the charts, in order, that contain the span of basis after g.
+    """The reduced span of basis after g, and the charts containing it, lazily.
 
     The transformed span is row reduced once, through the memoized
     degree_basis that chart_form and in_hilb read next; each chart's
@@ -295,8 +298,8 @@ def _charts_containing(basis, g, charts, r):
     whether it vanishes does not depend on the basis.
     """
     reduced = degree_basis([apply_change_of_coords(f, g) for f in basis], r)
-    return (chart for chart in charts
-            if pluecker_coordinate(reduced, chart.chart) != 0)
+    return reduced, (chart for chart in charts
+                     if pluecker_coordinate(reduced, chart.chart) != 0)
 
 
 def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
@@ -306,7 +309,8 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     Draws seeded random rational coordinate changes until some Borel chart of
     the ideal's Hilbert scheme contains the transformed ideal; charts are
     tried in order of increasing regularity of the saturation.  A fixed g may
-    be supplied, in which case no redraws happen.
+    be supplied, in which case no redraws happen.  The result's basis is
+    the reduced transformed span the search found the chart on.
     """
     _check_bound(bound)
     constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
@@ -315,10 +319,11 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     while tried < max_tries:
         tried += 1
         gm = g if g is not None else _draw_invertible(rng, gens[0].n, bound)
-        chart = next(_charts_containing(basis, gm, charts, constants.r), None)
+        reduced, found = _charts_containing(basis, gm, charts, constants.r)
+        chart = next(found, None)
         if chart is not None:
             return OpenSetResult(g=gm, chart=chart, tried=tried,
-                                 constants=constants)
+                                 constants=constants, basis=tuple(reduced))
         if g is not None:
             raise NotInChartError(
                 "the supplied change of coordinates lands in no Borel chart")
@@ -329,4 +334,4 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
 def all_charts(gens, g, max_ambient=120, max_nodes=2_000_000):
     """Every Borel chart (for the ideal's Hilbert polynomial) containing I^g."""
     constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
-    return list(_charts_containing(basis, g, charts, constants.r))
+    return list(_charts_containing(basis, g, charts, constants.r)[1])

@@ -23,7 +23,7 @@ from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
 from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import chart_constants, parse_hilbert_poly
 from .marked import is_marked_basis, scheme_equations
-from .ring import XPoly, _number, apply_change_of_coords, parse_xpoly
+from .ring import XPoly, _number, parse_xpoly
 
 
 def _load_json_arg(text):
@@ -291,9 +291,7 @@ def _certify_quartic():
     res = borel_open_set(forms, g=record["g"])
     sat_ok = res.chart.saturation == MonomialIdeal.parse(
         record["chart_saturation"], n)
-    basis = degree_basis(forms, res.constants.r)
-    transformed = [apply_change_of_coords(f, record["g"]) for f in basis]
-    point = chart_form(transformed, res.chart.chart)
+    point = chart_form(res.basis, res.chart.chart)
     expected = fixtures.reference_marked_basis(record)
     return [
         ("chart saturation", sat_ok),
@@ -447,6 +445,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if any(isinstance(v, list) for v in vars(args).values()):  # "--n=--" parses as []
+        parser.error("an option was given '--' as its value")
     try:
         return args.func(args)
     except ParseError as exc:

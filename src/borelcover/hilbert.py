@@ -359,18 +359,30 @@ def certified_hilbert_polynomial(hf, t0, max_shift) -> HilbertPoly:
         f"Hilbert function reached no maximal growth within {max_shift} degrees")
 
 
+def borel_hp_degree(J) -> int:
+    """Degree k - 1 of the Hilbert polynomial of S/J, J strongly stable.
+
+    x_k is the least variable of which J holds a pure power (k = n + 1 for
+    J = 0): strong stability moves that power to a power of each of
+    x_k..x_n, and a generator in x_0..x_{k-1} alone would move to a power of
+    x_{k-1}, so J lies in (x_k, ..., x_n) and S/J has dimension k.  A degree
+    above the --hp cap raises ScaleCapError.
+    """
+    k = min((g.min_var() for g in J.gens if len(g.support()) == 1), default=J.n + 1)
+    if k - 1 > _MAX_HP_DEGREE:
+        raise ScaleCapError(f"Hilbert polynomial degree {k - 1} exceeds the cap "
+                            f"{_MAX_HP_DEGREE}")
+    return k - 1
+
+
 def hilbert_polynomial(J) -> HilbertPoly:
     """Hilbert polynomial of S/J for a proper monomial ideal J.
 
     For a strongly stable J it is the closed form of the Eliahou-Kervaire
     count, C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), read off
-    at its degree k - 1.  Here x_k is the least variable of which J holds a
-    pure power (k = n + 1 for J = 0): strong stability moves that power to a
-    power of each of x_k..x_n, and a generator in x_0..x_{k-1} alone would
-    move to a power of x_{k-1}, so J lies in (x_k, ..., x_n) and S/J has
-    dimension k.  A degree above the --hp cap raises ScaleCapError first.
-    Any other monomial ideal goes through certified_hilbert_polynomial on
-    the brute-force Hilbert function.
+    at its degree, borel_hp_degree(J), whose cap fires first.  Any other
+    monomial ideal goes through certified_hilbert_polynomial on the
+    brute-force Hilbert function.
     """
     from .borel import is_strongly_stable  # borel imports this module
 
@@ -378,14 +390,10 @@ def hilbert_polynomial(J) -> HilbertPoly:
     if J.contains_one():
         raise MathDomainError("Hilbert polynomial of the unit ideal")
     if is_strongly_stable(J):
-        k = min((g.min_var() for g in J.gens if len(g.support()) == 1), default=n + 1)
-        if k - 1 > _MAX_HP_DEGREE:
-            raise ScaleCapError(f"Hilbert polynomial degree {k - 1} exceeds the cap "
-                                f"{_MAX_HP_DEGREE}")
         return HilbertPoly._from_function(
             lambda t: binom(t + n, n) - sum(
                 binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens),
-            k - 1)
+            borel_hp_degree(J))
     t0 = max((g.degree() for g in J.gens), default=0)
     return certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
                                         t0, _MONOMIAL_MAX_SHIFT)

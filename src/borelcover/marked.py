@@ -23,8 +23,9 @@ rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
 coefficient the dict a ParamPoly keeps, from parameter multi-index to Fraction.
 
-The same reduction decides whether an explicit marked set G over T is a
-marked basis (the Eliahou-Kervaire criterion): G's point must satisfy the
+A template is built from T alone and computes no Hilbert polynomial.  The
+same reduction decides whether an explicit marked set G over T is a marked
+basis (the Eliahou-Kervaire criterion): G's point must satisfy the
 template's equations.
 """
 
@@ -41,8 +42,9 @@ from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
 from .chart import marked_slice
 from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
-                      hilbert_polynomial, require_admissible_degree)
-from .ring import Monomial, ParamPoly, XPoly, _cmon_mul, specialize
+                      borel_hp_degree, hilbert_polynomial,
+                      require_admissible_degree)
+from .ring import Monomial, ParamPoly, XPoly, _cmon_mul
 
 
 @dataclass(frozen=True)
@@ -83,18 +85,11 @@ class MarkedTemplate:
             polys.append(XPoly(self.ideal.n, [(head, 1)] + terms, head.degree()))
         return tuple(polys)
 
-    def poly_for(self, head):
-        i = self.head_index.get(head)
-        if i is None:
-            raise MathDomainError(f"{head} is not a head of this template")
-        return self.polys[i]
-
     def members_at(self, d):
-        """Exponent tuples of the degree-d monomials of the truncation."""
+        """Exponent tuples of the degree-d monomials of T, the ideal's own set."""
         out = self._members.get(d)
         if out is None:
-            out = frozenset(m.exps for m in self.ideal.monomials_at(d))
-            self._members[d] = out
+            out = self._members[d] = self.ideal._members_at(d)
         return out
 
     def _shifted_tails(self, head, shift):
@@ -146,30 +141,20 @@ def template(Jsat: MonomialIdeal, m: int) -> MarkedTemplate:
     differ from the saturation (the template is then the same object).
     """
     _validate_level(Jsat, m)
-    return _template_over(truncate(Jsat, m), Jsat)
+    return _template_over(truncate(Jsat, m))
 
 
-def _template_over(T: MonomialIdeal, J: MonomialIdeal) -> MarkedTemplate:
+def _template_over(T: MonomialIdeal) -> MarkedTemplate:
     """Generic marked set over any strongly stable T: one head per generator,
     whatever its degree, with the tail N(T) in that degree.
 
-    J is an ideal with the Hilbert polynomial of S/T, formed after the tails
-    are listed; a saturation has fewer generators than its truncations.
+    The Hilbert polynomial's degree is read off T's pure powers
+    (hilbert.borel_hp_degree) after the tails are listed.
     """
     heads = tuple(T.gens)
     outside = {d: tuple(T.sous_escalier_at(d)) for d in {h.degree() for h in heads}}
-    d = hilbert_polynomial(J).degree()
-    return MarkedTemplate(ideal=T, hp_degree=max(d, 0), heads=heads,
+    return MarkedTemplate(ideal=T, hp_degree=max(borel_hp_degree(T), 0), heads=heads,
                           tails=tuple(outside[h.degree()] for h in heads))
-
-
-def specialize_template(tpl: MarkedTemplate, assignment):
-    """Marked set over Q obtained by evaluating every parameter."""
-    return [specialize(f, assignment) for f in tpl.polys]
-
-
-def zero_assignment(tpl: MarkedTemplate):
-    return {v: Fraction(0) for v in tpl.variables()}
 
 
 @dataclass(frozen=True)
@@ -421,7 +406,8 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     reduces to 0.  Those normal forms are `reduce`'s normal forms over the
     template on T, evaluated at G's parameter values, so the answer is
     whether every coefficient of them vanishes there; the first nonzero one
-    ends the check.
+    ends the check.  The admissibility check computes the one Hilbert
+    polynomial; the template needs none.
     """
     if not is_strongly_stable(T):
         raise MathDomainError(f"{T} is not strongly stable")
@@ -432,7 +418,7 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     require_admissible_degree(hilbert_polynomial(T), T.n)
     if not all(f.is_scalar() for f in G):
         raise MathDomainError("coefficient matrix needs scalar coefficients")
-    tpl = _template_over(T, T)
+    tpl = _template_over(T)
     values = assignment_from_marked_set(G, tpl)
     normal_forms = (reduce(spair_polynomial(pair, tpl), tpl).poly
                     for pair in ek_spairs(T))

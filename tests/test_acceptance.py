@@ -5,6 +5,8 @@ One test per criterion; each prints a single PASS line on success (run with
 bit-equality unless a bound is explicitly stated.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from borelcover.borel import (MonomialIdeal, enumerate_borel_saturated,
@@ -17,10 +19,9 @@ from borelcover.fixtures import (A8_CHART, QUARTIC_POINTS,
                                  reference_equations, reference_marked_basis)
 from borelcover.hilbert import chart_constants, gotzmann_number
 from borelcover.marked import (assignment_from_marked_set, marked_set_from_ideal,
-                               naive_minor_count, scheme_equations,
-                               specialize_template, template, zero_assignment)
+                               naive_minor_count, scheme_equations, template)
 from borelcover.oracle import greedy_linear_eliminate, ideal_equal
-from borelcover.ring import apply_change_of_coords, parse_xpoly
+from borelcover.ring import apply_change_of_coords, parse_xpoly, specialize
 
 from conftest import _rank_is_marked_basis, rational_sampler
 
@@ -163,7 +164,7 @@ def _positive_assignments(sat, m, count, seed):
     else:
         points = [{v: draw() for v in base.variables()} for _ in range(count)]
     for point in points:
-        G0 = specialize_template(base, point)
+        G0 = [specialize(f, point) for f in base.polys]
         G = marked_set_from_ideal(G0, tpl.ideal)
         out.append(assignment_from_marked_set(G, tpl))
     return out
@@ -178,11 +179,12 @@ def test_criterion_09_soundness_completeness(sat_text, n, levels):
         draw = rational_sampler(seed=1000 + 31 * m + len(sat_text))
         samples = [{v: draw() for v in tpl.variables()} for _ in range(37)]
         samples += _positive_assignments(sat, m, 12, seed=m + 2)
-        samples.append(zero_assignment(tpl))
+        samples.append({v: Fraction(0) for v in tpl.variables()})
         assert len(samples) >= 50
         for c in samples:
             vanishes = all(g.evaluate(c) == 0 for g in S.generators)
-            basis = _rank_is_marked_basis(specialize_template(tpl, c), tpl.ideal)
+            G = [specialize(f, c) for f in tpl.polys]
+            basis = _rank_is_marked_basis(G, tpl.ideal)
             assert vanishes == basis
     report(9, f"equations vanish iff marked basis over {sat} at m in {levels} "
               "(50 exact specializations each)")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
+from borelcover import chart as chart_module
+from borelcover.borel import (MonomialIdeal, borel_charts, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
 from borelcover.chart import (_common_degree, _degree_basis, _draw_invertible,
                               _span_rows, all_charts, borel_open_set, chart_form,
@@ -89,6 +90,62 @@ class TestPluecker:
         with pytest.raises(MathDomainError):
             pluecker_coordinate([parse_xpoly("x2", 2), parse_xpoly("x2^2", 2)],
                                 truncate(j1sat, 4))
+
+
+def reference_pluecker(forms, J):
+    """The minor of the dense coefficient matrix on the columns of B_J."""
+    rows, columns = coefficient_matrix(forms)
+    keep = [columns.index(h) for h in J.gens]
+    return linalg.det(dict_rows([[row[j] for j in keep] for row in rows]))
+
+
+@st.composite
+def forms_and_charts(draw):
+    """Forms of one degree d in P^n and a chart J of as many degree-d monomials."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mons = monomials_of_degree(n, d)
+    k = draw(st.integers(1, min(len(mons), 4)))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    forms = [XPoly(n, [(m, draw(coeff)) for m in
+                       draw(st.lists(st.sampled_from(mons), max_size=5, unique=True))], d)
+             for _ in range(k)]
+    J = MonomialIdeal(n, draw(st.lists(st.sampled_from(mons), min_size=k, max_size=k,
+                                       unique=True)))
+    return forms, J
+
+
+class TestPlueckerFromCoefficientDicts:
+    @settings(max_examples=60)
+    @given(forms_and_charts())
+    def test_against_the_dense_minor(self, forms_and_chart):
+        forms, J = forms_and_chart
+        assert pluecker_coordinate(forms, J) == reference_pluecker(forms, J)
+
+    def test_no_macaulay_matrix_and_no_listing(self, monkeypatch):
+        # every chart of six plane points, tried on a located (2,3) complete
+        # intersection as the chart search tries them
+        gens = complete_intersection(2, (2, 3), 1)
+        res = borel_open_set(gens, seed=1)
+        charts = [ch.chart for ch in borel_charts(res.constants, 120, 2_000_000)]
+        want = [reference_pluecker(list(res.basis), J) for J in charts]
+        assert any(want) and not all(want)
+        calls = []
+        for name in ("_span_rows", "monomials_of_degree"):
+            def counted(*args, name=name, real=getattr(chart_module, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(chart_module, name, counted)
+        assert [pluecker_coordinate(list(res.basis), J) for J in charts] == want
+        assert calls == []
+
+    def test_scalar_coefficients_after_the_count(self):
+        J = MonomialIdeal.parse("x2^2, x2*x1", 2)
+        forms = [parse_xpoly("C[1,1]*x2^2 + x0^2", 2), parse_xpoly("x2*x1", 2)]
+        with pytest.raises(MathDomainError,
+                           match="^coefficient matrix needs scalar coefficients$"):
+            pluecker_coordinate(forms, J)
+        with pytest.raises(MathDomainError, match="^expected 2 forms for this chart, got 1$"):
+            pluecker_coordinate(forms[:1], J)
 
 
 class TestChartInputChecks:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import borelcover
 from borelcover import linalg
 from borelcover.borel import MonomialIdeal, truncate
 from borelcover.cli import main
@@ -544,6 +549,22 @@ class TestExitCodes:
         assert code == 2 and not out
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gotzmann", "--n", "2", "--hp=--"),
+        ("borel-list", "--n=--", "--hp", "4"),
+        ("open-set", "--ideal=--"),
+        ("open-set", "--ideal", '{"n":2,"gens":["x2"]}', "--seed=--"),
+        ("marked-scheme", "--sat", '{"n":2,"gens":["x2"]}', "--m", "1", "--format=--"),
+        ("check-basis", "--sat", '{"n":2,"gens":["x2"]}', "--m=--", "--set", "[]"),
+    ], ids=["hp", "n", "ideal", "seed", "format", "m"])
+    def test_double_dash_as_an_option_value(self, capsys, argv):
+        # argparse gives each of these options the value []
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "an option was given '--' as its value" in err and "Traceback" not in err
+
     def test_open_set_ambient_cap_within_budget(self, capsys):
         # the Gotzmann certificate walks up to degree 25 before the ambient
         # cap is checked, so the walk's exact ranks must stay within budget
@@ -712,3 +733,26 @@ class TestReadmeExamples:
         assert code == 0 and not err
         assert _sha256(path.read_bytes()) == \
             "e75fb631584f408011ecd77a3c6240ac5676f3bd58103d38296e6aa4a56b2a82"
+
+
+# the README examples whose output a string-hash order could reach, and the
+# certification run
+HASH_SEED_ARGV = [argv for argv, _ in README_GOLDEN
+                  if argv[0] in ("open-set", "marked-scheme")
+                  or argv[:5] == ("borel-classify", "--n", "3", "--hp", "3*t")]
+HASH_SEED_ARGV.append(("certify", "all"))
+
+
+class TestOutputIgnoresStringHashing:
+    def test_stdout_bytes_under_two_hash_seeds(self):
+        src = Path(borelcover.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for hash_seed in ("0", "2718281"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            outputs[hash_seed] = [
+                subprocess.run([sys.executable, "-m", "borelcover.cli", *argv], env=env,
+                               capture_output=True, check=True, timeout=120).stdout
+                for argv in HASH_SEED_ARGV]
+        assert len(HASH_SEED_ARGV) == 4 and all(outputs["0"])
+        assert outputs["0"] == outputs["2718281"]

@@ -11,7 +11,8 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                ParseError, ScaleCapError)
 from borelcover.hilbert import (HilbertPoly, ambient_dimension, binom,
-                                borel_dim_at, certified_hilbert_polynomial,
+                                borel_dim_at, borel_hp_degree,
+                                certified_hilbert_polynomial,
                                 chart_constants, gotzmann_number,
                                 gotzmann_representation, hilbert_function,
                                 hilbert_polynomial, macaulay_representation,
@@ -191,15 +192,16 @@ class TestHilbertPolynomial:
             binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens), n)
         k = min(g.min_var() for g in J.gens if len(g.support()) == 1)
         assert hilbert_polynomial(J) == full
-        assert full.degree() == k - 1
+        assert full.degree() == k - 1 == borel_hp_degree(J)
 
     def test_borel_degree_is_capped(self):
         # interpolating (x_n) at degree n took 11 s for n = 1200
         assert hilbert_polynomial(MonomialIdeal.parse("x101", 101)) == \
             HilbertPoly.binomial_shift(100, 100)
-        with pytest.raises(ScaleCapError,
-                           match="Hilbert polynomial degree 101 exceeds the cap 100"):
-            hilbert_polynomial(MonomialIdeal.parse("x102", 102))
+        for compute in (hilbert_polynomial, borel_hp_degree):
+            with pytest.raises(ScaleCapError,
+                               match="Hilbert polynomial degree 101 exceeds the cap 100"):
+                compute(MonomialIdeal.parse("x102", 102))
         assert hilbert_polynomial(MonomialIdeal.parse("x102, x101", 102)) == \
             HilbertPoly.binomial_shift(100, 100)
 
