@@ -22,6 +22,8 @@ form: each monomial of T has one star decomposition, hence one rewrite, and
 rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
 coefficient the dict a ParamPoly keeps, from parameter multi-index to Fraction.
+Every tail carries -C[i,j], so a rewriting step multiplies each multi-index
+of a coefficient by the one variable C[i,j] and adds Fractions.
 
 A template is built from T alone and computes no Hilbert polynomial.  The
 same reduction decides whether an explicit marked set G over T is a marked
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import comb
 from operator import add
 
@@ -44,7 +47,7 @@ from .errors import MathDomainError, NotInChartError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
-from .ring import Monomial, ParamPoly, XPoly, _cmon_mul
+from .ring import Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,10 @@ class MarkedTemplate:
         return out
 
     def _shifted_tails(self, head, shift):
-        """(exponents of x^shift * x^g, multi-index of C[i,j]) for each tail
-        x^g of F_head, which carries -C[i,j] there."""
+        """(exponents of x^shift * x^g, key (i, j)) for each tail x^g of
+        F_head, which carries -C[i,j] there."""
         i = self.head_index[head] + 1
-        return ((tuple(map(add, g.exps, shift)), (((i, j), 1),))
+        return ((tuple(map(add, g.exps, shift)), (i, j))
                 for j, g in enumerate(self.tails[i - 1], start=1))
 
     def rewrite(self, exps):
@@ -177,10 +180,14 @@ def ek_spairs(T: MonomialIdeal):
         raise MathDomainError(f"{T} is not strongly stable")
     n = T.n
     pairs = []
+    decompositions = {}       # x_j * x^alpha repeats across generators
     for alpha in T.gens:
         for j in range(alpha.min_var() + 1, n + 1):
             gamma = alpha * Monomial.variable(n, j)
-            eta, beta = star_decompose(gamma, T)
+            found = decompositions.get(gamma)
+            if found is None:
+                found = decompositions[gamma] = star_decompose(gamma, T)
+            eta, beta = found
             pairs.append(SPair(alpha=alpha, var=j, beta=beta, eta=eta))
     if T.generated_in_single_degree() and not T.is_zero():
         m = T.gens[0].degree()
@@ -194,12 +201,12 @@ def ek_spairs(T: MonomialIdeal):
 def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
     """x_j * F_a - x^eta * F_b: the heads cancel, leaving -C[a,k] * x_j * x^g_k
     and C[b,l] * x^eta * x^g_l; a != b (j > min(a)), so no multi-index repeats."""
-    x_j = Monomial.variable(tpl.ideal.n, pair.var).exps
+    x_j = tuple(int(k == pair.var) for k in range(tpl.ideal.n + 1))
     acc = {}
     for c, head, shift in ((Fraction(-1), pair.alpha, x_j),
                            (Fraction(1), pair.beta, pair.eta.exps)):
-        for mon, cm in tpl._shifted_tails(head, shift):
-            acc.setdefault(mon, {})[cm] = c
+        for mon, key in tpl._shifted_tails(head, shift):
+            acc.setdefault(mon, {})[((key, 1),)] = c
     return XPoly._from_dict(tpl.ideal.n,
                             {e: ParamPoly._from_dict(d) for e, d in acc.items()},
                             pair.alpha.degree() + 1)
@@ -226,11 +233,14 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
     The form is rewritten on a copy of its dict from exponent tuples to
     coefficients; membership in T and star decompositions are looked up on
     the template.  Every tail of F_b carries -C[i,j] and its head cancels, so
-    a touched coefficient is a mutable dict from parameter multi-index to
-    Fraction, the kind a ParamPoly keeps, to which c * C[i,j] is added; at
-    the end each is wrapped as a ParamPoly and the dict as an XPoly, as they
-    stand, unsorted.  Untouched coefficients come back as they went in, so
-    the result and its types are those of repeated ``h - c * x^e * F_b``.
+    a step adds c * C[i,j] to the coefficient of each shifted tail: each
+    multi-index of c gains the one variable C[i,j], inserted into its sorted
+    pairs by `ring._cmon_times`, and the Fractions are added.  The first step
+    that touches a coefficient copies it into a mutable dict from parameter
+    multi-index to Fraction, the kind a ParamPoly keeps; at the end each is
+    wrapped as a ParamPoly and the dict as an XPoly, as they stand, unsorted.
+    Untouched coefficients come back as they went in, so the result and its
+    types are those of repeated ``h - c * x^e * F_b``.
     """
     if h.n != tpl.ideal.n:
         raise MathDomainError("form and template live in different ambient rings")
@@ -253,9 +263,11 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
         c = _coefficient_dict(acc.pop(target)).items()
         inside.discard(target)
         for mon, param in tpl.rewrite(target):
-            d = acc[mon] = _coefficient_dict(acc.get(mon))
+            d = acc.get(mon)
+            if type(d) is not dict:
+                d = acc[mon] = _coefficient_dict(d)
             for cm, v in c:
-                key = _cmon_mul(cm, param)
+                key = _cmon_times(cm, param)
                 prev = d.get(key)
                 if prev is not None:
                     v += prev
@@ -314,10 +326,11 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     pairs = ek_spairs(tpl.ideal)
     results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
 
-    # first occurrences in S-pair order, each normal form walked by `.terms`
-    # in ascending exponent order; each coefficient is hashed once.  The
-    # S-polynomials' coefficients are ParamPolys and reduce drops zeros.
-    gens = list(dict.fromkeys(c for res in results for _, c in res.poly.terms))
+    # first occurrences in S-pair order, each normal form walked in ascending
+    # exponent order (the order of `.terms`); each coefficient is hashed once.
+    # The S-polynomials' coefficients are ParamPolys and reduce drops zeros.
+    gens = list(dict.fromkeys(c for res in results
+                              for _, c in sorted(res.poly._terms.items())))
     max_chain = max((res.max_chain for res in results), default=0)
 
     bound_count = bound_degree = None
@@ -326,7 +339,8 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     return SchemeIdeal(
         ideal=tpl.ideal, saturation=Jsat, m=m, num_vars=tpl.num_vars,
         generators=tuple(gens),
-        max_degree=max((g.degree() for g in gens), default=0),
+        max_degree=max(map(_cmon_degree, chain.from_iterable(g._terms for g in gens)),
+                       default=0),
         bound_count=bound_count, bound_degree=bound_degree,
         spair_count=len(pairs), max_chain=max_chain)
 

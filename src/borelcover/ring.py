@@ -179,11 +179,25 @@ def monomials_of_degree(n, d):
 # Polynomials in the chart parameters C[i,j]
 # ---------------------------------------------------------------------------
 
+def _cmon_times(cm, v, e=1):
+    """The multi-index cm times C[v]^e: one walk over cm's sorted pairs, then
+    v's exponent raised, or (v, e) inserted where it sorts."""
+    k = 0
+    for w, f in cm:
+        if w >= v:
+            if w == v:
+                return cm[:k] + ((v, f + e),) + cm[k + 1:]
+            return cm[:k] + ((v, e),) + cm[k:]
+        k += 1
+    return cm + ((v, e),)
+
+
 def _cmon_mul(a, b):
-    acc = dict(a)
+    """The product of the multi-index a by the pairs b, one variable at a time,
+    so b may be unsorted and repeat a variable."""
     for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+        a = _cmon_times(a, v, e)
+    return a
 
 
 def _cmon_degree(cm):
@@ -307,24 +321,27 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def evaluate(self, assignment):
-        """Evaluate at a {(i, j): Fraction} map covering every variable."""
-        total = Fraction(0)
+        """Evaluate at a {(i, j): int or Fraction} map covering every variable."""
+        total = 0
         for cm, c in self._terms.items():
             val = c
             for v, e in cm:
-                if v not in assignment:
+                x = assignment.get(v)
+                if x is None:
                     raise MathDomainError(f"no assignment for parameter C[{v[0]},{v[1]}]")
-                val *= Fraction(assignment[v]) ** e
+                val *= x if e == 1 else x ** e
             total += val
-        return total
+        return Fraction(total)
 
     def __eq__(self, other):
         return isinstance(other, ParamPoly) and self._terms == other._terms
 
     def __hash__(self):
-        # over numerator and denominator: Fraction.__hash__ takes a modular inverse
-        return hash(frozenset([(cm, c.numerator, c.denominator)
-                               for cm, c in self._terms.items()]))
+        # the support alone: equal polynomials have equal key sets, so this
+        # agrees with __eq__, and hashing no coefficient spares the modular
+        # inverse of Fraction.__hash__.  The keys are tuples of ints, so the
+        # hash does not depend on PYTHONHASHSEED.
+        return hash(frozenset(self._terms))
 
     def __str__(self):
         return _signed_sum((c, _power_product(_c_factors(cm))) for cm, c in self.terms)

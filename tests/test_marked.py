@@ -526,6 +526,18 @@ class TestSchemeEquations:
             for g in S.generators:
                 assert g.constant_term() == 0
 
+    def test_max_degree_is_the_largest_generator_degree(self):
+        # scheme_equations takes one max over all generator terms
+        from borelcover.cover import atlas
+        from borelcover.borel import borel_charts
+        found = [entry.equations for entry in atlas(2, "7", with_equations=True).charts]
+        charts = borel_charts(chart_constants("4*t", 3))
+        found += [scheme_equations(c.saturation, c.regularity_sat) for c in charts]
+        assert len(charts) == 4
+        for S in found:
+            assert S.generators
+            assert S.max_degree == max(g.degree() for g in S.generators)
+
 
 def hilbert_polynomial_degree(p):
     from borelcover.hilbert import parse_hilbert_poly

@@ -357,6 +357,24 @@ class TestParamPolyHashAndDegree:
         assert p == q == rebuilt
         assert hash(p) == hash(q) == hash(rebuilt)
 
+    @given(param_polys(), small_rationals.filter(lambda q: q not in (0, 1)))
+    def test_same_support_other_coefficients_unequal(self, p, q):
+        # the hash reads only the support, so equality must tell these apart
+        assume(p)
+        scaled = p * q
+        assert set(scaled._terms) == set(p._terms) and hash(scaled) == hash(p)
+        assert scaled != p
+        assert list(dict.fromkeys([p, scaled, p, scaled])) == [p, scaled]
+
+    def test_ints_and_fractions_hash_equal(self):
+        cm = (((1, 2), 1), ((2, 1), 2))
+        from_ints = [ParamPoly([(cm, 2), ((), -3)]), ParamPoly._from_dict({cm: 2, (): -3})]
+        from_fractions = [ParamPoly([(cm, Fraction(4, 2)), ((), Fraction(-3))]),
+                          ParamPoly._from_dict({cm: Fraction(2), (): Fraction(-3)})]
+        for p in from_ints:
+            for q in from_fractions:
+                assert p == q and hash(p) == hash(q)
+
     @given(param_polys())
     def test_degree_is_the_largest_term_degree(self, p):
         assert p.degree() == max((sum(e for _, e in cm) for cm, _ in p.terms), default=-1)
@@ -367,6 +385,50 @@ class TestParamPolyHashAndDegree:
         want = ParamPoly([(((key, 1),), 1)])
         assert v == want and hash(v) == hash(want)
         _assert_canonical(v)
+
+
+def _dict_and_sort_product(a, b):
+    """Multi-index product by merging the pairs in a dict and sorting them."""
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+param_variables = st.tuples(st.integers(1, 4), st.integers(1, 4))
+multi_indices = st.dictionaries(param_variables, st.integers(1, 3), max_size=4).map(
+    lambda d: tuple(sorted(d.items())))
+
+
+class TestMultiIndexProduct:
+    @pytest.mark.parametrize("cm, v, e, want", [
+        ((), (2, 2), 1, (((2, 2), 1),)),
+        ((((2, 2), 1), ((3, 1), 2)), (1, 4), 1,
+         (((1, 4), 1), ((2, 2), 1), ((3, 1), 2))),        # below every key
+        ((((2, 2), 1), ((3, 1), 2)), (3, 1), 3,
+         (((2, 2), 1), ((3, 1), 5))),                      # equal to a key
+        ((((2, 2), 1), ((3, 1), 2)), (2, 3), 2,
+         (((2, 2), 1), ((2, 3), 2), ((3, 1), 2))),        # between two keys
+        ((((2, 2), 1), ((3, 1), 2)), (3, 2), 1,
+         (((2, 2), 1), ((3, 1), 2), ((3, 2), 1))),        # above every key
+    ])
+    def test_one_variable_step(self, cm, v, e, want):
+        assert ring._cmon_times(cm, v, e) == want == _dict_and_sort_product(cm, [(v, e)])
+
+    @given(multi_indices, param_variables, st.integers(1, 3))
+    def test_step_matches_dict_and_sort(self, cm, v, e):
+        assert ring._cmon_times(cm, v, e) == _dict_and_sort_product(cm, [(v, e)])
+        assert ring._cmon_times(cm, v) == _dict_and_sort_product(cm, [(v, 1)])
+
+    @given(multi_indices, multi_indices)
+    def test_product_of_sorted_multi_indices(self, a, b):
+        assert ring._cmon_mul(a, b) == _dict_and_sort_product(a, b)
+
+    @given(multi_indices, st.lists(st.tuples(param_variables, st.integers(1, 3)), max_size=6))
+    def test_fold_over_unsorted_pairs_with_repeats(self, a, pairs):
+        # ParamPoly.__init__ passes its raw pairs this way, starting from ()
+        assert ring._cmon_mul((), pairs) == _dict_and_sort_product((), pairs)
+        assert ring._cmon_mul(a, pairs) == _dict_and_sort_product(a, pairs)
 
 
 class TestParamPolyArithmeticIsCanonical:
