@@ -1,17 +1,17 @@
 """Grassmannian charts via exact linear algebra.
 
-One row builder, ``_span_rows``, gives the Macaulay rows of the degree-t
-slice of an ideal, which for forms of degree t are their coefficient rows.
-On them rest the Hilbert polynomial of a system of forms (certified by
-Gotzmann persistence from exact ranks) and the canonical degree basis of a
-span, ``degree_basis``: its reduced row echelon rows.  The degree basis is
+The Hilbert polynomial of forms is that of their initial ideal, from
+``oracle``.  One row builder, ``_span_rows``, gives the Macaulay rows of the
+degree-t slice of an ideal, which for forms of degree t are their
+coefficient rows.  On them rests the canonical degree basis of a span,
+``degree_basis``: its reduced row echelon rows.  The degree basis is
 memoized by value for the last two spans, the forms' own and their image
-under a change of coordinates, and its forms are immutable XPolys shared
-by every caller, so locating an ideal row reduces each span once.  The
-seeded random-coordinate search that locates an arbitrary ideal in a Borel
-chart takes each Plucker coordinate as the determinant of the reduced
-rows' coefficient dicts on the columns of B_J (no Macaulay matrix, no
-listing of degree r) and hands those rows back as ``OpenSetResult.basis``;
+under a change of coordinates, and its forms are immutable XPolys shared by
+every caller, so locating an ideal row reduces each span once.  The seeded
+random-coordinate search that locates an arbitrary ideal in a Borel chart
+takes each Plucker coordinate as the determinant of the reduced rows'
+coefficient dicts on the columns of B_J (no Macaulay matrix, no listing of
+degree r) and hands those rows back as ``OpenSetResult.basis``;
 ``chart_form`` reads the marked slice (reduced row echelon against the head
 columns of a monomial ideal) off them, and the Hilbert-scheme membership
 test at the Gotzmann level builds the next degree from them.  Ranks, minors
@@ -28,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from . import linalg
+from . import linalg, oracle
 from .borel import BorelChartIdeal, MonomialIdeal, borel_charts
 from .errors import IterationCapError, MathDomainError, NotInChartError, ScaleCapError
-from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension,
-                      certified_hilbert_polynomial, chart_constants)
-from .ring import _MAX_LISTED_ENTRIES, XPoly, apply_change_of_coords, monomials_of_degree
+from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension, chart_constants,
+                      hilbert_polynomial_of_exponents)
+from .ring import (_MAX_LISTED_ENTRIES, ParamPoly, XPoly, apply_change_of_coords,
+                   monomials_of_degree)
 
 
 def _common_degree(forms):
@@ -248,23 +249,27 @@ def in_hilb(forms, constants: ChartConstants) -> bool:
     return got == constants.s_prime
 
 
-_FORMS_MAX_SHIFT = 40
-
-
 def hilbert_polynomial_of_forms(gens) -> HilbertPoly:
-    """Hilbert polynomial of S/(gens), certified by Gotzmann persistence.
+    """Hilbert polynomial of S/in(I), the same as that of S/(gens) = S/I.
 
-    The Hilbert function is the corank of the exact span in each degree from
-    the largest generator degree on, up to the first degree of maximal
-    growth; see hilbert.certified_hilbert_polynomial.
+    in(I) is led by a degrevlex oracle.groebner_basis, x_k being the variable
+    (k,); max_vars = n + 1 leaves the bound on n to the ambient cap.
     """
     if not any(gens):
         raise MathDomainError("cannot infer a Hilbert polynomial from the zero ideal")
     gens = [g for g in gens if g]
     n = gens[0].n
-    return certified_hilbert_polynomial(
-        lambda t: ambient_dimension(n, t) - dimension_in_degree(gens, t),
-        max(g.degree for g in gens), _FORMS_MAX_SHIFT)
+    if any(f.n != n or not f.is_scalar() for f in gens):
+        raise MathDomainError("need forms with scalar coefficients in one ambient ring")
+    basis = oracle.groebner_basis(
+        [ParamPoly._from_dict({tuple(((k,), x) for k, x in enumerate(e) if x): c
+                               for e, c in f._terms.items()}) for f in gens],
+        max_vars=n + 1)
+    variables = sorted({v for p in basis for v in p.variables()})
+    key = oracle.make_order(variables)
+    leads = [dict(max(p._terms, key=key)) for p in basis]
+    return hilbert_polynomial_of_exponents(
+        [tuple(lead.get(v, 0) for v in variables) for lead in leads], n)
 
 
 @dataclass(frozen=True)

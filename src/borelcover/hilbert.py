@@ -9,11 +9,10 @@ The Gotzmann number is extracted from the unique representation
 
 built greedily; r is the number of summands.
 
-Hilbert polynomials come from one of two exact sources: the closed form of
-the Eliahou-Kervaire count for strongly stable ideals, and otherwise a Hilbert
-function certified by Gotzmann persistence (certified_hilbert_polynomial),
-which stops at the first degree of maximal growth in Macaulay's sense.  Closed
-forms, such as that one and C(t + c, a), become coordinates through one helper
+Hilbert polynomials come from the closed form of the Eliahou-Kervaire count
+for strongly stable ideals, and otherwise from the Hilbert series numerator,
+whose coefficients in powers of 1 - t are the coordinates.  Closed forms,
+such as the first one and C(t + c, a), become coordinates through one helper
 by binomial inversion; nothing here solves a linear system.
 """
 
@@ -21,8 +20,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import le
 
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
                      ScaleCapError)
@@ -32,7 +34,7 @@ _MAX_GOTZMANN_TERMS = 512
 # Cap on the exponent of t in a parsed Hilbert polynomial; converting to the
 # binomial basis costs about the cube of the degree.
 _MAX_HP_DEGREE = 100
-_MONOMIAL_MAX_SHIFT = 80
+_MAX_QUOTIENTS = 1_000_000  # colon quotients of the Hilbert series, about 2 s
 
 
 def binom(m, k):
@@ -187,9 +189,7 @@ def parse_hilbert_poly(text) -> HilbertPoly:
             exp = int(m.group("exp") or 1) if m.group("t") else 0
         except (ValueError, ZeroDivisionError) as exc:  # too many digits, or 1/0
             raise ParseError(f"cannot read a number in {chunk[:40]!r}: {exc}") from exc
-        if exp > _MAX_HP_DEGREE:
-            raise ScaleCapError(f"Hilbert polynomial degree {exp} exceeds the cap "
-                                f"{_MAX_HP_DEGREE}")
+        _check_hp_degree(exp)
         if m.group("sign") == "-":
             coeff = -coeff
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coeff
@@ -316,47 +316,10 @@ def borel_dim_at(J, t) -> int:
     return total
 
 
-def macaulay_representation(c, t):
-    """The k_i of c = C(k_t, t) + C(k_{t-1}, t-1) + ... + C(k_j, j).
-
-    The unique representation with k_t > k_{t-1} > ... > k_j >= j >= 1,
-    built greedily; returned as (i, k_i) pairs from i = t down.  Requires
-    c >= 0 and t >= 1; c = 0 has the empty representation.
-    """
-    out = []
-    i = t
-    while c > 0:
-        k = i
-        while math.comb(k + 1, i) <= c:
-            k += 1
-        out.append((i, k))
-        c -= math.comb(k, i)
-        i -= 1
-    return out
-
-
-def certified_hilbert_polynomial(hf, t0, max_shift) -> HilbertPoly:
-    """Hilbert polynomial of S/I from its Hilbert function hf, with proof.
-
-    I must be generated in degrees <= t0.  For t = t0, t0+1, ... the growth
-    HF(t+1) is compared with Macaulay's bound HF(t)^<t> = sum C(k_i+1, i+1),
-    where HF(t) = sum C(k_i, i) in degree t.  At the first t where the bound
-    is reached, Gotzmann's persistence theorem gives HF(t+s) =
-    sum C(k_i + s, i + s) for every s >= 0, so the Hilbert polynomial is
-    sum_i C(u + k_i - t, k_i - i).  Each value of hf is computed once; at
-    most max_shift degrees are tried before ScaleCapError.
-    """
-    t = max(t0, 1)
-    cur = hf(t)
-    for _ in range(max_shift):
-        nxt = hf(t + 1)
-        rep = macaulay_representation(cur, t)
-        if nxt == sum(math.comb(k + 1, i + 1) for i, k in rep):
-            return sum((HilbertPoly.binomial_shift(k - i, k - t) for i, k in rep),
-                       HilbertPoly.zero())
-        t, cur = t + 1, nxt
-    raise ScaleCapError(
-        f"Hilbert function reached no maximal growth within {max_shift} degrees")
+def _check_hp_degree(d):
+    if d > _MAX_HP_DEGREE:
+        raise ScaleCapError(f"Hilbert polynomial degree {d} exceeds the cap "
+                            f"{_MAX_HP_DEGREE}")
 
 
 def borel_hp_degree(J) -> int:
@@ -369,20 +332,70 @@ def borel_hp_degree(J) -> int:
     above the --hp cap raises ScaleCapError.
     """
     k = min((g.min_var() for g in J.gens if len(g.support()) == 1), default=J.n + 1)
-    if k - 1 > _MAX_HP_DEGREE:
-        raise ScaleCapError(f"Hilbert polynomial degree {k - 1} exceeds the cap "
-                            f"{_MAX_HP_DEGREE}")
+    _check_hp_degree(k - 1)
     return k - 1
+
+
+def _minimal(exps):
+    """The distinct exponent tuples that no other one divides, by degree."""
+    out = []
+    for e in sorted(set(exps), key=sum):
+        if not any(all(map(le, f, e)) for f in out):
+            out.append(e)
+    return out
+
+
+def series_numerator(exps):
+    """Coefficients of K(t), with Hilbert series K(t) / (1-t)^(n+1), of S/(x^e).
+
+    K(I' + (g)) = K(I') - t^|g| K(I' : g) (Bayer-Stillman, 1992), on an
+    explicit stack of (minimal generators, multiplier) items, so no input meets
+    the recursion limit; _MAX_QUOTIENTS colon quotients cap the work.
+    """
+    stack = [(_minimal(exps), Counter({0: 1}))]
+    total, work = Counter(), 0
+    while stack:
+        gens, mult = stack.pop()
+        work += len(gens)
+        if work > _MAX_QUOTIENTS:
+            raise ScaleCapError(f"Hilbert series exceeded {_MAX_QUOTIENTS} colon quotients")
+        if not gens:
+            total.update(mult)
+            continue
+        *rest, g = gens
+        colon = [tuple(a - b if a > b else 0 for a, b in zip(h, g)) for h in rest]
+        shifted = Counter({k + sum(g): -c for k, c in mult.items()})
+        if colon == rest:  # g is coprime to I', so K = (1 - t^|g|) K(I')
+            mult.update(shifted)
+        else:
+            stack.append((_minimal(colon), shifted))
+        stack.append((rest, mult))
+    return [total[k] for k in range(max(total, default=-1) + 1)]
+
+
+def hilbert_polynomial_of_exponents(exps, n) -> HilbertPoly:
+    """Hilbert polynomial of S/(x^e : e in exps) in P^n; unused variables may be absent.
+
+    With K(t) = sum_j b_j (1 - t)^j, b_(n-k) is the coordinate of C(t + k, k),
+    the Hilbert function of 1 / (1 - t)^(k+1).  Synthetic division gives the
+    b_j in turn, and the first nonzero b_d meets the --hp cap at degree n - d.
+    """
+    h, b = series_numerator(exps), []
+    while h and len(b) <= n:
+        c = sum(h)
+        if c and not any(b):
+            _check_hp_degree(n - len(b))
+        b.append(c)
+        h = [s - c for s in accumulate(h[:-1])]  # (h - c) / (1 - t)
+    return HilbertPoly([0] * (n + 1 - len(b)) + b[::-1])
 
 
 def hilbert_polynomial(J) -> HilbertPoly:
     """Hilbert polynomial of S/J for a proper monomial ideal J.
 
-    For a strongly stable J it is the closed form of the Eliahou-Kervaire
-    count, C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), read off
-    at its degree, borel_hp_degree(J), whose cap fires first.  Any other
-    monomial ideal goes through certified_hilbert_polynomial on the
-    brute-force Hilbert function.
+    For a strongly stable J it is the Eliahou-Kervaire closed form
+    C(t+n, n) - sum_{g in G(J)} C(t - |g| + min(g), min(g)), read off at its
+    degree borel_hp_degree(J), whose cap fires first.
     """
     from .borel import is_strongly_stable  # borel imports this module
 
@@ -394,6 +407,4 @@ def hilbert_polynomial(J) -> HilbertPoly:
             lambda t: binom(t + n, n) - sum(
                 binom(t - g.degree() + g.min_var(), g.min_var()) for g in J.gens),
             borel_hp_degree(J))
-    t0 = max((g.degree() for g in J.gens), default=0)
-    return certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
-                                        t0, _MONOMIAL_MAX_SHIFT)
+    return hilbert_polynomial_of_exponents([g.exps for g in J.gens], n)

@@ -42,8 +42,7 @@ from operator import add
 
 from .borel import (MonomialIdeal, is_strongly_stable, regularity, rho,
                     star_decompose, truncate)
-from .chart import marked_slice
-from .errors import MathDomainError, NotInChartError, ReductionCapError
+from .errors import MathDomainError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
@@ -437,22 +436,6 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     normal_forms = (reduce(spair_polynomial(pair, tpl), tpl).poly
                     for pair in ek_spairs(T))
     return not any(c.evaluate(values) for h in normal_forms for c in h._terms.values())
-
-
-def marked_set_from_ideal(gens, T: MonomialIdeal):
-    """Marked-set coordinates of an explicit ideal over the truncation T.
-
-    Takes the marked slice of the ideal in each head degree t and keeps the
-    marked polynomials of the generators of T.  Raises NotInChartError when
-    some pivot falls outside T_t (the ideal is not in this chart) and
-    MathDomainError when a slice's dimension differs from dim T_t.
-    """
-    out = {}
-    for t in sorted({g.degree() for g in T.gens}):
-        if gens and not any(f and f.degree <= t for f in gens):
-            raise NotInChartError(f"ideal has no elements in degree {t}")
-        out.update(marked_slice(gens, T, t))
-    return [out[h] for h in T.gens]
 
 
 def assignment_from_marked_set(G, tpl: MarkedTemplate):

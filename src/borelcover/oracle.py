@@ -1,9 +1,9 @@
 """Desk-scale exact ideal engine over the parameter ring Q[C].
 
-Test-support only: a Buchberger Groebner routine, normal forms, ideal
-equality, and greedy linear elimination.  The main pipeline never calls into
-this module; it exists to certify its output.  Hard scale caps keep it honest
-about what it can do.
+A Buchberger Groebner routine, normal forms, ideal equality, and greedy
+linear elimination, to certify the main pipeline's output; the pipeline calls
+only groebner_basis, for chart.hilbert_polynomial_of_forms.  Hard scale caps
+keep it honest about what it can do.
 
 Inside one call a polynomial is a dict from exponent tuples over the
 collected variables to coefficients, and `_sub_multiple` adds multiples of

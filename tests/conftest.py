@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, enumerate_borel_in_g,
                               is_borel_chart, is_strongly_stable, regularity, rho,
                               saturate, truncate)
-from borelcover.chart import dimension_in_degree
-from borelcover.errors import MathDomainError
-from borelcover.hilbert import borel_dim_at, chart_constants, hilbert_polynomial
+from borelcover.chart import dimension_in_degree, marked_slice
+from borelcover.errors import MathDomainError, NotInChartError, ScaleCapError
+from borelcover.hilbert import (HilbertPoly, borel_dim_at, chart_constants,
+                                hilbert_polynomial)
 from borelcover.marked import _heads_of_marked_set
 from borelcover.ring import Monomial, canonical_key, parse_xpoly
 
@@ -142,6 +144,66 @@ def _rank_is_marked_basis(G, T):
     r = chart_constants(hilbert_polynomial(T), T.n).r
     return all(dimension_in_degree(G, t) == borel_dim_at(T, t)
                for t in range(T.min_gen_degree(), max(T.max_gen_degree(), r) + 2))
+
+
+def macaulay_representation(c, t):
+    """The k_i of c = C(k_t, t) + C(k_{t-1}, t-1) + ... + C(k_j, j).
+
+    The unique representation with k_t > k_{t-1} > ... > k_j >= j >= 1,
+    built greedily; returned as (i, k_i) pairs from i = t down.  Requires
+    c >= 0 and t >= 1; c = 0 has the empty representation.
+    """
+    out = []
+    i = t
+    while c > 0:
+        k = i
+        while math.comb(k + 1, i) <= c:
+            k += 1
+        out.append((i, k))
+        c -= math.comb(k, i)
+        i -= 1
+    return out
+
+
+def certified_hilbert_polynomial(hf, t0, max_shift):
+    """Reference Hilbert polynomial of S/I from its Hilbert function hf.
+
+    I must be generated in degrees <= t0.  For t = t0, t0+1, ... the growth
+    HF(t+1) is compared with Macaulay's bound HF(t)^<t> = sum C(k_i+1, i+1),
+    where HF(t) = sum C(k_i, i) in degree t.  At the first t where the bound
+    is reached, Gotzmann's persistence theorem gives HF(t+s) =
+    sum C(k_i + s, i + s) for every s >= 0, so the Hilbert polynomial is
+    sum_i C(u + k_i - t, k_i - i).  Each value of hf is computed once; at
+    most max_shift degrees are tried before ScaleCapError.  It shares no
+    code with the Hilbert series recursion of the package.
+    """
+    t = max(t0, 1)
+    cur = hf(t)
+    for _ in range(max_shift):
+        nxt = hf(t + 1)
+        rep = macaulay_representation(cur, t)
+        if nxt == sum(math.comb(k + 1, i + 1) for i, k in rep):
+            return sum((HilbertPoly.binomial_shift(k - i, k - t) for i, k in rep),
+                       HilbertPoly.zero())
+        t, cur = t + 1, nxt
+    raise ScaleCapError(
+        f"Hilbert function reached no maximal growth within {max_shift} degrees")
+
+
+def marked_set_from_ideal(gens, T):
+    """Marked-set coordinates of an explicit ideal over the truncation T.
+
+    Takes the marked slice of the ideal in each head degree t and keeps the
+    marked polynomials of the generators of T.  Raises NotInChartError when
+    some pivot falls outside T_t (the ideal is not in this chart) and
+    MathDomainError when a slice's dimension differs from dim T_t.
+    """
+    out = {}
+    for t in sorted({g.degree() for g in T.gens}):
+        if gens and not any(f and f.degree <= t for f in gens):
+            raise NotInChartError(f"ideal has no elements in degree {t}")
+        out.update(marked_slice(gens, T, t))
+    return [out[h] for h in T.gens]
 
 
 def reference_chart_records(c):

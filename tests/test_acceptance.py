@@ -18,12 +18,12 @@ from borelcover.errors import ScaleCapError
 from borelcover.fixtures import (A8_CHART, QUARTIC_POINTS,
                                  reference_equations, reference_marked_basis)
 from borelcover.hilbert import chart_constants, gotzmann_number
-from borelcover.marked import (assignment_from_marked_set, marked_set_from_ideal,
-                               naive_minor_count, scheme_equations, template)
+from borelcover.marked import (assignment_from_marked_set, naive_minor_count,
+                               scheme_equations, template)
 from borelcover.oracle import greedy_linear_eliminate, ideal_equal
 from borelcover.ring import apply_change_of_coords, parse_xpoly, specialize
 
-from conftest import _rank_is_marked_basis, rational_sampler
+from conftest import _rank_is_marked_basis, marked_set_from_ideal, rational_sampler
 
 
 def report(num, text):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from borelcover import chart as chart_module
@@ -16,14 +16,14 @@ from borelcover.chart import (_common_degree, _degree_basis, _draw_invertible,
                               random_coordinate_change)
 from borelcover.errors import (IterationCapError, MathDomainError,
                                NotInChartError, ScaleCapError)
-from borelcover.hilbert import chart_constants, hilbert_polynomial, \
-    parse_hilbert_poly
-from borelcover.marked import marked_set_from_ideal
+from borelcover.hilbert import (ambient_dimension, chart_constants, hilbert_polynomial,
+                                parse_hilbert_poly)
 from borelcover import linalg
 from borelcover.ring import (XPoly, apply_change_of_coords, monomials_of_degree,
                              parse_xpoly)
 
-from conftest import (borel_closure, dict_rows, monomial_ideals, record_fields,
+from conftest import (borel_closure, certified_hilbert_polynomial, dict_rows,
+                      marked_set_from_ideal, monomial_ideals, record_fields,
                       reference_chart_records)
 
 TWO_POINTS = [
@@ -392,6 +392,38 @@ class TestInHilbAgainstRawForms:
         assert max(len(row) for row in rows) <= 1 + c.N_r - c.s
 
 
+@st.composite
+def generator_lists(draw):
+    """Forms of degree 1..3 in P^n, n <= 3, with rational coefficients.
+
+    A form may be zero; an empty draw of monomials gives one.
+    """
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                             max_size=4, unique=True))
+        gens.append(XPoly(n, [(m, draw(coeff)) for m in mons], d))
+    return gens
+
+
+# a quadric and a quartic in P^3, with Hilbert polynomial 8t - 8
+FOUND_QUADRIC_AND_QUARTIC = (
+    "7/2*x2^1*x0^1 + 7/2*x1^2 + 1/3*x3^1*x0^1 + 2*x2^2",
+    "(1/3*x3^2+1/3*x3^1*x0^1+2*x1^1*x0^1)^2")
+
+
+def rank_walk_hilbert_polynomial(gens, max_shift):
+    """Reference Hilbert polynomial of forms: the Gotzmann-certified walk over
+    the coranks of whole degree slices, from the largest generator degree."""
+    n = gens[0].n
+    return certified_hilbert_polynomial(
+        lambda t: ambient_dimension(n, t) - dimension_in_degree(gens, t),
+        max(g.degree for g in gens), max_shift)
+
+
 class TestHilbertPolynomialOfForms:
     def test_two_quadrics(self, two_quadrics):
         assert hilbert_polynomial_of_forms(two_quadrics) == parse_hilbert_poly("4")
@@ -433,29 +465,37 @@ class TestHilbertPolynomialOfForms:
         transformed = [apply_change_of_coords(f, g) for f in _monomial_forms(J)]
         assert hilbert_polynomial_of_forms(transformed) == hilbert_polynomial(J)
 
+    @settings(max_examples=40)
+    @given(generator_lists())
+    def test_against_the_rank_walk(self, gens):
+        assume(any(gens))
+        try:
+            walk = rank_walk_hilbert_polynomial([g for g in gens if g], 12)
+        except ScaleCapError:
+            assume(False)  # no certificate within the window: nothing to compare
+        assert hilbert_polynomial_of_forms(gens) == walk
+
+    def test_past_the_ambient_cap(self):
+        # the rank walk reached degree 20 for the quadric and quartic and
+        # degree 24 for the sextics before the ambient cap could fire
+        forms = [parse_xpoly(s, 3) for s in FOUND_QUADRIC_AND_QUARTIC]
+        assert hilbert_polynomial_of_forms(forms) == parse_hilbert_poly("8*t-8")
+        sextics = [parse_xpoly(f"x{i}^6", 3) for i in (3, 2, 1)]
+        assert hilbert_polynomial_of_forms(sextics) == parse_hilbert_poly("216")
+
+    def test_errors(self):
+        for gens in ([parse_xpoly("C[1,1]*x1 + x0", 1)],
+                     [parse_xpoly("x1", 1), parse_xpoly("x1", 2)]):
+            with pytest.raises(MathDomainError, match="scalar coefficients in one "
+                               "ambient ring"):
+                hilbert_polynomial_of_forms(gens)
+
 
 def old_span_in_degree(gens, t):
     """The degree-t multiples x^m * f as forms, one XPoly per multiple."""
     n = gens[0].n
     return [f.times_monomial(m) for f in gens if f and f.degree <= t
             for m in monomials_of_degree(n, t - f.degree)]
-
-
-@st.composite
-def generator_lists(draw):
-    """Forms of degree 1..3 in P^n, n <= 3, with rational coefficients.
-
-    A form may be zero; an empty draw of monomials gives one.
-    """
-    n = draw(st.integers(1, 3))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(1, 3))
-        mons = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
-                             max_size=4, unique=True))
-        gens.append(XPoly(n, [(m, draw(coeff)) for m in mons], d))
-    return gens
 
 
 class TestSpanRowsAgainstFormMultiples:

@@ -251,26 +251,33 @@ class TestClassifyGolden:
 
 
 P100000_X1 = '{"n":100000,"gens":["x1"]}'
+LISTING_CAP = ("the degree-{} monomials of P^{} exceed the listing cap of 10000000 "
+               "exponent entries")
 
 
 class TestListingCap:
-    @pytest.mark.parametrize("argv, degree, n", [
-        (("open-set", "--ideal", P100000_X1), 1, 100000),
-        (("open-set", "--ideal", '{"n":3000,"gens":["x1"]}'), 2, 3000),
-        (("chart-form", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
-        (("pluecker", "--ideal", P100000_X1, "--chart", P100000_X1), 1, 100000),
+    @pytest.mark.parametrize("argv, message", [
+        # open-set reads the Hilbert polynomial first, and its degree n - 1
+        # meets the --hp cap before any slice is listed
+        (("open-set", "--ideal", P100000_X1),
+         "Hilbert polynomial degree 99999 exceeds the cap 100"),
+        (("open-set", "--ideal", '{"n":3000,"gens":["x1"]}'),
+         "Hilbert polynomial degree 2999 exceeds the cap 100"),
+        (("chart-form", "--ideal", P100000_X1, "--chart", P100000_X1),
+         LISTING_CAP.format(1, 100000)),
+        (("pluecker", "--ideal", P100000_X1, "--chart", P100000_X1),
+         LISTING_CAP.format(1, 100000)),
         (("marked-scheme", "--sat", '{"n":100000,"gens":["x100000"]}', "--m", "1"),
-         1, 100000),
+         LISTING_CAP.format(1, 100000)),
     ], ids=["open-set", "open-set-quadrics", "chart-form", "pluecker",
             "marked-scheme"])
-    def test_cap_before_listing(self, capsys, argv, degree, n):
+    def test_cap_before_listing(self, capsys, argv, message):
         # each of these listed a slice of millions of monomials, or tuples of
         # length 100001, before any cap was checked
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 4 and not out
-        assert (f"the degree-{degree} monomials of P^{n} exceed the listing cap "
-                "of 10000000 exponent entries") in err
+        assert message in err
         assert "Traceback" not in err
         assert time.perf_counter() - start < 10
 
@@ -304,13 +311,15 @@ class TestListingCap:
 
     def test_macaulay_matrix_cap(self, capsys):
         # the Hilbert walk of the sextics ranked ever larger degree slices,
-        # past 1.1 GiB, before a cap on the size of one matrix
+        # past 1.1 GiB, until a cap on the size of one matrix stopped it at
+        # degree 24; their Hilbert polynomial 216 now comes from the initial
+        # ideal, and the ambient cap stops the chart search.  The matrix cap
+        # keeps its test in test_chart.py
         start = time.perf_counter()
         code, out, err = run(capsys, "open-set", "--ideal",
                              '{"n":3,"gens":["x3^6","x2^6","x1^6"]}')
         assert code == 4 and not out
-        assert ("the degree-24 Macaulay matrix of 11670750 entries exceeds the "
-                "cap of 10000000 entries") in err
+        assert "dim S_216 = 1726669 exceeds the enumeration cap 120" in err
         assert "Traceback" not in err
         assert time.perf_counter() - start < 30
 
@@ -566,14 +575,28 @@ class TestExitCodes:
         assert "an option was given '--' as its value" in err and "Traceback" not in err
 
     def test_open_set_ambient_cap_within_budget(self, capsys):
-        # the Gotzmann certificate walks up to degree 25 before the ambient
-        # cap is checked, so the walk's exact ranks must stay within budget
+        # the Hilbert polynomial 25 is read before the ambient cap is checked,
+        # so finding it must stay within budget
         start = time.perf_counter()
         code, out, err = run(capsys, "open-set", "--ideal",
                              '{"n":2,"gens":["x2^5","x1^5"]}')
         assert code == 4 and not out
         assert "dim S_25 = 351 exceeds the enumeration cap 120" in err
         assert time.perf_counter() - start < 10
+
+    def test_small_ambient_cap_bounds_the_hilbert_polynomial(self, capsys):
+        # a quadric and a quartic in P^3: the certified walk ranked 18 whole
+        # degree slices, about 8 s, before this cap could fire
+        ideal = json.dumps({"n": 3, "gens": [
+            "7/2*x2^1*x0^1 + 7/2*x1^2 + 1/3*x3^1*x0^1 + 2*x2^2",
+            "(1/3*x3^2+1/3*x3^1*x0^1+2*x1^1*x0^1)^2"]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "open-set", "--ideal", ideal,
+                             "--max-ambient=12", "--all-charts")
+        assert code == 4 and not out
+        assert "dim S_20 = 1771 exceeds the enumeration cap 12" in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 0.5
 
 
 # stdout of `marked-scheme --format json` on two charts, pinned byte for byte;

@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from borelcover import hilbert
@@ -11,15 +12,14 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                ParseError, ScaleCapError)
 from borelcover.hilbert import (HilbertPoly, ambient_dimension, binom,
-                                borel_dim_at, borel_hp_degree,
-                                certified_hilbert_polynomial,
-                                chart_constants, gotzmann_number,
-                                gotzmann_representation, hilbert_function,
-                                hilbert_polynomial, macaulay_representation,
+                                borel_dim_at, borel_hp_degree, chart_constants,
+                                gotzmann_number, gotzmann_representation,
+                                hilbert_function, hilbert_polynomial,
                                 parse_hilbert_poly)
 from borelcover.ring import Monomial
 
-from conftest import borel_closure, monomial_ideals
+from conftest import (borel_closure, certified_hilbert_polynomial,
+                      macaulay_representation, monomial_ideals)
 
 
 def reference_hilbert_str(p):
@@ -278,6 +278,92 @@ class TestCertifiedHilbertPolynomial:
         t1 = max(values) - 1
         for t in range(t1, t1 + J.n + 3):
             assert poly.evaluate(t) == hilbert_function(J, t)
+
+
+def taylor_numerator(gens):
+    """K(t) by inclusion-exclusion over the generators (the Taylor resolution):
+    K = sum over subsets A of G(J) of (-1)^|A| t^deg lcm(A), as {power: coefficient}."""
+    out = {}
+    for size in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, size):
+            lcm = [max(col) for col in zip(*subset)]
+            out[sum(lcm)] = out.get(sum(lcm), 0) + (-1) ** size
+    return {k: c for k, c in out.items() if c}
+
+
+def numerator(gens):
+    """series_numerator as {power: nonzero coefficient}."""
+    return {k: c for k, c in enumerate(hilbert.series_numerator(gens)) if c}
+
+
+def function_from_numerator(K, n, t):
+    """HF(t) of S/J from K(t) / (1 - t)^(n+1): sum_i k_i C(t - i + n, n)."""
+    return sum(c * binom(t - i + n, n) for i, c in K.items() if i <= t)
+
+
+class TestHilbertSeries:
+    @settings(max_examples=80)
+    @given(monomial_ideals(max_gens=5, max_degree=5))
+    def test_numerator_is_the_taylor_sum(self, J):
+        exps = [g.exps for g in J.gens]
+        assert numerator(exps) == taylor_numerator(exps)
+
+    @settings(max_examples=60)
+    @given(monomial_ideals(max_gens=4))
+    def test_numerator_gives_the_function_in_every_degree(self, J):
+        K = numerator([g.exps for g in J.gens])
+        for t in range(J.max_gen_degree() + 4):
+            assert function_from_numerator(K, J.n, t) == hilbert_function(J, t)
+
+    @settings(max_examples=60)
+    @given(monomial_ideals(max_gens=4).filter(lambda J: not is_strongly_stable(J)))
+    def test_non_borel_ideals_against_the_certified_walk(self, J):
+        try:
+            walk = certified_hilbert_polynomial(lambda t: hilbert_function(J, t),
+                                                J.max_gen_degree(), 30)
+        except ScaleCapError:
+            assume(False)  # no certificate within the window: nothing to compare
+        assert hilbert_polynomial(J) == walk
+
+    def test_past_the_walks_window(self):
+        # the walk found no maximal growth within 80 degrees: the Gotzmann
+        # number of 16t - 32 is 88
+        J = MonomialIdeal(3, [Monomial((0, 2, 2, 0)), Monomial((4, 0, 0, 0))])
+        p = hilbert_polynomial(J)
+        assert p == parse_hilbert_poly("16*t-32")
+        for t in (95, 110):
+            assert p.evaluate(t) == hilbert_function(J, t)
+
+    def test_many_generators_and_large_exponents(self):
+        # 1001 generators x2 * (x0, x1)^1000, and exponents above 1000: the
+        # recursion keeps an explicit stack, so neither meets the recursion
+        # limit.  (x2) ∩ (x0, x1)^1000 cuts out the line x2 = 0, with
+        # polynomial t + 1, and a point of multiplicity C(1001, 2) = 500500
+        J = MonomialIdeal(2, [Monomial((i, 1000 - i, 1)) for i in range(1001)])
+        assert not is_strongly_stable(J)
+        assert hilbert_polynomial(J) == parse_hilbert_poly("t+500501")
+        gens = [Monomial((0, 1, 1500, 0)), Monomial((3, 1200, 0, 0)),
+                Monomial((2001, 0, 1, 0))]
+        K = numerator([g.exps for g in gens])
+        assert K == taylor_numerator([g.exps for g in gens])
+        p = hilbert_polynomial(MonomialIdeal(3, gens))
+        for t in (4701, 5000):
+            assert p.evaluate(t) == function_from_numerator(K, 3, t)
+
+    def test_work_cap(self, monkeypatch):
+        J = MonomialIdeal.parse("x2*x1^2, x2^2*x0, x1*x0^3", 2)
+        assert hilbert_polynomial(J) == parse_hilbert_poly("7")
+        monkeypatch.setattr(hilbert, "_MAX_QUOTIENTS", 2)
+        with pytest.raises(ScaleCapError, match="exceeded 2 colon quotients"):
+            hilbert_polynomial(J)
+
+    def test_degree_cap_before_any_coordinate(self, monkeypatch):
+        # (x1) is not strongly stable; its series numerator is 1 - t
+        monkeypatch.setattr(HilbertPoly, "__init__", None)
+        for n in (102, 100000):
+            with pytest.raises(ScaleCapError,
+                               match=f"Hilbert polynomial degree {n - 1} exceeds"):
+                hilbert_polynomial(MonomialIdeal.parse("x1", n))
 
 
 class TestEliahouKervaire:

@@ -19,15 +19,15 @@ from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
 from borelcover.hilbert import chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                embedding_dimension, is_marked_basis,
-                               marked_set_from_ideal, naive_minor_count, reduce,
-                               scheme_equations, spair_polynomial, template)
+                               naive_minor_count, reduce, scheme_equations,
+                               spair_polynomial, template)
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly,
                              specialize)
 
-from conftest import (CHART_FAMILIES, _rank_is_marked_basis, borel_closure, mono,
-                      monomial_ideals, rational_sampler, scan_contains,
-                      scan_star_decompose)
+from conftest import (CHART_FAMILIES, _rank_is_marked_basis, borel_closure,
+                      marked_set_from_ideal, mono, monomial_ideals, rational_sampler,
+                      scan_contains, scan_star_decompose)
 
 
 class TestTemplate:
