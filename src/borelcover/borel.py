@@ -10,33 +10,34 @@ polynomial, and the one test and order for the charts among them.
 Membership works on exponent tuples: a monomial lies in a monomial ideal when
 some generator's tuple is entrywise at most its own.  The degree-t listings
 build the set of member tuples from the multiples g * u, |u| = t - |g|, of the
-generators and filter the degrevlex listing through it.
+generators and filter the degrevlex listing through it.  Minimal bases come
+from hilbert._minimal on exponent tuples; a truncation needs none.
 
 Enumeration walks the up-sets of the Borel poset on degree-r monomials, so it
 is intentionally desk-scale; the ambient size and the search tree are capped.
 Each search node is one int bitmask, and each candidate one bit test.  A
-degree-r Borel ideal is classified by its Eliahou-Kervaire histogram, the
-count a_k of generators with min variable k: it fixes both the chart test
-and the Hilbert polynomial of the quotient.
+degree-r Borel ideal is a chart when hilbert.borel_dim_at counts dim J_{r+1} =
+q(r+1); that count and the quotient's Hilbert polynomial depend only on its
+Eliahou-Kervaire histogram, the count a_k of generators with min variable k.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from operator import add, le
 
 from .errors import MathDomainError, ParseError, ScaleCapError
-from .hilbert import ChartConstants, ambient_dimension, chart_constants
+from .hilbert import (ChartConstants, _minimal, ambient_dimension, borel_dim_at,
+                      chart_constants)
 from .ring import Monomial, canonical_key, monomials_of_degree, parse_xpoly
 
 
 class MonomialIdeal:
     """Monomial ideal given by its minimal basis.
 
-    Generators are minimalized and kept in the canonical order (degree
-    ascending, degrevlex descending), so equal ideals compare equal.
+    Generators are minimalized by hilbert._minimal into the canonical order
+    (degree ascending, degrevlex descending), so equal ideals compare equal.
     Membership compares exponent tuples with the generators'; the degree-t
     listings keep the degrevlex listing's monomials whose tuples are among
     the multiples g * u of the generators.
@@ -45,27 +46,19 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n, gens):
-        mons = []
+        exps = []
         for g in gens:
             if not isinstance(g, Monomial):
                 g = Monomial(g)
             if g.n != n:
                 raise MathDomainError(f"generator {g} does not live in {n + 1} variables")
-            mons.append(g)
-        # distinct monomials of one degree never divide each other, so each
-        # degree is tested against the generators kept below it only
-        minimal = []
-        for _, same in groupby(sorted(set(mons), key=canonical_key), Monomial.degree):
-            minimal += [g for g in same if not _has_divisor(minimal, g.exps)]
+            exps.append(g.exps)
         self.n = n
-        self.gens = tuple(minimal)
+        self.gens = tuple(map(Monomial._from_exps, _minimal(exps)))
 
     @classmethod
     def _from_sorted(cls, n, gens):
-        """Wrap distinct degree-d monomials of P^n already in canonical order.
-
-        No two of them divide each other, so they are the minimal basis.
-        """
+        """Wrap a minimal basis of monomials of P^n already in canonical order."""
         out = cls.__new__(cls)
         out.n = n
         out.gens = tuple(gens)
@@ -263,20 +256,17 @@ def truncate(J: MonomialIdeal, m: int) -> MonomialIdeal:
         raise ScaleCapError(
             f"truncation at degree {m} would form {formed} monomials, over "
             f"the cap {_MAX_TRUNCATION_MONOMIALS}")
-    gens = []
-    for g in J.gens:
-        d = g.degree()
-        if d >= m:
-            gens.append(g)
-        else:
-            gens.extend(g * u for u in monomials_of_degree(J.n, m - d))
-    return MonomialIdeal(J.n, gens)
+    # a degree-m member dividing a generator above m would make that
+    # generator non-minimal, so the two lists together are a minimal basis
+    return MonomialIdeal._from_sorted(
+        J.n, [*map(Monomial._from_exps, sorted(J._members_at(m))),
+              *(g for g in J.gens if g.degree() > m)])
 
 
 def _colon_variable_power(J, i):
     """J : x_i^infinity for a monomial ideal: delete x_i from each generator."""
-    return MonomialIdeal(J.n, [Monomial(g.exps[:i] + (0,) + g.exps[i + 1:])
-                               for g in J.gens])
+    return MonomialIdeal._from_sorted(J.n, map(Monomial._from_exps, _minimal(
+        g.exps[:i] + (0,) + g.exps[i + 1:] for g in J.gens)))
 
 
 def rho(Jsat: MonomialIdeal) -> int:
@@ -389,9 +379,9 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
 def ek_histogram(J: MonomialIdeal):
     """(a_0, ..., a_n): a_k generators of J have min variable k.
 
-    The generator 1 counts as k = n, as in borel_dim_at.  For a strongly
-    stable J generated in degree r the histogram fixes the Hilbert
-    polynomial, C(t+n, n) - sum_k a_k C(t - r + k, k).
+    The generator 1 counts as k = n, as in borel_dim_at.  It keys classify's
+    memo: for a strongly stable J generated in degree r it fixes the Hilbert
+    polynomial, C(t+n, n) - sum_k a_k C(t - r + k, k), and dim J_{r+1}.
     """
     n = J.n
     counts = [0] * (n + 1)
@@ -407,12 +397,10 @@ def ek_histogram(J: MonomialIdeal):
 def is_borel_chart(J: MonomialIdeal, constants: ChartConstants) -> bool:
     """Is J, Borel and generated by q(r) monomials of degree r, a chart of Hilb_p?
 
-    By Gotzmann persistence it is exactly when dim J_{r+1} = q(r+1).  Each
-    generator with min variable k has k + 1 multiples u * g of degree r + 1
-    with max(u) <= k, so by Eliahou-Kervaire dim J_{r+1} = sum_k a_k (k + 1)
-    over the histogram of J.
+    By Gotzmann persistence it is exactly when dim J_{r+1} = q(r+1), with
+    dim J_{r+1} the Eliahou-Kervaire count of borel_dim_at.
     """
-    return sum(a * (k + 1) for k, a in enumerate(ek_histogram(J))) == constants.s_prime
+    return borel_dim_at(J, constants.r + 1) == constants.s_prime
 
 
 def chart_order(chart: BorelChartIdeal):

@@ -14,6 +14,9 @@ for strongly stable ideals, and otherwise from the Hilbert series numerator,
 whose coefficients in powers of 1 - t are the coordinates.  Closed forms,
 such as the first one and C(t + c, a), become coordinates through one helper
 by binomial inversion; nothing here solves a linear system.
+
+Two facts of monomial ideals live here once: _minimal, the minimal basis of
+exponent tuples, and borel_dim_at, the Eliahou-Kervaire count of dim J_t.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import le
 
 from .errors import (InadmissiblePolynomialError, MathDomainError, ParseError,
@@ -337,11 +340,11 @@ def borel_hp_degree(J) -> int:
 
 
 def _minimal(exps):
-    """The distinct exponent tuples that no other one divides, by degree."""
+    """Minimal basis of the exponent tuples in canonical order (degree ascending,
+    degrevlex descending); a degree is tested against those kept below it."""
     out = []
-    for e in sorted(set(exps), key=sum):
-        if not any(all(map(le, f, e)) for f in out):
-            out.append(e)
+    for _, same in groupby(sorted(set(exps), key=lambda e: (sum(e), e)), sum):
+        out += [e for e in same if not any(all(map(le, f, e)) for f in out)]
     return out
 
 

@@ -272,23 +272,22 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     return out
 
 
-def ideal_equal(A, B, order="degrevlex", max_vars=DEFAULT_MAX_VARS,
-                max_pairs=DEFAULT_MAX_PAIRS) -> bool:
+def ideal_equal(A, B) -> bool:
     """Do two generator lists generate the same ideal of Q[C]?
 
-    Reduced Groebner bases are unique, monic and sorted by leading term, so
-    the ideals are equal exactly when their reduced bases are.
+    Reduced degrevlex Groebner bases are unique, monic and sorted by leading
+    term, so the ideals are equal exactly when their reduced bases are.  The
+    union of their variables is capped at DEFAULT_MAX_VARS.
     """
     A = [a for a in A if a]
     B = [b for b in B if b]
     if not A or not B:
         return not A and not B
-    variables = sorted(set(_collect_vars(A)) | set(_collect_vars(B)))
-    if len(variables) > max_vars:
+    variables = set(_collect_vars(A)) | set(_collect_vars(B))
+    if len(variables) > DEFAULT_MAX_VARS:
         raise ScaleCapError(
-            f"{len(variables)} parameters exceed the oracle cap {max_vars}")
-    return (groebner_basis(A, order, max_vars=max_vars, max_pairs=max_pairs)
-            == groebner_basis(B, order, max_vars=max_vars, max_pairs=max_pairs))
+            f"{len(variables)} parameters exceed the oracle cap {DEFAULT_MAX_VARS}")
+    return groebner_basis(A) == groebner_basis(B)
 
 
 @dataclass(frozen=True)

@@ -691,11 +691,14 @@ class _Parser:
         self.products = 0
         self.depth = 0
 
-    def mul(self, a, b):
-        self.products += len(a._terms) * len(b._terms)
+    def count(self, products):
+        self.products += products
         if self.products > _MAX_PARSE_PRODUCTS:
             raise ScaleCapError(f"expanding the expression needs more than "
                                 f"{_MAX_PARSE_PRODUCTS} term products")
+
+    def mul(self, a, b):
+        self.count(len(a._terms) * len(b._terms))
         return a * b
 
     def peek(self):
@@ -740,6 +743,12 @@ class _Parser:
             if e > _MAX_PARSE_EXPONENT:
                 raise ScaleCapError(
                     f"exponent {e} exceeds the cap {_MAX_PARSE_EXPONENT}")
+            if e and len(base._terms) == 1:
+                # raised in one step, counted as the e products of the loop
+                # below up to the one that passes the cap
+                self.count(min(e, _MAX_PARSE_PRODUCTS + 1 - self.products))
+                (cm, q), = base._terms.items()
+                return ParamPoly._from_dict({tuple((v, k * e) for v, k in cm): q ** e})
             power = ParamPoly.const(1)
             for _ in range(e):
                 power = self.mul(power, base)

@@ -1,8 +1,10 @@
 import itertools
 import json
+import time
+from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borelcover.borel import (BorelChartIdeal, MonomialIdeal, borel_charts,
@@ -14,6 +16,7 @@ from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.hilbert import (ChartConstants, ambient_dimension, binom,
                                borel_dim_at, chart_constants,
                                hilbert_polynomial, parse_hilbert_poly)
+from borelcover.hilbert import _minimal
 from borelcover.ring import Monomial, canonical_key, monomials_of_degree
 
 from conftest import (CHART_FAMILIES, borel_closure, monomial_ideals, mono,
@@ -27,6 +30,30 @@ def all_pairs_minimal(gens):
     return sorted((g for g in distinct
                    if not any(h != g and h.divides(g) for h in distinct)),
                   key=canonical_key)
+
+
+def grouped_minimal(gens):
+    """The minimalization loop MonomialIdeal.__init__ once ran on Monomials:
+    each degree tested against the generators kept below it."""
+    minimal = []
+    for _, same in itertools.groupby(sorted(set(gens), key=canonical_key),
+                                     Monomial.degree):
+        minimal += [g for g in same
+                    if not any(all(map(le, h.exps, g.exps)) for h in minimal)]
+    return minimal
+
+
+def built_truncation(J, m):
+    """The degree->=m part of J built as truncate once did: every product
+    g * u of degree m of a generator below m, minimalized again."""
+    gens = []
+    for g in J.gens:
+        d = g.degree()
+        if d >= m:
+            gens.append(g)
+        else:
+            gens.extend(g * u for u in monomials_of_degree(J.n, m - d))
+    return MonomialIdeal(J.n, gens)
 
 
 # Saturation of an arbitrary monomial ideal, kept as a test-local reference
@@ -71,6 +98,22 @@ class TestMonomialIdeal:
     def test_minimalization_against_all_pairs(self, drawn):
         n, gens = drawn
         assert list(MonomialIdeal(n, gens).gens) == all_pairs_minimal(gens)
+
+    @given(generator_lists())
+    def test_one_minimal_routine_against_both_definitions(self, drawn):
+        _, gens = drawn
+        want = [g.exps for g in all_pairs_minimal(gens)]
+        assert [g.exps for g in grouped_minimal(gens)] == want
+        assert _minimal([g.exps for g in gens]) == want
+        assert _minimal(iter([g.exps for g in reversed(gens)])) == want
+
+    def test_parse_of_large_powers(self):
+        # a power of one term is raised in one step, not by e products
+        text = ", ".join(f"x2*x0^{i}*x1^{1000 - i}" for i in range(1001))
+        start = time.perf_counter()
+        J = MonomialIdeal.parse(text, 2)
+        assert time.perf_counter() - start < 1
+        assert J == MonomialIdeal(2, [(i, 1000 - i, 1) for i in range(1001)])
 
     def test_membership(self, j1sat):
         assert j1sat.contains(mono("x2^2*x0^3", 2))
@@ -210,6 +253,17 @@ class TestSaturation:
         for J in (j1sat, truncate(j1sat, 4), j2sat):
             assert saturate_any(J) == saturate(J)
 
+    @given(st.one_of(monomial_ideals(), monomial_ideals().map(borel_closure)))
+    def test_against_the_monomial_path(self, J):
+        # the colon built as Monomials and minimalized by MonomialIdeal
+        want = colon_variable_power(J, 0)
+        if is_strongly_stable(J):
+            got = saturate(J)
+            assert got == want and got.gens == want.gens and hash(got) == hash(want)
+        else:
+            with pytest.raises(MathDomainError, match="saturate requires"):
+                saturate(J)
+
     def test_general_saturation_of_squares(self):
         J = MonomialIdeal.parse("x0^2, x1^2, x2^2", 2)
         assert saturate_any(J) == MonomialIdeal(2, [Monomial((0, 0, 0))])
@@ -237,6 +291,25 @@ class TestRegularityTruncationRho:
         assert len(truncate(unit, 139).gens) == 9870
         with pytest.raises(ScaleCapError, match="would form 10011 monomials"):
             truncate(unit, 140)
+
+    @settings(max_examples=150)
+    @given(st.one_of(monomial_ideals(), monomial_ideals().map(borel_closure)),
+           st.integers(0, 7))
+    @example(MonomialIdeal.parse("x2^5, x1*x0, x2*x1^2", 2), 3)
+    @example(MonomialIdeal(2, [(0, 0, 0)]), 2)
+    def test_against_the_built_products(self, J, m):
+        # m = 0, and m below, at and above the generator degrees (1 to 4)
+        got, want = truncate(J, m), built_truncation(J, m)
+        assert got == want and got.gens == want.gens and hash(got) == hash(want)
+        assert all(g.degree() >= m for g in got.gens)
+
+    def test_cap_before_any_member(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formed members past the cap")
+
+        monkeypatch.setattr(MonomialIdeal, "_members_at", refuse)
+        with pytest.raises(ScaleCapError, match="would form 10011 monomials"):
+            truncate(MonomialIdeal(2, [(0, 0, 0)]), 140)
 
     def test_squares_not_a_truncation(self):
         # an m-truncation is the degree->=m part of its saturation
@@ -422,6 +495,13 @@ class TestTrustedLeaves:
             assert hash(trusted) == hash(MonomialIdeal(n, mons))
 
 
+def histogram_count(J):
+    """dim J_{r+1} of a Borel J generated in degree r as the histogram sum
+    sum_k a_k (k + 1): a generator with min variable k has k + 1 multiples
+    u * g of degree r + 1 with max(u) <= k."""
+    return sum(a * (k + 1) for k, a in enumerate(ek_histogram(J)))
+
+
 def single_degree_borel(I):
     """Borel closure of I cut down to its top generator degree."""
     J = borel_closure(I)
@@ -456,7 +536,8 @@ class TestHistogram:
         c = ChartConstants(n=n, p=p, d=max(p.degree(), 0), r=r,
                            N_r=ambient_dimension(n, r), s=len(J.gens),
                            s_prime=borel_dim_at(J, r + 1) + shift, D=0)
-        assert is_borel_chart(J, c) == (borel_dim_at(J, r + 1) == c.s_prime)
+        assert histogram_count(J) == borel_dim_at(J, r + 1)
+        assert is_borel_chart(J, c) == (histogram_count(J) == c.s_prime)
 
 
 class TestEnumerateSaturated:

@@ -1039,6 +1039,27 @@ class TestParserAgainstRawTerms:
         assert _outcome(parse_xpoly, text, 2) == (None, ScaleCapError)
         assert _outcome(reference_parse_xpoly, text, 2) == (None, ScaleCapError)
 
+    @pytest.mark.parametrize("text", [
+        "x1^40*x0^0", "x1^41", "x1^1000", "(2/3*x1*C[1,2]^2)^7", "(x1+x0)^5*x1^3",
+        # (x1+x0)^5 makes 30 products: the cap of 40 is passed inside
+        # C[1,2]^e, at its last product, and by the product after it
+        "(x1+x0)^5*C[1,2]^20", "(x1+x0)^5*C[1,2]^11", "(x1+x0)^5*C[1,2]^10"])
+    def test_one_term_powers_count_like_the_loop(self, text, monkeypatch):
+        # a one-term base is raised in one step but counted as e products
+        monkeypatch.setattr(ring, "_MAX_PARSE_PRODUCTS", 40)
+        tokens = ring._tokenize(text)
+        counts = []
+        for parser in (ring._Parser(tokens), _ReferenceParser(tokens)):
+            try:
+                parser.parse_sum()
+            except ScaleCapError:
+                pass
+            counts.append(parser.products)
+        assert counts[0] == counts[1]
+        got, err = _outcome(parse_xpoly, text, 2)
+        want, want_err = _outcome(reference_parse_xpoly, text, 2)
+        assert err is want_err and got == want
+
 
 class TestParseNesting:
     def test_at_the_cap(self):
