@@ -1,6 +1,6 @@
 """Strongly stable (Borel-fixed) monomial ideals.
 
-Covers the combinatorial layer: the stability test under increasing
+Covers the combinatorial layer: the stability test under adjacent
 elementary moves, saturation and regularity of Borel ideals, truncations,
 the invariant rho, the star decomposition of a monomial of the ideal,
 brute-force enumeration of Borel ideals, both the degree-r families inside
@@ -12,6 +12,11 @@ some generator's tuple is entrywise at most its own.  The degree-t listings
 build the set of member tuples from the multiples g * u, |u| = t - |g|, of the
 generators and filter the degrevlex listing through it.  Minimal bases come
 from hilbert._minimal on exponent tuples; a truncation needs none.
+
+The stability test and the enumeration try the adjacent moves x_i -> x_{i+1}
+alone, which generate the Borel order: generators closed under them give an
+ideal closed under every increasing move (induction on j - i), and a down-set
+holding a monomial's adjacent-lower neighbours holds its one-move lower set.
 
 Enumeration walks the up-sets of the Borel poset on degree-r monomials, so it
 is intentionally desk-scale; the ambient size and the search tree are capped.
@@ -31,6 +36,9 @@ from .errors import MathDomainError, ParseError, ScaleCapError
 from .hilbert import (ChartConstants, _minimal, ambient_dimension, borel_dim_at,
                       chart_constants)
 from .ring import Monomial, canonical_key, monomials_of_degree, parse_xpoly
+
+MAX_AMBIENT = 120  # default enumeration caps: dim S_r and search nodes
+MAX_NODES = 2_000_000
 
 
 class MonomialIdeal:
@@ -199,26 +207,17 @@ def _monomial_from_text(text, n):
 
 
 def is_strongly_stable(J: MonomialIdeal) -> bool:
-    """Check closure of the basis under increasing moves (suffices by transitivity).
+    """Check closure of the basis under the adjacent moves x_i -> x_{i+1}.
 
-    A moved generator is most often another generator, so it is looked up
-    in the set of generator exponents before the membership test.
+    If the generators are closed under them, so is the ideal, and then under
+    every increasing move x_i -> x_j (induction on j - i).  A moved generator
+    is most often another generator, so the set of generator exponents is
+    looked up before the membership test.
     """
-    n = J.n
     gens = {g.exps for g in J.gens}
-    for g in J.gens:
-        exps = g.exps
-        for i in range(n):
-            if not exps[i]:
-                continue
-            for j in range(i + 1, n + 1):
-                moved = list(exps)
-                moved[i] -= 1
-                moved[j] += 1
-                moved = tuple(moved)
-                if moved not in gens and not _has_divisor(J.gens, moved):
-                    return False
-    return True
+    moved = (e[:i] + (e[i] - 1, e[i + 1] + 1) + e[i + 2:]
+             for e in gens for i in range(J.n) if e[i])
+    return all(m in gens or _has_divisor(J.gens, m) for m in moved)
 
 
 def _require_borel(J, what):
@@ -316,16 +315,18 @@ class BorelChartIdeal:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
+def enumerate_borel_in_g(n, r, s, max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES):
     """All Borel ideals generated by s monomials of degree r.
 
     Enumerates the size-(N(r)-s) down-sets of the Borel poset on degree-r
     monomials by depth-first insertion along a linear extension; the
     complements are exactly the Borel-closed generator sets.  A down-set is
     an int bitmask over the ascending index, and monomial i may join it when
-    the mask holds its one-move lower set, the monomials one decreasing move
-    x_j -> x_i (i < j) below it.  Exponential in the worst case, hence the
-    ambient and node caps; the ambient cap is checked before listing.
+    the mask holds its adjacent-lower neighbours x_j -> x_{j-1}.  A down-set
+    holding those holds its whole one-move lower set (x_j -> x_i lies below
+    x_j -> x_{j-1}), so the walk is that of all moves.  Exponential in the
+    worst case, hence the ambient and node caps; the ambient cap is checked
+    before listing.
     """
     N = ambient_dimension(n, r) if r >= 0 else 0  # C(n+r, n) need not vanish for r < 0
     if s > N:
@@ -343,11 +344,8 @@ def enumerate_borel_in_g(n, r, s, max_ambient=120, max_nodes=2_000_000):
         mask = 0
         for j in range(1, n + 1):
             if exps[j]:
-                for i in range(j):
-                    moved = list(exps)
-                    moved[j] -= 1
-                    moved[i] += 1
-                    mask |= 1 << index[tuple(moved)]
+                moved = exps[:j - 1] + (exps[j - 1] + 1, exps[j] - 1) + exps[j + 1:]
+                mask |= 1 << index[moved]
         lower[index[exps]] = mask
     target = N - s
 
@@ -409,14 +407,14 @@ def chart_order(chart: BorelChartIdeal):
             tuple(canonical_key(g) for g in chart.saturation.gens))
 
 
-def borel_charts(c: ChartConstants, max_ambient=120, max_nodes=2_000_000):
+def borel_charts(c: ChartConstants, max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES):
     """Records of the degree-r Borel ideals that pass is_borel_chart, in chart order."""
     return sorted((BorelChartIdeal.from_chart(J)
                    for J in enumerate_borel_in_g(c.n, c.r, c.s, max_ambient, max_nodes)
                    if is_borel_chart(J, c)), key=chart_order)
 
 
-def enumerate_borel_saturated(n, p, max_ambient=120, max_nodes=2_000_000):
+def enumerate_borel_saturated(n, p, max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES):
     """Saturations of the Borel ideals with Hilbert polynomial p, in chart order.
 
     Those of borel_charts.  A chart J is the degree->=r part of its

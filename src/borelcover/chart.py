@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg, oracle
-from .borel import BorelChartIdeal, MonomialIdeal, borel_charts
+from .borel import MAX_AMBIENT, MAX_NODES, BorelChartIdeal, MonomialIdeal, borel_charts
 from .errors import IterationCapError, MathDomainError, NotInChartError, ScaleCapError
 from .hilbert import (ChartConstants, HilbertPoly, ambient_dimension, chart_constants,
                       hilbert_polynomial_of_exponents)
@@ -308,7 +308,7 @@ def _charts_containing(basis, g, charts, r):
 
 
 def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
-                   max_ambient=120, max_nodes=2_000_000) -> OpenSetResult:
+                   max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES) -> OpenSetResult:
     """Find (g, J) with J Borel of minimal saturated regularity and I^g in its chart.
 
     Draws seeded random rational coordinate changes until some Borel chart of
@@ -336,7 +336,7 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
         f"no chart found after {max_tries} random coordinate changes")
 
 
-def all_charts(gens, g, max_ambient=120, max_nodes=2_000_000):
+def all_charts(gens, g, max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES):
     """Every Borel chart (for the ideal's Hilbert polynomial) containing I^g."""
     constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
     return list(_charts_containing(basis, g, charts, constants.r)[1])

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import cover, fixtures, oracle
-from .borel import (MonomialIdeal, enumerate_borel_saturated,
+from .borel import (MAX_AMBIENT, MAX_NODES, MonomialIdeal, enumerate_borel_saturated,
                     ideal_json_fields, monomial_from_exponents, truncate)
 from .chart import (all_charts, borel_open_set, chart_form, degree_basis,
                     pluecker_coordinate, random_coordinate_change)
@@ -365,9 +365,9 @@ def build_parser():
             p.add_argument("--hp", required=True,
                            help="Hilbert polynomial, e.g. '4*t' or '7'")
         if caps:
-            p.add_argument("--max-ambient", type=int, default=120,
+            p.add_argument("--max-ambient", type=int, default=MAX_AMBIENT,
                            help="cap on dim S_r for enumeration")
-            p.add_argument("--max-nodes", type=int, default=2_000_000,
+            p.add_argument("--max-nodes", type=int, default=MAX_NODES,
                            help="cap on enumeration search nodes")
         if as_json:
             p.add_argument("--json", action="store_true",
@@ -430,7 +430,7 @@ def build_parser():
     p = sub.add_parser("atlas", help="full Borel atlas as JSON")
     add_common(p, hp=True, as_json=False)
     p.add_argument("--with-equations", action="store_true")
-    p.add_argument("--m", choices=("rho", "reg", "gotzmann"), default="reg")
+    p.add_argument("--m", choices=cover._M_CHOICES, default="reg")
     p.add_argument("--out", help="write the atlas to this file")
     p.set_defaults(func=cmd_atlas)
 

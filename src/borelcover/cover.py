@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .borel import (BorelChartIdeal, MonomialIdeal, chart_order,
+from .borel import (MAX_AMBIENT, MAX_NODES, BorelChartIdeal, MonomialIdeal, chart_order,
                     ek_histogram, enumerate_borel_in_g, is_borel_chart)
 from .errors import MathDomainError
 from .hilbert import ChartConstants, chart_constants, coerce_hilbert_poly, \
@@ -28,7 +28,8 @@ class Classification:
 
 
 def classify_grassmannian_borel(constants: ChartConstants,
-                                max_ambient=120, max_nodes=2_000_000) -> Classification:
+                                max_ambient=MAX_AMBIENT,
+                                max_nodes=MAX_NODES) -> Classification:
     """Split the Borel ideals of G(s, S_r) into charts and empty loci.
 
     A Borel ideal generated by s monomials of degree r is a nonempty chart
@@ -59,6 +60,8 @@ def classify_grassmannian_borel(constants: ChartConstants,
 
 def gluing_degree(J1: MonomialIdeal, J2: MonomialIdeal) -> int:
     """Degree |B_J1 \\ B_J2| of the overlap hypersurface in the J1 chart."""
+    if J1.n != J2.n:
+        raise MathDomainError("gluing of charts in different ambient rings")
     for J in (J1, J2):
         if J.is_zero() or not J.generated_in_single_degree():
             raise MathDomainError(f"gluing needs single-degree chart ideals, got {J}")
@@ -72,15 +75,10 @@ def gluing_degree(J1: MonomialIdeal, J2: MonomialIdeal) -> int:
 _M_CHOICES = ("rho", "reg", "gotzmann")
 
 
-def _m_value(choice, chart: BorelChartIdeal, constants: ChartConstants):
-    if choice == "rho":
-        return max(chart.rho - 1, 0)
-    if choice == "reg":
-        return chart.regularity_sat
-    if choice == "gotzmann":
-        return constants.r
-    raise MathDomainError(f"unknown truncation choice {choice!r}; "
-                          f"expected one of {_M_CHOICES}")
+def _m_values(chart: BorelChartIdeal, constants: ChartConstants):
+    """The truncation level of each choice in _M_CHOICES, in that order."""
+    return {"rho": max(chart.rho - 1, 0), "reg": chart.regularity_sat,
+            "gotzmann": constants.r}
 
 
 @dataclass(frozen=True)
@@ -144,21 +142,22 @@ class Atlas:
 
 
 def atlas(n, p, with_equations=False, m_choice="reg",
-          max_ambient=120, max_nodes=2_000_000) -> Atlas:
+          max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES) -> Atlas:
     """Full Borel atlas of the Hilbert scheme for (n, p)."""
+    if m_choice not in _M_CHOICES:
+        raise MathDomainError(f"unknown truncation choice {m_choice!r}; "
+                              f"expected one of {_M_CHOICES}")
     p = coerce_hilbert_poly(p)
     constants = chart_constants(p, n)
     cls = classify_grassmannian_borel(constants, max_ambient, max_nodes)
     charts = []
     for chart in cls.charts:
-        dims = {}
-        for label in _M_CHOICES:
-            m = _m_value(label, chart, constants)
-            dims[label] = (m, embedding_dimension(chart.saturation, m))
+        ms = _m_values(chart, constants)
+        dims = {label: (m, embedding_dimension(chart.saturation, m))
+                for label, m in ms.items()}
         equations = None
         if with_equations:
-            equations = scheme_equations(chart.saturation,
-                                         _m_value(m_choice, chart, constants))
+            equations = scheme_equations(chart.saturation, ms[m_choice])
         charts.append(AtlasChart(chart=chart, dims=dims, equations=equations))
     bases = [entry.chart.chart for entry in charts]
     gluing = tuple(tuple(gluing_degree(a, b) for b in bases) for a in bases)

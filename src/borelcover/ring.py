@@ -5,13 +5,14 @@ Three layers, all immutable and hashable:
 * ``Monomial`` -- an exponent tuple over the ambient variables x_0 < ... < x_n;
 * ``ParamPoly`` -- a sparse polynomial with rational coefficients in the chart
   parameters ``C[i,j]``, kept as a dict from multi-index to nonzero
-  ``Fraction``, so ``==`` and ``hash`` agree with mathematical equality.
+  ``int`` or ``Fraction``, so ``==`` agrees with mathematical equality and
+  ``hash``, which reads the keys alone, with ``==``.
   ``ParamPoly(...)`` normalises outside input once; ``+``, ``-`` and ``*``
   merge the dicts of their operands and drop zeros.  The canonical term
   order is computed only where it can be seen: in ``.terms`` and in text;
 * ``XPoly`` -- a homogeneous form in the x-variables whose coefficients are
-  either ``Fraction`` scalars or ``ParamPoly`` values, kept in the same way
-  as a dict from exponent tuple to nonzero coefficient.
+  either ``int`` or ``Fraction`` scalars or ``ParamPoly`` values, kept in the
+  same way as a dict from exponent tuple to nonzero coefficient.
 
 The fixed term order on x-monomials is degree-reverse-lexicographic with
 x_n > ... > x_0; it is the column order of every coefficient matrix in the
@@ -217,9 +218,10 @@ class ParamPoly:
 
     A term's multi-index is a sorted tuple of ((i, j), exponent) pairs, one
     per variable, with positive exponents.  The terms live in a dict from
-    multi-index to nonzero Fraction, so structural equality is mathematical
-    equality; ``.terms`` lists them in the canonical order (degree
-    descending, then multi-index).
+    multi-index to nonzero int or Fraction (``__init__`` stores Fractions;
+    ``_from_dict`` and ``marked.reduce`` keep the ints they are given), so
+    structural equality is mathematical equality; ``.terms`` lists them in
+    the canonical order (degree descending, then multi-index).
     """
 
     __slots__ = ("_terms",)
@@ -244,7 +246,7 @@ class ParamPoly:
 
     @classmethod
     def _from_dict(cls, terms):
-        """Wrap a canonical dict {multi-index: nonzero Fraction}, not copied."""
+        """Wrap a canonical dict {multi-index: nonzero int or Fraction}, not copied."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -364,9 +366,9 @@ def _coerce_param(x):
 class XPoly:
     """Homogeneous form in x_0..x_n.
 
-    Coefficients are Fractions or ParamPolys.  The terms live in a dict from
-    exponent tuple to nonzero coefficient, like a ParamPoly's, so equality
-    and hash do not depend on the order in which terms were added;
+    Coefficients are ints, Fractions or ParamPolys.  The terms live in a
+    dict from exponent tuple to nonzero coefficient, like a ParamPoly's, so
+    equality and hash do not depend on the order in which terms were added;
     ``.terms`` lists them in degrevlex-descending order of their monomials.
     The zero form keeps an explicit degree tag.
     """
@@ -478,18 +480,15 @@ class XPoly:
                                 self.degree + mon.degree())
 
     def is_scalar(self):
-        return all(isinstance(c, Fraction) for c in self._terms.values())
+        return not any(isinstance(c, ParamPoly) for c in self._terms.values())
 
     def __eq__(self, other):
         return (isinstance(other, XPoly) and self.n == other.n
                 and self._terms == other._terms)
 
     def __hash__(self):
-        # over numerator and denominator, as ParamPoly's: Fraction.__hash__
-        # takes a modular inverse; an int hashes as the Fraction it equals
-        return hash((self.n, frozenset([(e, c) if isinstance(c, ParamPoly)
-                                        else (e, c.numerator, c.denominator)
-                                        for e, c in self._terms.items()])))
+        # the support alone, as ParamPoly's
+        return hash((self.n, frozenset(self._terms)))
 
     def __str__(self):
         terms = []

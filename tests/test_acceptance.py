@@ -5,7 +5,10 @@ One test per criterion; each prints a single PASS line on success (run with
 bit-equality unless a bound is explicitly stated.
 """
 
+import hashlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,28 @@ def test_criterion_12_large_cover_stays_behind_flag():
     from borelcover.hilbert import ambient_dimension
     assert ambient_dimension(3, r) > 120
     report(12, "Hilb of 7t-5 in P^3 is gated behind the enumeration caps")
+
+
+# sha256 over the per-operation sha256 digests of each seed-1 perfbench
+# workload, as perfbench/run.py prints it: the outputs every change must keep
+PERFBENCH_SEED1_DIGESTS = {
+    "cover": "94a6d30093bf103e46f18208d2a7441d8a0461d79d5378e961e6a6a2e22d6a87",
+    "equations": "4a72ba70858722a9a7cacb2a74eecee20906f05ea2caa1a6d98f0e7da52bb799",
+    "locate": "0a02faca4746ae38f6982966c39d814292e03e9c26ea583a0b0796b93e40d94f",
+    "certify": "ef85fda05c77cfd33b2a4b2ee6ba1f41c7d116b13033621fbaf9e0607ab7dca0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_SEED1_DIGESTS))
+def test_criterion_13_perfbench_outputs_unchanged(name):
+    # perfbench/ is only read: its workloads module is imported, as its own
+    # tests import it, and nothing under it is written
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    per_op = "".join(hashlib.sha256(op.canon(op.run()).encode()).hexdigest()
+                     for op in workloads.build(name, 1))
+    assert hashlib.sha256(per_op.encode()).hexdigest() == PERFBENCH_SEED1_DIGESTS[name]
+    report(13, f"perfbench {name} seed-1 outputs byte-identical")

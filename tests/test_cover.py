@@ -114,8 +114,20 @@ class TestGluingDegree:
         with pytest.raises(MathDomainError):
             gluing_degree(j1sat, truncate(j1sat, 4))
 
+    def test_different_ambient_rings_rejected(self):
+        # same degree and generator count, so only the ambient tells them apart
+        plane, space = MonomialIdeal.parse("x2^2", 2), MonomialIdeal.parse("x3^2", 3)
+        for a, b in ((plane, space), (space, plane)):
+            with pytest.raises(MathDomainError, match="different ambient rings"):
+                gluing_degree(a, b)
+
 
 class TestAtlas:
+    @pytest.mark.parametrize("with_equations", [False, True])
+    def test_unknown_truncation_choice_rejected(self, with_equations):
+        with pytest.raises(MathDomainError, match="unknown truncation choice 'bogus'"):
+            atlas(2, "4", with_equations=with_equations, m_choice="bogus")
+
     def test_cubic_curves(self, lex_cubic):
         A = atlas(3, "3*t", with_equations=True, m_choice="rho")
         assert len(A.charts) == 1

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -567,6 +571,25 @@ class TestXPolyHash:
                   XPoly._from_dict(n, {e: rebuilt(terms[e]) for e in order}, d),
                   XPoly(n, [(e, rebuilt(terms[e])) for e in order], d)):
             assert g == f and hash(g) == hash(f)
+
+    def test_int_against_fraction(self):
+        f = XPoly._from_dict(2, {(0, 0, 2): 3, (0, 1, 1): Fraction(1, 2)}, 2)
+        g = XPoly(2, [((0, 0, 2), Fraction(3)), ((0, 1, 1), Fraction(1, 2))])
+        assert type(f.coefficient(mono("x2^2", 2))) is int
+        assert f == g and hash(f) == hash(g)
+        assert f.is_scalar() and g.is_scalar()
+
+    def test_hash_ignores_the_string_hash_seed(self):
+        code = ("from borelcover.ring import parse_xpoly; "
+                "f = parse_xpoly('(C[1,2] - 1/2)*x2*x1 + 3*x0^2', 2); "
+                "print(hash(f), hash(f.coefficient(f.terms[0][0])))")
+        src = Path(ring.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = {subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                              timeout=60).stdout
+               for seed in ("0", "2718281")}
+        assert len(out) == 1 and out.pop().strip()
 
 
 class TestXPoly:
