@@ -110,14 +110,15 @@ class MonomialIdeal:
         members = self._members_at(t)
         return [m for m in listing if m.exps not in members]
 
+    # the canonical order is degree ascending: read the ends of gens
     def max_gen_degree(self):
-        return max((g.degree() for g in self.gens), default=0)
+        return self.gens[-1].degree() if self.gens else 0
 
     def min_gen_degree(self):
-        return min((g.degree() for g in self.gens), default=0)
+        return self.gens[0].degree() if self.gens else 0
 
     def generated_in_single_degree(self):
-        return len({g.degree() for g in self.gens}) <= 1
+        return not self.gens or self.gens[0].degree() == self.gens[-1].degree()
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal) and self.n == other.n

@@ -9,18 +9,25 @@ Inside one call a polynomial is a dict from exponent tuples over the
 collected variables to coefficients, and `_sub_multiple` adds multiples of
 one to another.  Buchberger and normal forms reduce fraction-free on
 primitive integer dicts through `_reduce`; greedy elimination computes on
-Fractions.  Results have Fraction coefficients.  The order key of each
-monomial is computed once and memoized.
+Fractions.  Results have Fraction coefficients.  Each term order is defined
+once, on exponent tuples (`_exponent_order`); `make_order` wraps it for
+C-multi-indices.  The order key and the support bitmask of each monomial are
+computed once and memoized.  `_reduce` keeps the monomials still to reduce in
+a list sorted by key, so each step pops the leading one instead of scanning
+them all, and tests a reducer's lead for divisibility only when its support
+mask lies inside the monomial's.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .errors import MathDomainError, ScaleCapError
 from .ring import ParamPoly
@@ -36,57 +43,73 @@ def _collect_vars(gens):
     return sorted(seen)
 
 
+def _exponent_order(variables, kind="degrevlex", block=()):
+    """Key function on exponent tuples over `variables`; see make_order."""
+    if kind == "degrevlex":
+        def key(e):
+            return (sum(e), tuple(map(neg, e)))
+        return key
+    if kind == "lex-block":
+        block = [tuple(v) for v in block]
+        pos = {v: i for i, v in enumerate(variables)}
+        # a block variable outside `variables` reads 0
+        head = [pos.get(v) for v in block]
+        rest = [i for i, v in enumerate(variables) if v not in set(block)]
+
+        def key(e):
+            tail = [e[i] for i in rest]
+            return (tuple(0 if i is None else e[i] for i in head), sum(tail),
+                    tuple(map(neg, tail)))
+        return key
+    raise MathDomainError(f"unknown term order {kind!r}")
+
+
 def make_order(variables, kind="degrevlex", block=()):
     """Key function on C-multi-indices; larger key means larger monomial.
 
     'degrevlex' treats later variables (in the sorted key order) as larger.
     'lex-block' eliminates the given block: block exponents compare first,
-    lexicographically in the listed order, then degrevlex on the rest.
+    lexicographically in the listed order, then degrevlex on the rest.  The
+    key is that of _exponent_order on the multi-index's exponent tuple.
     """
+    key = _exponent_order(variables, kind, block)
     pos = {v: i for i, v in enumerate(variables)}
 
-    def exps_of(cm):
+    def cm_key(cm):
         out = [0] * len(variables)
         for v, e in cm:
             if v not in pos:
                 raise MathDomainError(f"variable C[{v[0]},{v[1]}] outside the order")
             out[pos[v]] = e
-        return out
+        return key(out)
+    return cm_key
 
-    if kind == "degrevlex":
-        def key(cm):
-            exps = exps_of(cm)
-            return (sum(exps), tuple(-e for e in exps))
-        return key
-    if kind == "lex-block":
-        block = [tuple(v) for v in block]
-        rest = [v for v in variables if v not in set(block)]
-        rest_pos = {v: i for i, v in enumerate(rest)}
 
-        def key(cm):
-            head = [0] * len(block)
-            tail = [0] * len(rest)
-            for v, e in cm:
-                if v in rest_pos:
-                    tail[rest_pos[v]] = e
-                else:
-                    head[block.index(v)] = e
-            return (tuple(head), sum(tail), tuple(-e for e in tail))
-        return key
-    raise MathDomainError(f"unknown term order {kind!r}")
+class _Masks(dict):
+    """Memoized support bitmask of each exponent tuple: bit k set when x_k occurs."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.bits = [1 << k for k in range(n)]
+
+    def __missing__(self, e):
+        k = self[e] = sum(compress(self.bits, e))
+        return k
 
 
 class _Ring(dict):
-    """Exponent tuples over fixed variables; maps each to its memoized key."""
+    """Exponent tuples over fixed variables; maps each to its memoized order
+    key, given on exponent tuples, and holds their memoized support masks."""
 
     def __init__(self, variables, key):
         super().__init__()
         self.variables = variables
         self.pos = {v: i for i, v in enumerate(variables)}
         self.key = key
+        self.masks = _Masks(len(variables))
 
     def __missing__(self, e):
-        k = self[e] = self.key(tuple((v, x) for v, x in zip(self.variables, e) if x))
+        k = self[e] = self.key(e)
         return k
 
     def from_param(self, p):
@@ -126,14 +149,21 @@ def _lcm(a, b):
 
 
 def _sub_multiple(work, c, shift, g):
-    """work -= c * x^shift * g, in place."""
+    """work -= c * x^shift * g, in place; returns the monomials it adds to work."""
+    added = []
     for e, d in g.items():
         m = tuple(map(add, e, shift))
-        v = work.get(m, 0) - c * d
-        if v:
-            work[m] = v
+        v = work.get(m)
+        if v is None:
+            work[m] = -c * d
+            added.append(m)
         else:
-            del work[m]
+            v -= c * d
+            if v:
+                work[m] = v
+            else:
+                del work[m]
+    return added
 
 
 def _reduce(f, reducers, ring):
@@ -146,23 +176,37 @@ def _reduce(f, reducers, ring):
     for k = gcd(a, b), scaling the remainder so far by b/k too.  Returns
     (rem, n, d): rem, primitive with a positive leading coefficient, is n/d
     times the remainder.  Its first key is its leading exponent.
+
+    The monomials of work wait in a list sorted by their memoized keys: a new
+    one is put in place by bisection, the largest is popped from the end, and
+    one popped after it cancelled is skipped.  Every monomial a step adds lies
+    below x^m, so none returns once popped.  A reducer's lead gets the full
+    divisibility test only when its support mask lies inside that of x^m
+    (Bachmann-Schoenemann, ISSAC 1998).
     """
     work = dict(f)
     rem = {}
     n = 1
-    sort_key = ring.__getitem__
-    while work:
-        m = max(work, key=sort_key)
-        for lead, g in reducers:
-            if _divides(lead, m):
-                a, b = work[m], g[lead]
+    key, masks = ring, ring.masks
+    pending = sorted((key[e], e) for e in work)
+    reducers = [(masks[lead], lead, g) for lead, g in reducers]
+    while pending:
+        m = pending.pop()[1]
+        a = work.get(m)
+        if a is None:
+            continue  # cancelled after it was listed
+        mask = masks[m]
+        for lead_mask, lead, g in reducers:
+            if lead_mask & mask == lead_mask and _divides(lead, m):
+                b = g[lead]
                 k = gcd(a, b)
                 a, b = a // k, b // k
                 if b != 1:
                     work = {e: b * c for e, c in work.items()}
                     rem = {e: b * c for e, c in rem.items()}
                     n *= b
-                _sub_multiple(work, a, tuple(map(sub, m, lead)), g)
+                for t in _sub_multiple(work, a, tuple(map(sub, m, lead)), g):
+                    insort(pending, (key[t], t))
                 break
         else:
             rem[m] = work.pop(m)
@@ -175,7 +219,9 @@ def _reduce(f, reducers, ring):
 def normal_form(p: ParamPoly, basis, key) -> ParamPoly:
     """Fully reduced remainder of p against the marked leading terms of basis."""
     basis = [b for b in basis if b]
-    ring = _Ring(_collect_vars([p, *basis]), key)
+    variables = _collect_vars([p, *basis])
+    ring = _Ring(variables, lambda e: key(
+        tuple((v, x) for v, x in zip(variables, e) if x)))
     reducers = [(max(g, key=ring.__getitem__), g)
                 for g in (ring.primitive(b)[1] for b in basis)]
     s, f = ring.primitive(p)
@@ -199,7 +245,9 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     elements whose leading term the new one divides.  Raises ScaleCapError
     beyond the caps; `max_pairs` counts the pairs taken from the heap.  The
     elements are primitive integer dicts; the result is monic and sorted by
-    leading term, smallest first.
+    leading term, smallest first.  Every S-polynomial and every tail goes
+    through `_reduce`, with its sorted pending list of monomials and its
+    support-mask divisor search, keyed by the order's key on exponent tuples.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -208,7 +256,7 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     if len(variables) > max_vars:
         raise ScaleCapError(
             f"{len(variables)} parameters exceed the oracle cap {max_vars}")
-    ring = _Ring(variables, make_order(variables, order, block))
+    ring = _Ring(variables, _exponent_order(variables, order, block))
 
     polys = []     # every element ever added: (lead, primitive integer dict)
     active = []    # indices of the current basis, in insertion order

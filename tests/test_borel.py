@@ -146,6 +146,39 @@ class TestMonomialIdeal:
         assert len(J.gens) == 3
 
 
+def set_based_degrees(J):
+    """(min, max, single degree?) of J's generator degrees, read off their set."""
+    degrees = {g.degree() for g in J.gens}
+    return min(degrees, default=0), max(degrees, default=0), len(degrees) <= 1
+
+
+@st.composite
+def built_ideals(draw):
+    """An ideal from each way the package builds one: __init__, truncate,
+    saturate and enumerate_borel_in_g."""
+    way = draw(st.sampled_from(["init", "truncate", "saturate", "enumerate"]))
+    if way == "init":
+        return MonomialIdeal(*draw(generator_lists()))
+    if way == "truncate":
+        return truncate(draw(monomial_ideals()), draw(st.integers(0, 6)))
+    if way == "saturate":
+        return saturate(borel_closure(draw(monomial_ideals())))
+    n, r = draw(st.sampled_from([(n, r) for n, r in small_slices(15)]))
+    found = enumerate_borel_in_g(n, r, draw(st.integers(0, ambient_dimension(n, r))))
+    return draw(st.sampled_from(found)) if found else MonomialIdeal.zero(n)
+
+
+class TestGeneratorDegrees:
+    @settings(max_examples=200)
+    @given(built_ideals())
+    @example(MonomialIdeal.zero(2))
+    @example(MonomialIdeal(2, [(0, 0, 0)]))
+    @example(MonomialIdeal.parse("x1^3, x2*x1, x2^2, x2^2*x1", 2))
+    def test_ends_of_gens_against_the_set(self, J):
+        assert (J.min_gen_degree(), J.max_gen_degree(),
+                J.generated_in_single_degree()) == set_based_degrees(J)
+
+
 def outcome(f, *args):
     """f(*args), or the type and message of the exception it raised."""
     try:

@@ -1,5 +1,7 @@
 import functools
 from fractions import Fraction
+from math import gcd
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,9 +15,10 @@ from borelcover.fixtures import (A8_CHART, POINTS_ON_LINE_CHARTS,
                                  reference_equations, saturation_ideal)
 from borelcover.hilbert import parse_hilbert_poly
 from borelcover.marked import scheme_equations
-from borelcover.oracle import (EliminationResult, greedy_linear_eliminate,
-                               groebner_basis, ideal_equal, make_order,
-                               normal_form)
+from borelcover.oracle import (EliminationResult, _divides, _exponent_order,
+                               _reduce, _Ring, _sub_multiple,
+                               greedy_linear_eliminate, groebner_basis,
+                               ideal_equal, make_order, normal_form)
 from borelcover.ring import ParamPoly, _cmon_mul, parse_parampoly
 
 from conftest import rational_sampler
@@ -386,6 +389,104 @@ class TestAgainstPlainBuchberger:
         other = gens[::-1] + [p * gens[0] + gens[-1] * scale]
         assert ideal_equal(gens, other) == _old_ideal_equal(gens, other)
         assert ideal_equal(gens + [p], gens) == _old_ideal_equal(gens + [p], gens)
+
+
+# The reduction loop that the pending list and the support masks replaced: a
+# max over the whole work dict per step and a divisibility test of every
+# reducer in turn.  Its keys come from the order as make_order once defined
+# it on C-multi-indices, so the comparison checks the exponent-tuple keys too.
+
+def _cm_order(variables, kind, block):
+    pos = {v: i for i, v in enumerate(variables)}
+    if kind == "degrevlex":
+        def key(cm):
+            exps = [0] * len(variables)
+            for v, e in cm:
+                exps[pos[v]] = e
+            return (sum(exps), tuple(-e for e in exps))
+        return key
+    block = [tuple(v) for v in block]
+    rest = [v for v in variables if v not in set(block)]
+    rest_pos = {v: i for i, v in enumerate(rest)}
+
+    def key(cm):
+        head = [0] * len(block)
+        tail = [0] * len(rest)
+        for v, e in cm:
+            if v in rest_pos:
+                tail[rest_pos[v]] = e
+            else:
+                head[block.index(v)] = e
+        return (tuple(head), sum(tail), tuple(-e for e in tail))
+    return key
+
+
+def _max_scan_reduce(f, reducers, key):
+    """(rem, n, d) as oracle._reduce computed them by scanning: key is on
+    exponent tuples."""
+    work = dict(f)
+    rem = {}
+    n = 1
+    while work:
+        m = max(work, key=key)
+        for lead, g in reducers:
+            if _divides(lead, m):
+                a, b = work[m], g[lead]
+                k = gcd(a, b)
+                a, b = a // k, b // k
+                if b != 1:
+                    work = {e: b * c for e, c in work.items()}
+                    rem = {e: b * c for e, c in rem.items()}
+                    n *= b
+                _sub_multiple(work, a, tuple(map(sub, m, lead)), g)
+                break
+        else:
+            rem[m] = work.pop(m)
+    d = gcd(*rem.values()) or 1
+    if rem and next(iter(rem.values())) < 0:
+        d = -d
+    return {e: c // d for e, c in rem.items()}, n, d
+
+
+# A block variable, (9, 9), that occurs in no drawn system.
+ABSENT = (9, 9)
+
+# The leads C[1,2]^2 and C[1,1] (in every order tested) have supports strictly
+# inside those of C[1,1]*C[1,2]^2 and C[1,1]*C[1,2]: the mask lets C[1,2]^2
+# through on both, and only the full test rejects it on the second.
+STRICT_SUBSET_SUPPORT = _system(
+    VARS[:2], ["3*C[1,2]^2 + C[1,1]", "2*C[1,1] + 1"],
+    "7*C[1,1]*C[1,2]^2 + 4*C[1,1]*C[1,2]")
+
+
+class TestReduceAgainstMaxScan:
+    @settings(max_examples=150)
+    @example(system=STRICT_SUBSET_SUPPORT, order="degrevlex", block=[])
+    @example(system=STRICT_SUBSET_SUPPORT, order="lex-block", block=[ABSENT])
+    @example(system=STRICT_SUBSET_SUPPORT, order="lex-block", block=[(1, 2), ABSENT])
+    @given(system=st.one_of(small_systems(), small_systems(wide_param_polys)),
+           order=st.sampled_from(["degrevlex", "lex-block"]),
+           block=st.lists(st.sampled_from(VARS + [ABSENT]), max_size=3, unique=True))
+    def test_same_remainders_and_scales(self, system, order, block):
+        variables, gens, p = system
+        variables = _variables(gens + [p])
+        if order == "degrevlex":
+            block = []
+        ring = _Ring(variables, _exponent_order(variables, order, block))
+        cm_key = _cm_order(variables, order, block)
+
+        def ref_key(e):
+            return cm_key(tuple((v, x) for v, x in zip(variables, e) if x))
+
+        reducers = [(max(g, key=ref_key), g)
+                    for g in (ring.primitive(b)[1] for b in gens if b)]
+        for f in [ring.primitive(q)[1] for q in gens + [p] if q]:
+            assert _reduce(f, reducers, ring) == _max_scan_reduce(f, reducers, ref_key)
+        public_key = make_order(variables, order, block)
+        for e in ring:
+            assert ring[e] == ref_key(e)
+            assert public_key(tuple((v, x) for v, x in zip(variables, e) if x)) \
+                == ref_key(e)
 
 
 def _assert_fraction_coefficients(polys):
