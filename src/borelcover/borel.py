@@ -280,7 +280,9 @@ def star_decompose(gamma: Monomial, J: MonomialIdeal):
 
     Strips the minimal variable until a basis element is reached; for a
     strongly stable ideal this is the unique decomposition with
-    max(cofactor) <= min(basis element).
+    max(cofactor) <= min(basis element).  Otherwise the strip may leave J,
+    and then meets no generator again, since every divisor of a non-member
+    is a non-member: it escaped exactly when it reaches 1 without meeting one.
     """
     if not J.contains(gamma):
         raise MathDomainError(f"{gamma} is not a member of {J}")
@@ -288,12 +290,12 @@ def star_decompose(gamma: Monomial, J: MonomialIdeal):
     cur = list(gamma.exps)
     eta = [0] * len(cur)
     while tuple(cur) not in basis:
-        i = next(k for k, e in enumerate(cur) if e)
-        cur[i] -= 1
-        eta[i] += 1
-        if not _has_divisor(J.gens, cur):
+        i = next((k for k, e in enumerate(cur) if e), None)
+        if i is None:
             raise MathDomainError(
                 f"star decomposition escaped {J}; ideal is not strongly stable")
+        cur[i] -= 1
+        eta[i] += 1
     return Monomial._from_exps(tuple(eta)), Monomial._from_exps(tuple(cur))
 
 

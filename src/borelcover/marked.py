@@ -27,8 +27,11 @@ of a coefficient by the one variable C[i,j] and adds Fractions.
 
 A template is built from T alone and computes no Hilbert polynomial.  The
 same reduction decides whether an explicit marked set G over T is a marked
-basis (the Eliahou-Kervaire criterion): G's point must satisfy the
-template's equations.
+basis (the Eliahou-Kervaire criterion).  A template S-polynomial specialized
+at G's point is G's own S-polynomial x_j*G_a - x^e*G_b, with number
+coefficients; rewriting it over the template brings parameters back only
+with the tails of each step, and specializing its normal form at the same
+point gives the normal form of G's S-polynomial.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .errors import MathDomainError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
-from .ring import Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times
+from .ring import (Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times,
+                   specialize)
 
 
 @dataclass(frozen=True)
@@ -415,12 +419,14 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     T must be strongly stable, of any head degrees, not necessarily
     saturated or a truncation, and its Hilbert polynomial admissible; G must
     have scalar coefficients.  By the Eliahou-Kervaire criterion G is a
-    marked basis exactly when every S-polynomial x_j*F_a - x^e*F_b of G
-    reduces to 0.  Those normal forms are `reduce`'s normal forms over the
-    template on T, evaluated at G's parameter values, so the answer is
-    whether every coefficient of them vanishes there; the first nonzero one
-    ends the check.  The admissibility check computes the one Hilbert
-    polynomial; the template needs none.
+    marked basis exactly when every S-polynomial x_j*G_a - x^e*G_b of G
+    reduces to 0.  Each is the template's S-polynomial specialized at G's
+    parameter values.  `reduce` rewrites it over the template on T, and the
+    normal form, specialized at the same values, is that of G's
+    S-polynomial: rewriting is linear in the coefficients, so specializing
+    before it changes nothing.  The first S-pair whose specialized normal
+    form is nonzero ends the check.  The admissibility check computes the
+    one Hilbert polynomial; the template needs none.
     """
     if not is_strongly_stable(T):
         raise MathDomainError(f"{T} is not strongly stable")
@@ -433,9 +439,9 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
         raise MathDomainError("coefficient matrix needs scalar coefficients")
     tpl = _template_over(T)
     values = assignment_from_marked_set(G, tpl)
-    normal_forms = (reduce(spair_polynomial(pair, tpl), tpl).poly
-                    for pair in ek_spairs(T))
-    return not any(c.evaluate(values) for h in normal_forms for c in h._terms.values())
+    return not any(specialize(reduce(specialize(spair_polynomial(pair, tpl), values),
+                                     tpl).poly, values)
+                   for pair in ek_spairs(T))
 
 
 def assignment_from_marked_set(G, tpl: MarkedTemplate):

@@ -14,6 +14,7 @@ from borelcover.borel import (MonomialIdeal, enumerate_borel_in_g,
                               saturate, truncate)
 from borelcover.chart import (_degree_basis, borel_open_set, chart_form, degree_basis,
                               in_hilb, random_coordinate_change)
+from borelcover.cover import classify_grassmannian_borel
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                NotInChartError, ReductionCapError, ScaleCapError)
 from borelcover.hilbert import chart_constants, hilbert_polynomial
@@ -642,6 +643,89 @@ class TestIsMarkedBasisAgainstRanks:
     def test_borel_closures(self, T_and_G):
         T, G = T_and_G
         assert is_marked_basis(G, T) == _rank_is_marked_basis(G, T)
+
+
+def _generic_is_marked_basis(G, T):
+    """The criterion on the generic template: reduce the S-polynomials of the
+    template over T and evaluate every coefficient of their normal forms at
+    G's point.  G must be a valid marked set over T."""
+    tpl = marked._template_over(T)
+    values = assignment_from_marked_set(G, tpl)
+    normal_forms = (reduce(spair_polynomial(pair, tpl), tpl).poly for pair in ek_spairs(T))
+    return not any(c.evaluate(values) for h in normal_forms for c in h._terms.values())
+
+
+def _four_t_chart_at_6(k):
+    """T = Jsat_{>=6} for the k-th chart of the (3, 4t) classification: 60
+    heads of degree 6, 1440 template parameters."""
+    sat = classify_grassmannian_borel(chart_constants("4*t", 3)).charts[k].saturation
+    return truncate(sat, 6)
+
+
+def _zero_moved_perturbed(T):
+    """The monomial set over T, the marked set of T moved by a coordinate
+    change, and that set with its last form bumped by its first tail monomial."""
+    zero = [XPoly.from_monomial(h) for h in T.gens]
+    g = random_coordinate_change(T.n, 7, bound=3)
+    moved = marked_set_from_ideal([apply_change_of_coords(f, g) for f in zero], T)
+    last = moved[-1]
+    bump = XPoly.from_monomial(T.sous_escalier_at(last.degree)[0])
+    return zero, moved, moved[:-1] + [last + bump]
+
+
+class TestIsMarkedBasisOnSpecializedSPairs:
+    @settings(max_examples=60)
+    @given(marked_sets())
+    def test_specialized_spair_is_the_spair_of_g(self, T_and_G):
+        # the template's S-polynomial at G's point is x_j*G_a - x^eta*G_b
+        T, G = T_and_G
+        tpl = marked._template_over(T)
+        values = assignment_from_marked_set(G, tpl)
+        for pair in ek_spairs(T):
+            g_a = G[tpl.head_index[pair.alpha]]
+            g_b = G[tpl.head_index[pair.beta]]
+            want = (g_a.times_monomial(Monomial.variable(T.n, pair.var))
+                    - g_b.times_monomial(pair.eta))
+            got = specialize(spair_polynomial(pair, tpl), values)
+            assert got == want
+            assert (got.degree, str(got)) == (want.degree, str(want))
+
+    @settings(max_examples=100)
+    @given(marked_sets())
+    def test_same_verdicts_as_the_generic_template(self, T_and_G):
+        T, G = T_and_G
+        assert is_marked_basis(G, T) == _generic_is_marked_basis(G, T)
+
+    def test_same_verdicts_on_a_four_t_chart(self):
+        T = _four_t_chart_at_6(0)
+        sets = _zero_moved_perturbed(T)
+        verdicts = [is_marked_basis(G, T) for G in sets]
+        assert verdicts == [True, True, False]
+        assert verdicts == [_generic_is_marked_basis(G, T) for G in sets]
+
+    def test_step_cap_margin_on_single_coefficient_sets(self):
+        # reduce's default cap scales with the term count of its input, and a
+        # specialized S-polynomial has few terms: a set with one nonzero tail
+        # coefficient must still reduce far below that cap
+        T = _four_t_chart_at_6(0)
+        tpl = marked._template_over(T)
+        # C[i,j] occurs only in the S-polynomials of pairs that hold head i
+        spolys_of_head = {}
+        for pair in ek_spairs(T):
+            h = spair_polynomial(pair, tpl)
+            for head in {pair.alpha, pair.beta}:
+                spolys_of_head.setdefault(tpl.head_index[head] + 1, []).append(h)
+        rng = random.Random(6)
+        values = dict.fromkeys(tpl.variables(), Fraction(0))
+        worst = 0
+        for v in rng.sample(tpl.variables(), 300):
+            values[v] = Fraction(rng.choice([-3, -1, 1, 2]))
+            for h in spolys_of_head.get(v[0], ()):
+                h = specialize(h, values)
+                cap = 10 * (tpl.hp_degree + 2) * max(len(h.terms), 1)
+                worst = max(worst, Fraction(reduce(h, tpl).steps, cap))
+            values[v] = Fraction(0)
+        assert 0 < worst <= Fraction(1, 4)
 
 
 # (n, degrees) of the `perfbench` `locate` families
