@@ -51,7 +51,7 @@ class MonomialIdeal:
     the multiples g * u of the generators.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "_basis")
 
     def __init__(self, n, gens):
         exps = []
@@ -88,6 +88,14 @@ class MonomialIdeal:
         if len(mon.exps) != self.n + 1:
             raise MathDomainError("monomials live in different ambient rings")
         return _has_divisor(self.gens, mon.exps)
+
+    def _generator_exponents(self):
+        """The set of the generators' exponent tuples, built on first use."""
+        try:
+            return self._basis
+        except AttributeError:
+            self._basis = basis = frozenset(g.exps for g in self.gens)
+            return basis
 
     def _members_at(self, t):
         """Exponent tuples of the degree-t monomials of the ideal, as a set."""
@@ -282,16 +290,20 @@ def star_decompose(gamma: Monomial, J: MonomialIdeal):
     strongly stable ideal this is the unique decomposition with
     max(cofactor) <= min(basis element).  Otherwise the strip may leave J,
     and then meets no generator again, since every divisor of a non-member
-    is a non-member: it escaped exactly when it reaches 1 without meeting one.
+    is a non-member.  So J's membership is tested only when the strip
+    reaches 1 without meeting a generator: gamma was not in J, or the strip
+    escaped J.
     """
-    if not J.contains(gamma):
-        raise MathDomainError(f"{gamma} is not a member of {J}")
-    basis = {g.exps for g in J.gens}
+    if not isinstance(gamma, Monomial):
+        raise TypeError(f"expected Monomial, got {type(gamma).__name__}")
+    basis = J._generator_exponents()
     cur = list(gamma.exps)
     eta = [0] * len(cur)
     while tuple(cur) not in basis:
         i = next((k for k, e in enumerate(cur) if e), None)
         if i is None:
+            if not J.contains(gamma):
+                raise MathDomainError(f"{gamma} is not a member of {J}")
             raise MathDomainError(
                 f"star decomposition escaped {J}; ideal is not strongly stable")
         cur[i] -= 1

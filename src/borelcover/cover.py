@@ -60,16 +60,25 @@ def classify_grassmannian_borel(constants: ChartConstants,
 
 def gluing_degree(J1: MonomialIdeal, J2: MonomialIdeal) -> int:
     """Degree |B_J1 \\ B_J2| of the overlap hypersurface in the J1 chart."""
-    if J1.n != J2.n:
+    return _gluing_matrix([J1, J2])[0][1]
+
+
+def _gluing_matrix(charts):
+    """The matrix of gluing degrees |B_i \\ B_j| of the chart ideals: each is
+    checked and its generator set built once, and every pair must agree on
+    the ambient ring, the level and the generator count."""
+    if any(J.n != charts[0].n for J in charts):
         raise MathDomainError("gluing of charts in different ambient rings")
-    for J in (J1, J2):
+    for J in charts:
         if J.is_zero() or not J.generated_in_single_degree():
             raise MathDomainError(f"gluing needs single-degree chart ideals, got {J}")
-    if J1.gens[0].degree() != J2.gens[0].degree():
-        raise MathDomainError("gluing degree of charts at different levels")
-    if len(J1.gens) != len(J2.gens):
-        raise MathDomainError("charts have different generator counts")
-    return len(set(J1.gens) - set(J2.gens))
+    for J in charts:
+        if J.gens[0].degree() != charts[0].gens[0].degree():
+            raise MathDomainError("gluing degree of charts at different levels")
+        if len(J.gens) != len(charts[0].gens):
+            raise MathDomainError("charts have different generator counts")
+    sets = [set(J.gens) for J in charts]
+    return tuple(tuple(len(a - b) for b in sets) for a in sets)
 
 
 _M_CHOICES = ("rho", "reg", "gotzmann")
@@ -159,7 +168,6 @@ def atlas(n, p, with_equations=False, m_choice="reg",
         if with_equations:
             equations = scheme_equations(chart.saturation, ms[m_choice])
         charts.append(AtlasChart(chart=chart, dims=dims, equations=equations))
-    bases = [entry.chart.chart for entry in charts]
-    gluing = tuple(tuple(gluing_degree(a, b) for b in bases) for a in bases)
+    gluing = _gluing_matrix([entry.chart.chart for entry in charts])
     return Atlas(constants=constants, charts=tuple(charts),
                  empty_charts=cls.empty_charts, gluing=gluing)

@@ -8,7 +8,10 @@ T = Jsat_{>=m}, consists of the polynomials
 
 with heads in the canonical order (degree ascending, degrevlex descending)
 and tails in degrevlex-descending order, fixing the parameter indexing
-(i = head position, j = tail position, both 1-based).
+(i = head position, j = tail position, both 1-based).  The number or
+parameter by which a tail x^g enters is its factor: C[i,j] in the generic
+template, and for an explicit marked set G over T, whose G_a has the same
+heads and tails, minus G_a's coefficient of x^g.
 
 The defining ideal of the chart is produced without any term order: each
 Eliahou-Kervaire S-polynomial x_j*F_a - x^e*F_b (where x_j*x^a = x^e*x^b via
@@ -21,22 +24,22 @@ truncation levels.  The order of the rewrites does not change the normal
 form: each monomial of T has one star decomposition, hence one rewrite, and
 rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
-coefficient the dict a ParamPoly keeps, from parameter multi-index to Fraction.
-Every tail carries -C[i,j], so a rewriting step multiplies each multi-index
-of a coefficient by the one variable C[i,j] and adds Fractions.
+coefficient a plain dict from parameter multi-index to number.  A step
+multiplies the coefficient it rewrites by the factor of each tail: a
+parameter C[i,j] enters each multi-index, a number multiplies each value.
+The S-polynomials start from the ints -1 and 1 times the factors, so the
+equations keep int coefficients, wrapped as ParamPolys once, at the end.
 
 A template is built from T alone and computes no Hilbert polynomial.  The
 same reduction decides whether an explicit marked set G over T is a marked
-basis (the Eliahou-Kervaire criterion).  A template S-polynomial specialized
-at G's point is G's own S-polynomial x_j*G_a - x^e*G_b, with number
-coefficients; rewriting it over the template brings parameters back only
-with the tails of each step, and specializing its normal form at the same
-point gives the normal form of G's S-polynomial.
+basis (the Eliahou-Kervaire criterion): over G's own factors it rewrites
+G's own S-polynomials x_j*G_a - x^e*G_b, with number coefficients, and G is
+a basis exactly when each normal form is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -49,18 +52,20 @@ from .errors import MathDomainError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
-from .ring import (Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times,
-                   specialize)
+from .ring import Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times
 
 
 @dataclass(frozen=True)
 class MarkedTemplate:
-    """The generic marked set over a strongly stable ideal."""
+    """A marked set over a strongly stable ideal, by the factors of its tails:
+    the generic template, or an explicit marked set G."""
 
     ideal: MonomialIdeal          # T, for a chart the truncation Jsat_{>=m}
     hp_degree: int                # degree of the Hilbert polynomial of S/T
     heads: tuple
     tails: tuple                  # tails[i] lists N(T)_{deg head_i}, descending
+    factors: tuple                # factors[i][j]: the key (i+1, j+1) of C[i+1,j+1],
+                                  # or for G minus its coefficient of tails[i][j]
     _members: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _rewrites: dict = field(default_factory=dict, init=False, repr=False,
@@ -84,12 +89,20 @@ class MarkedTemplate:
 
     @cached_property
     def polys(self):
-        """polys[i] = F_{heads[i]}, built from heads and tails on first use."""
+        """polys[i] = F_{heads[i]}, built from heads, tails and factors on first use."""
         polys = []
-        for i, (head, tail) in enumerate(zip(self.heads, self.tails), start=1):
-            terms = [(g, -ParamPoly.var((i, j))) for j, g in enumerate(tail, start=1)]
+        for head, tail, factors in zip(self.heads, self.tails, self.factors):
+            terms = [(g, -(ParamPoly.var(f) if type(f) is tuple else f))
+                     for g, f in zip(tail, factors)]
             polys.append(XPoly(self.ideal.n, [(head, 1)] + terms, head.degree()))
         return tuple(polys)
+
+    @cached_property
+    def _tail_factors(self):
+        """Per head, (exponents of x^g, factor) for each tail x^g whose factor
+        is not 0."""
+        return tuple(tuple((g.exps, f) for g, f in zip(tail, factors) if f)
+                     for tail, factors in zip(self.tails, self.factors))
 
     def members_at(self, d):
         """Exponent tuples of the degree-d monomials of T, the ideal's own set."""
@@ -99,19 +112,22 @@ class MarkedTemplate:
         return out
 
     def _shifted_tails(self, head, shift):
-        """(exponents of x^shift * x^g, key (i, j)) for each tail x^g of
-        F_head, which carries -C[i,j] there."""
-        i = self.head_index[head] + 1
-        return ((tuple(map(add, g.exps, shift)), (i, j))
-                for j, g in enumerate(self.tails[i - 1], start=1))
+        """(exponents of x^shift * x^g, factor) for each tail x^g of F_head
+        whose factor is not 0."""
+        return [(tuple(map(add, g, shift)), f)
+                for g, f in self._tail_factors[self.head_index[head]]]
 
     def rewrite(self, exps):
-        """Tails of x^eta * F_b, for the star decomposition x^eta * x^b of x^exps:
-        the `_shifted_tails` of b by eta, memoized per exps."""
+        """(tails, inner) for the star decomposition x^eta * x^b of x^exps:
+        tails the `_shifted_tails` of b by eta, inner the monomials among
+        them that lie in T; memoized per exps."""
         out = self._rewrites.get(exps)
         if out is None:
-            eta, beta = star_decompose(Monomial(exps), self.ideal)
-            out = self._rewrites[exps] = tuple(self._shifted_tails(beta, eta.exps))
+            eta, beta = star_decompose(Monomial._from_exps(exps), self.ideal)
+            tails = self._shifted_tails(beta, eta.exps)
+            members = self.members_at(sum(exps))
+            out = self._rewrites[exps] = (tails, [mon for mon, _ in tails
+                                                  if mon in members])
         return out
 
 
@@ -159,8 +175,11 @@ def _template_over(T: MonomialIdeal) -> MarkedTemplate:
     """
     heads = tuple(T.gens)
     outside = {d: tuple(T.sous_escalier_at(d)) for d in {h.degree() for h in heads}}
-    return MarkedTemplate(ideal=T, hp_degree=max(borel_hp_degree(T), 0), heads=heads,
-                          tails=tuple(outside[h.degree()] for h in heads))
+    tails = tuple(outside[h.degree()] for h in heads)
+    return MarkedTemplate(
+        ideal=T, hp_degree=max(borel_hp_degree(T), 0), heads=heads, tails=tails,
+        factors=tuple(tuple((i, j) for j in range(1, len(tail) + 1))
+                      for i, tail in enumerate(tails, start=1)))
 
 
 @dataclass(frozen=True)
@@ -201,18 +220,25 @@ def ek_spairs(T: MonomialIdeal):
     return pairs
 
 
-def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
-    """x_j * F_a - x^eta * F_b: the heads cancel, leaving -C[a,k] * x_j * x^g_k
-    and C[b,l] * x^eta * x^g_l; a != b (j > min(a)), so no multi-index repeats."""
+def _spair_terms(pair: SPair, tpl: MarkedTemplate):
+    """x_j * F_a - x^eta * F_b as {exponents: {multi-index: number}}: the heads
+    cancel, leaving -f[a,k] * x_j * x^g_k + f[b,l] * x^eta * x^g_l for the
+    factors f.  For the generic template each coefficient holds -1 or 1 on
+    one multi-index per tail; a != b (j > min(a)), so none repeats."""
     x_j = tuple(int(k == pair.var) for k in range(tpl.ideal.n + 1))
     acc = {}
-    for c, head, shift in ((Fraction(-1), pair.alpha, x_j),
-                           (Fraction(1), pair.beta, pair.eta.exps)):
-        for mon, key in tpl._shifted_tails(head, shift):
-            acc.setdefault(mon, {})[((key, 1),)] = c
-    return XPoly._from_dict(tpl.ideal.n,
-                            {e: ParamPoly._from_dict(d) for e, d in acc.items()},
-                            pair.alpha.degree() + 1)
+    _add_times(acc, (((), -1),), tpl._shifted_tails(pair.alpha, x_j))
+    _add_times(acc, (((), 1),), tpl._shifted_tails(pair.beta, pair.eta.exps))
+    return acc
+
+
+def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
+    """x_j * F_a - x^eta * F_b as an XPoly, each coefficient a ParamPoly with
+    Fraction values, as XPoly arithmetic on `tpl.polys` gives it."""
+    return XPoly._from_dict(
+        tpl.ideal.n, {e: ParamPoly._from_dict({cm: Fraction(v) for cm, v in d.items()})
+                      for e, d in _spair_terms(pair, tpl).items()},
+        pair.alpha.degree() + 1)
 
 
 @dataclass(frozen=True)
@@ -222,35 +248,52 @@ class ReductionResult:
     max_chain: int
 
 
-def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
+def reduce(h, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
     """Normal form of h against the template: support ends up outside T.
 
-    Repeatedly picks the degrevlex-largest monomial of T in the support,
-    star-decomposes it as x^e * x^b, and subtracts coeff * x^e * F_b; any
-    other order gives the same normal form (see the module docstring).
-    The step cap guards the Noetherianity argument; hitting it is an error,
-    never a silent truncation.  max_chain records the longest cascade of
-    rewrites in which each reduced monomial was introduced by the previous
-    step.
+    h is a form, or a form's terms as plain dicts {exponents: {multi-index:
+    number}}, as `_spair_terms` builds an S-polynomial; such a dict is
+    rewritten in place, and its degree is read off its monomials (0 when it
+    is empty).  `_rewrite` rewrites it; the step cap guards the
+    Noetherianity argument, and hitting it is an error, never a silent
+    truncation.  max_chain records the longest cascade of rewrites in which
+    each reduced monomial was introduced by the previous step.
 
-    The form is rewritten on a copy of its dict from exponent tuples to
-    coefficients; membership in T and star decompositions are looked up on
-    the template.  Every tail of F_b carries -C[i,j] and its head cancels, so
-    a step adds c * C[i,j] to the coefficient of each shifted tail: each
-    multi-index of c gains the one variable C[i,j], inserted into its sorted
-    pairs by `ring._cmon_times`, and the Fractions are added.  The first step
-    that touches a coefficient copies it into a mutable dict from parameter
-    multi-index to Fraction, the kind a ParamPoly keeps; at the end each is
-    wrapped as a ParamPoly and the dict as an XPoly, as they stand, unsorted.
-    Untouched coefficients come back as they went in, so the result and its
-    types are those of repeated ``h - c * x^e * F_b``.
+    Each coefficient dict, one that a step touched or one given, is wrapped
+    as a ParamPoly, and the whole as an XPoly, as they stand, unsorted.
+    Untouched coefficients of a form come back as they went in, so for a
+    form the result and its types are those of repeated
+    ``h - c * x^e * F_b``.
     """
-    if h.n != tpl.ideal.n:
-        raise MathDomainError("form and template live in different ambient rings")
+    if isinstance(h, XPoly):
+        if h.n != tpl.ideal.n:
+            raise MathDomainError("form and template live in different ambient rings")
+        acc, degree = dict(h._terms), h.degree
+    else:
+        acc, degree = h, sum(next(iter(h), ()))
+    steps, max_chain = _rewrite(acc, tpl, degree, step_cap)
+    poly = XPoly._from_dict(tpl.ideal.n, {e: ParamPoly._from_dict(c) if type(c) is dict
+                                          else c for e, c in acc.items()}, degree)
+    return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
+
+
+def _rewrite(acc, tpl: MarkedTemplate, degree, step_cap=None):
+    """Rewrite the form acc {exponents: coefficient} of the given degree in
+    place until its support lies outside T; returns (steps, max_chain).
+
+    Repeatedly takes the degrevlex-largest monomial of T in the support,
+    star-decomposes it as x^e * x^b, and subtracts c * x^e * F_b; any other
+    order gives the same normal form (see the module docstring).  The head
+    cancels, so the step adds c times the factor of each tail to the
+    coefficient of the shifted tail (`_add_times`).  Membership in T and
+    star decompositions are looked up on the template.  The default cap is
+    10 * (hp_degree + 2) steps per term of acc.
+    """
+    if not acc:  # nothing to rewrite, and no members of T to list
+        return 0, 0
     if step_cap is None:
-        step_cap = 10 * (tpl.hp_degree + 2) * max(len(h._terms), 1)
-    members = tpl.members_at(h.degree)
-    acc = dict(h._terms)
+        step_cap = 10 * (tpl.hp_degree + 2) * len(acc)
+    members = tpl.members_at(degree)
     inside = {e for e in acc if e in members}
     depth = dict.fromkeys(inside, 1)
     steps = 0
@@ -261,38 +304,54 @@ def reduce(h: XPoly, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
         if steps > step_cap:
             raise ReductionCapError(
                 f"reduction exceeded {step_cap} steps; precondition violated")
-        level = depth.get(target, 1)
+        level = depth[target]
         max_chain = max(max_chain, level)
-        c = _coefficient_dict(acc.pop(target)).items()
         inside.discard(target)
-        for mon, param in tpl.rewrite(target):
-            d = acc.get(mon)
-            if type(d) is not dict:
-                d = acc[mon] = _coefficient_dict(d)
-            for cm, v in c:
-                key = _cmon_times(cm, param)
-                prev = d.get(key)
-                if prev is not None:
-                    v += prev
-                if v:
-                    d[key] = v
-                else:
-                    del d[key]
-            if not d:
-                del acc[mon]
-            if mon in members:
-                depth[mon] = max(depth.get(mon, 0), level + 1)
-                if d:
-                    inside.add(mon)
-                else:
-                    inside.discard(mon)
-    poly = XPoly._from_dict(h.n, {e: ParamPoly._from_dict(c) if type(c) is dict else c
-                                  for e, c in acc.items()}, h.degree)
-    return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
+        tails, inner = tpl.rewrite(target)
+        _add_times(acc, _coefficient_dict(acc.pop(target)).items(), tails)
+        for mon in inner:
+            if depth.get(mon, 0) <= level:
+                depth[mon] = level + 1
+            if mon in acc:
+                inside.add(mon)
+            else:
+                inside.discard(mon)
+    return steps, max_chain
+
+
+def _add_times(acc, c, tails):
+    """acc += c * f * x^mon for each (mon, f) of tails, in place.
+
+    c holds a coefficient's (multi-index, value) pairs.  acc maps exponent
+    tuples to coefficient dicts {multi-index: nonzero value}; another value
+    there, one of a form that no step has touched yet, is first copied into
+    such a dict.  A parameter factor, a key (i, j), enters each multi-index
+    of c through `ring._cmon_times`; a number multiplies each value.  Zero
+    values and empty coefficients are dropped.
+    """
+    for mon, f in tails:
+        d = acc.get(mon)
+        if type(d) is not dict:
+            d = acc[mon] = _coefficient_dict(d)
+        param = type(f) is tuple
+        for cm, v in c:
+            if param:
+                cm = _cmon_times(cm, f)
+            else:
+                v = f * v
+            prev = d.get(cm)
+            if prev is not None:
+                v += prev
+            if v:
+                d[cm] = v
+            else:
+                del d[cm]
+        if not d:
+            del acc[mon]
 
 
 def _coefficient_dict(c):
-    """c as a dict {multi-index: Fraction} of its own; None is 0, a dict is kept."""
+    """c as a dict {multi-index: value} of its own; None is 0, a dict is kept."""
     if c is None:
         return {}
     if type(c) is dict:
@@ -327,11 +386,12 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     """
     tpl = template(Jsat, m)
     pairs = ek_spairs(tpl.ideal)
-    results = [reduce(spair_polynomial(pair, tpl), tpl) for pair in pairs]
+    results = [reduce(_spair_terms(pair, tpl), tpl) for pair in pairs]
 
     # first occurrences in S-pair order, each normal form walked in ascending
     # exponent order (the order of `.terms`); each coefficient is hashed once.
-    # The S-polynomials' coefficients are ParamPolys and reduce drops zeros.
+    # reduce wraps each coefficient of an S-pair's normal form as a ParamPoly
+    # with int values, and drops zeros.
     gens = list(dict.fromkeys(c for res in results
                               for _, c in sorted(res.poly._terms.items())))
     max_chain = max((res.max_chain for res in results), default=0)
@@ -420,11 +480,9 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     saturated or a truncation, and its Hilbert polynomial admissible; G must
     have scalar coefficients.  By the Eliahou-Kervaire criterion G is a
     marked basis exactly when every S-polynomial x_j*G_a - x^e*G_b of G
-    reduces to 0.  Each is the template's S-polynomial specialized at G's
-    parameter values.  `reduce` rewrites it over the template on T, and the
-    normal form, specialized at the same values, is that of G's
-    S-polynomial: rewriting is linear in the coefficients, so specializing
-    before it changes nothing.  The first S-pair whose specialized normal
+    reduces to 0.  The template over T with G's own numbers as its factors
+    builds each of them and rewrites it (`_spair_terms`, `_rewrite`); a
+    tail whose factor is 0 is never visited.  The first S-pair whose normal
     form is nonzero ends the check.  The admissibility check computes the
     one Hilbert polynomial; the template needs none.
     """
@@ -438,10 +496,15 @@ def is_marked_basis(G, T: MonomialIdeal) -> bool:
     if not all(f.is_scalar() for f in G):
         raise MathDomainError("coefficient matrix needs scalar coefficients")
     tpl = _template_over(T)
-    values = assignment_from_marked_set(G, tpl)
-    return not any(specialize(reduce(specialize(spair_polynomial(pair, tpl), values),
-                                     tpl).poly, values)
-                   for pair in ek_spairs(T))
+    by_head = dict(zip(heads, G))
+    tpl = replace(tpl, factors=tuple(tuple(-by_head[h].coefficient(g) for g in tail)
+                                     for h, tail in zip(tpl.heads, tpl.tails)))
+    for pair in ek_spairs(T):
+        acc = _spair_terms(pair, tpl)
+        _rewrite(acc, tpl, pair.alpha.degree() + 1)
+        if acc:
+            return False
+    return True
 
 
 def assignment_from_marked_set(G, tpl: MarkedTemplate):

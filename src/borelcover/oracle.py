@@ -9,7 +9,8 @@ Inside one call a polynomial is a dict from exponent tuples over the
 collected variables to coefficients, and `_sub_multiple` adds multiples of
 one to another.  Buchberger and normal forms reduce fraction-free on
 primitive integer dicts through `_reduce`; greedy elimination computes on
-Fractions.  Results have Fraction coefficients.  Each term order is defined
+Fractions, dividing by the Fraction constructor, since the inputs' values
+may be ints.  Results have Fraction coefficients.  Each term order is defined
 once, on exponent tuples (`_exponent_order`); `make_order` wraps it for
 C-multi-indices.  The order key and the support bitmask of each monomial are
 computed once and memoized.  `_reduce` keeps the monomials still to reduce in
@@ -113,7 +114,7 @@ class _Ring(dict):
         return k
 
     def from_param(self, p):
-        """p as a dict from exponent tuples to its Fraction coefficients."""
+        """p as a dict from exponent tuples to its int or Fraction coefficients."""
         pos, n = self.pos, len(self.variables)
         out = {}
         for cm, c in p._terms.items():
@@ -133,11 +134,12 @@ class _Ring(dict):
         return Fraction(g, den), {e: c // g for e, c in f.items()}
 
     def to_param(self, f):
-        """f, whose coefficients are nonzero Fractions, as a ParamPoly; the
-        variables are sorted, so each multi-index comes out canonical."""
+        """f, whose coefficients are nonzero ints or Fractions, as a ParamPoly
+        with Fraction values; the variables are sorted, so each multi-index
+        comes out canonical."""
         return ParamPoly._from_dict(
-            {tuple((v, x) for v, x in zip(self.variables, e) if x): c
-             for e, c in f.items()})
+            {tuple((v, x) for v, x in zip(self.variables, e) if x):
+             c if type(c) is Fraction else Fraction(c) for e, c in f.items()})
 
 
 def _divides(a, b):
@@ -405,7 +407,7 @@ def greedy_linear_eliminate(gens) -> EliminationResult:
             break
         f = work.pop(idx)
         c = f.pop(tuple(int(i == k) for i in range(len(ring.variables))))
-        powers = [{e: -d / c for e, d in f.items()}]
+        powers = [{e: Fraction(-d, c) for e, d in f.items()}]
         eliminated.append((ring.variables[k], powers[0]))
         work = [w for w in work if _substitute(w, k, powers)]
     return EliminationResult(

@@ -219,9 +219,10 @@ class ParamPoly:
     A term's multi-index is a sorted tuple of ((i, j), exponent) pairs, one
     per variable, with positive exponents.  The terms live in a dict from
     multi-index to nonzero int or Fraction (``__init__`` stores Fractions;
-    ``_from_dict`` and ``marked.reduce`` keep the ints they are given), so
-    structural equality is mathematical equality; ``.terms`` lists them in
-    the canonical order (degree descending, then multi-index).
+    ``_from_dict`` keeps the ints it is given, so the equations of
+    ``marked.scheme_equations`` have int values), so structural equality is
+    mathematical equality, ints and Fractions alike; ``.terms`` lists them
+    in the canonical order (degree descending, then multi-index).
     """
 
     __slots__ = ("_terms",)
@@ -253,7 +254,7 @@ class ParamPoly:
 
     @property
     def terms(self):
-        """The (multi-index, Fraction) terms in the canonical order."""
+        """The (multi-index, value) terms in the canonical order."""
         return tuple(sorted(self._terms.items(), key=_term_sort_key))
 
     @classmethod
@@ -565,7 +566,8 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
     k = c * L, L the lcm of their Fraction denominators (ints for Fractions,
     ParamPolys times an int otherwise), the terms k * image(x^e) are
     accumulated per target exponent tuple, and the sums are divided by
-    L * D^d once; that dict is the image form as it stands, unsorted.
+    L * D^d once, an int sum by the Fraction constructor's int path; that
+    dict is the image form as it stands, unsorted.
     """
     n = f.n
     rows = tuple(tuple(map(Fraction, row)) for row in g)
@@ -579,8 +581,10 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
         for m, a in _image(e, G, images, successors).items():
             prev = acc.get(m)
             acc[m] = k * a if prev is None else prev + k * a
-    scale = Fraction(1, L * D ** f.degree)
-    return XPoly._from_dict(n, {m: v * scale for m, v in acc.items() if v}, f.degree)
+    den = L * D ** f.degree
+    return XPoly._from_dict(n, {m: Fraction(v, den) if type(v) is int
+                                else v * Fraction(1, den)
+                                for m, v in acc.items() if v}, f.degree)
 
 
 def specialize(f: XPoly, assignment) -> XPoly:

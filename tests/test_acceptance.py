@@ -247,3 +247,24 @@ def test_criterion_13_perfbench_outputs_unchanged(name):
                      for op in workloads.build(name, 1))
     assert hashlib.sha256(per_op.encode()).hexdigest() == PERFBENCH_SEED1_DIGESTS[name]
     report(13, f"perfbench {name} seed-1 outputs byte-identical")
+
+
+def test_traced_equations_counts_of_seed_1():
+    # the marked reduction's work in one seed-1 `equations` pass, as the
+    # perfbench tracer counts it: the counts a faster reduction must keep
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import tracer
+    import workloads
+
+    ops = workloads.build("equations", 1)
+    t = tracer.Tracer()
+    with t:
+        for op in ops:
+            op.run()
+    metrics = t.metrics()
+    assert {k: metrics[f"marked.{k}"] for k in ("reduce_calls", "reduce_steps", "spairs",
+                                                 "coefficients", "generators")} == {
+        "reduce_calls": 245, "reduce_steps": 1258, "spairs": 245,
+        "coefficients": 2120, "generators": 2120}

@@ -229,6 +229,17 @@ class TestMembershipAgainstScan:
         assert got == outcome(scan_star_decompose, gamma, J)
         assert got[0] is MathDomainError and "escaped" in got[1]
 
+    def test_star_decompose_non_member_message(self):
+        # the strip of a non-member reaches 1; the membership test made then
+        # picks this message, not the escape one
+        J = MonomialIdeal.parse("x2, x1^3", 2)
+        for gamma in (mono("x1^2*x0", 2), Monomial.one(2)):
+            got = outcome(star_decompose, gamma, J)
+            assert got == outcome(scan_star_decompose, gamma, J)
+            assert got == (MathDomainError, f"{gamma} is not a member of {J}")
+        with pytest.raises(TypeError, match="^expected Monomial, got tuple$"):
+            star_decompose((0, 1, 0), J)
+
     @pytest.mark.parametrize("J", [MonomialIdeal.zero(2), MonomialIdeal.parse("x2, x1^3", 2)],
                              ids=["zero", "nonzero"])
     def test_monomial_of_another_ambient_is_refused(self, J):

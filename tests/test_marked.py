@@ -1,6 +1,7 @@
 import gc
 import random
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from operator import add
 
@@ -274,15 +275,18 @@ def reference_scheme_equations(sat, m, strategy):
 
 
 def _scheme_fingerprint(gens, *rest):
-    return ([(g, [type(v) for _, v in g.terms]) for g in gens],) + rest
+    return ([(g, str(g)) for g in gens],) + rest
 
 
 # The library rewrites in one order.  The normal form does not depend on the
-# order, so it must equal the reference's in both: the equations, the
-# polynomial with its coefficient types, and max_chain.
+# order, so it must equal the reference's in both: the equations with their
+# text, and max_chain.  The equations are reduced from S-polynomials with the
+# int coefficients -1 and 1, so their values are ints, where the reference's
+# XPoly arithmetic gives Fractions of the same values and text.
 
 def assert_scheme_equations_as_reference(sat, m):
     S = scheme_equations(sat, m)
+    assert all(type(v) is int for g in S.generators for _, v in g.terms)
     got = _scheme_fingerprint(S.generators, S.num_vars, S.spair_count,
                               S.max_chain, S.max_degree)
     for strategy in ("largest", "smallest"):
@@ -655,6 +659,27 @@ def _generic_is_marked_basis(G, T):
     return not any(c.evaluate(values) for h in normal_forms for c in h._terms.values())
 
 
+def _specialized_is_marked_basis(G, T):
+    """The criterion through the generic template at G's point: specialize
+    each template S-polynomial at G's parameter values, reduce it over the
+    template and specialize its normal form again.  G must be a valid
+    marked set over T."""
+    tpl = marked._template_over(T)
+    values = assignment_from_marked_set(G, tpl)
+    return not any(specialize(reduce(specialize(spair_polynomial(pair, tpl), values),
+                                     tpl).poly, values)
+                   for pair in ek_spairs(T))
+
+
+def _template_of_marked_set(G, T):
+    """The template over T whose factors are G's values of the parameters,
+    read off with assignment_from_marked_set."""
+    tpl = marked._template_over(T)
+    values = assignment_from_marked_set(G, tpl)
+    return replace(tpl, factors=tuple(tuple(values[key] for key in keys)
+                                      for keys in tpl.factors))
+
+
 def _four_t_chart_at_6(k):
     """T = Jsat_{>=6} for the k-th chart of the (3, 4t) classification: 60
     heads of degree 6, 1440 template parameters."""
@@ -702,6 +727,39 @@ class TestIsMarkedBasisOnSpecializedSPairs:
         verdicts = [is_marked_basis(G, T) for G in sets]
         assert verdicts == [True, True, False]
         assert verdicts == [_generic_is_marked_basis(G, T) for G in sets]
+        assert verdicts == [_specialized_is_marked_basis(G, T) for G in sets]
+
+    @settings(max_examples=60)
+    @given(marked_sets())
+    def test_spair_terms_over_g_are_the_spair_of_g(self, T_and_G):
+        # over G's own factors the one builder gives x_j*G_a - x^eta*G_b,
+        # numbers on the empty multi-index, zeros dropped
+        T, G = T_and_G
+        tpl = _template_of_marked_set(G, T)
+        for pair in ek_spairs(T):
+            g_a = G[tpl.head_index[pair.alpha]]
+            g_b = G[tpl.head_index[pair.beta]]
+            want = (g_a.times_monomial(Monomial.variable(T.n, pair.var))
+                    - g_b.times_monomial(pair.eta))
+            got = marked._spair_terms(pair, tpl)
+            assert all(list(d) == [()] for d in got.values())
+            assert {e: d[()] for e, d in got.items()} == want._terms
+
+    @settings(max_examples=100)
+    @given(marked_sets())
+    def test_normal_forms_as_the_specialized_reduction(self, T_and_G):
+        # reducing G's S-polynomial over G's factors gives the specialized
+        # normal form of the template's S-polynomial, pair by pair
+        T, G = T_and_G
+        tpl = marked._template_over(T)
+        values = assignment_from_marked_set(G, tpl)
+        gtpl = _template_of_marked_set(G, T)
+        for pair in ek_spairs(T):
+            want = specialize(reduce(specialize(spair_polynomial(pair, tpl), values),
+                                     tpl).poly, values)
+            got = specialize(reduce(marked._spair_terms(pair, gtpl), gtpl).poly, {})
+            assert got == want
+        assert is_marked_basis(G, T) == _specialized_is_marked_basis(G, T)
 
     def test_step_cap_margin_on_single_coefficient_sets(self):
         # reduce's default cap scales with the term count of its input, and a

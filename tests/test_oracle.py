@@ -519,6 +519,22 @@ class TestCoefficientType:
         assert res.eliminated
         _assert_fraction_coefficients(expr for _, expr in res.eliminated)
 
+    def test_int_values_in_fractions_out(self):
+        # scheme_equations' generators have int values; elimination divides
+        # them as Fractions, and an untouched generator comes back in Fractions
+        gens = [{(((1, 1), 1),): 3, (((1, 2), 2),): 1},
+                {(((1, 2), 2),): 2, (((2, 1), 2),): -1}]
+        res = greedy_linear_eliminate([ParamPoly._from_dict(g) for g in gens])
+        _assert_fraction_coefficients(res.residual)
+        _assert_fraction_coefficients(expr for _, expr in res.eliminated)
+        assert res == greedy_linear_eliminate([ParamPoly(g.items()) for g in gens])
+        assert str(res.eliminated[0][1]) == "-1/3*C[1,2]^2"
+        a8 = scheme_equations(saturation_ideal(A8_CHART), A8_CHART["m"]).generators
+        assert all(type(c) is int for g in a8 for _, c in g.terms)
+        res = greedy_linear_eliminate(list(a8))
+        _assert_fraction_coefficients(expr for _, expr in res.eliminated)
+        assert res == greedy_linear_eliminate([ParamPoly(g.terms) for g in a8])
+
 
 class TestPairCap:
     GENS = [C11 * C11 - C12, C11 * C12 - ParamPoly.const(1)]
