@@ -5,16 +5,19 @@ The Hilbert polynomial of forms is that of their initial ideal, from
 degree-t slice of an ideal, which for forms of degree t are their
 coefficient rows.  On them rests the canonical degree basis of a span,
 ``degree_basis``: its reduced row echelon rows.  The degree basis is
-memoized by value for the last two spans, the forms' own and their image
-under a change of coordinates, and its forms are immutable XPolys shared by
-every caller, so locating an ideal row reduces each span once.  The seeded
-random-coordinate search that locates an arbitrary ideal in a Borel chart
-takes each Plucker coordinate as the determinant of the reduced rows'
-coefficient dicts on the columns of B_J (no Macaulay matrix, no listing of
-degree r) and hands those rows back as ``OpenSetResult.basis``;
-``chart_form`` reads the marked slice (reduced row echelon against the head
-columns of a monomial ideal) off them, and the Hilbert-scheme membership
-test at the Gotzmann level builds the next degree from them.  Ranks, minors
+memoized by value for the last two spans asked for, and its forms are
+immutable XPolys shared by every caller.  The seeded random-coordinate
+search that locates an arbitrary ideal in a Borel chart transforms the
+generators of degree at most r, not the degree-r basis: the Macaulay rows
+x^m * g(f) of their images span g(I)_r and stay sparse, with small
+entries, and their reduced rows are the same canonical basis.  It takes
+each Plucker coordinate as the determinant of the reduced rows'
+coefficient dicts on the columns of B_J (no listing of degree r) and hands
+those rows back as ``OpenSetResult.basis``.  ``chart_form`` reads the
+marked slice (reduced row echelon against the head columns of a monomial
+ideal) off the degree basis of its forms, as it stands when the rows are
+already x^a plus a tail outside B_J, and the Hilbert-scheme membership test
+at the Gotzmann level builds the next degree from that basis.  Ranks, minors
 and echelon forms all come from the one sparse elimination in ``linalg``;
 every row passed to or from it is a dict from column index to nonzero
 coefficient.
@@ -115,9 +118,11 @@ def degree_basis(gens, t):
 def _degree_basis(gens, t):
     """The degree basis of a generator tuple, as a tuple.
 
-    Two entries cover locating an ideal: the forms' own span and its image
-    under the coordinate change, which the chart search, ``chart_form`` and
-    ``in_hilb`` all read.
+    Two entries cover locating an ideal: the span of the forms themselves,
+    whose dimension the chart search checks, and the span of their images
+    under the coordinate change, on which it tests the charts.  A caller
+    that transforms a basis itself gets a third span, reduced once for
+    ``chart_form`` and read again by ``in_hilb``.
     """
     return tuple(_basis_of_rows(*_span_rows(gens, t), gens[0].n, t)[0])
 
@@ -190,12 +195,35 @@ def chart_form(forms, J: MonomialIdeal) -> ChartPoint:
 
     The marked polynomials are the degree-r marked slice of the span, in the
     order of B_J, read off its degree basis: the marked set is unique, so
-    the sparse reduced rows serve as well as the forms.  Raises
-    NotInChartError when the Plucker coordinate of J vanishes.
+    the sparse reduced rows serve as well as the forms.  When each row of
+    the degree basis meets B_J in one monomial x^a, with coefficient 1, and
+    the x^a are all of B_J (so the pivots are B_J), the rows are already the
+    marked polynomials; otherwise the basis is reduced against B_J by
+    ``marked_slice``.  Raises NotInChartError when the Plucker coordinate of
+    J vanishes.
     """
     r = _check_chart_forms(forms, J)
-    marked = marked_slice(degree_basis(forms, r), J, r)
+    basis = degree_basis(forms, r)
+    marked = _marked_rows(basis, J)
+    if marked is None:
+        marked = marked_slice(basis, J, r)
     return ChartPoint(chart=J, marked_set=tuple(marked[h] for h in J.gens))
+
+
+def _marked_rows(basis, J):
+    """The rows as a dict x^a -> row when they are x^a plus a tail outside B_J.
+
+    None unless there is one row per generator x^a of J, each holding
+    exactly one monomial of B_J, x^a itself, with coefficient 1.
+    """
+    heads = {m.exps: m for m in J.gens}
+    marked = {}
+    for f in basis:
+        inside = [e for e in f._terms if e in heads]
+        if len(inside) != 1 or f._terms[inside[0]] != 1:
+            return None
+        marked[heads[inside[0]]] = f
+    return marked if len(marked) == len(heads) == len(basis) else None
 
 
 def _check_bound(bound):
@@ -280,29 +308,33 @@ class OpenSetResult:
     chart: BorelChartIdeal
     tried: int
     constants: ChartConstants
-    basis: tuple        # degree_basis of the degree-r basis after g
+    basis: tuple        # degree_basis of the degree-r slice after g
 
 
 def _chart_search_setup(gens, max_ambient, max_nodes):
     constants = chart_constants(hilbert_polynomial_of_forms(gens), gens[0].n)
     charts = borel_charts(constants, max_ambient, max_nodes)
-    basis = degree_basis(gens, constants.r)
-    if len(basis) != constants.s:
+    dim = len(degree_basis(gens, constants.r))
+    if dim != constants.s:
         raise MathDomainError(
-            f"dim I_{constants.r} = {len(basis)} but q(r) = {constants.s}; "
+            f"dim I_{constants.r} = {dim} but q(r) = {constants.s}; "
             "the ideal does not define a point of this Hilbert scheme")
-    return constants, charts, basis
+    return constants, charts
 
 
-def _charts_containing(basis, g, charts, r):
-    """The reduced span of basis after g, and the charts containing it, lazily.
+def _charts_containing(gens, g, charts, r):
+    """The reduced degree-r slice of (gens) after g, and the charts containing it.
 
-    The transformed span is row reduced once, through the memoized
-    degree_basis that chart_form and in_hilb read next; each chart's
-    Plucker coordinate is then a minor of the sparse reduced rows, and
-    whether it vanishes does not depend on the basis.
+    The generators of degree at most r are transformed, and the degree-r
+    multiples x^m * g(f) of their images, which span g(I)_r, are row
+    reduced once through the memoized degree_basis: Macaulay rows, sparse
+    with small entries.  The reduced rows are canonical, so they are the
+    same whichever spanning set they come from.  Each chart's Plucker
+    coordinate is a minor of those rows, and whether it vanishes does not
+    depend on the basis.  The charts are yielded lazily.
     """
-    reduced = degree_basis([apply_change_of_coords(f, g) for f in basis], r)
+    reduced = degree_basis([apply_change_of_coords(f, g) for f in gens
+                            if f.degree <= r], r)
     return reduced, (chart for chart in charts
                      if pluecker_coordinate(reduced, chart.chart) != 0)
 
@@ -318,13 +350,13 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
     the reduced transformed span the search found the chart on.
     """
     _check_bound(bound)
-    constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
+    constants, charts = _chart_search_setup(gens, max_ambient, max_nodes)
     rng = random.Random(seed)
     tried = 0
     while tried < max_tries:
         tried += 1
         gm = g if g is not None else _draw_invertible(rng, gens[0].n, bound)
-        reduced, found = _charts_containing(basis, gm, charts, constants.r)
+        reduced, found = _charts_containing(gens, gm, charts, constants.r)
         chart = next(found, None)
         if chart is not None:
             return OpenSetResult(g=gm, chart=chart, tried=tried,
@@ -338,5 +370,5 @@ def borel_open_set(gens, seed=0, bound=10, g=None, max_tries=64,
 
 def all_charts(gens, g, max_ambient=MAX_AMBIENT, max_nodes=MAX_NODES):
     """Every Borel chart (for the ideal's Hilbert polynomial) containing I^g."""
-    constants, charts, basis = _chart_search_setup(gens, max_ambient, max_nodes)
-    return list(_charts_containing(basis, g, charts, constants.r)[1])
+    constants, charts = _chart_search_setup(gens, max_ambient, max_nodes)
+    return list(_charts_containing(gens, g, charts, constants.r)[1])

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 from operator import add
@@ -131,8 +131,15 @@ class MarkedTemplate:
         return out
 
 
+@lru_cache(maxsize=1)
 def _validate_saturated_borel(Jsat):
-    """Jsat is Borel, not the unit ideal, and saturated: no generator has x_0."""
+    """Jsat is Borel, not the unit ideal, and saturated: no generator has x_0.
+
+    The last ideal that passed is remembered, so the levels asked of one
+    saturation (an atlas asks three embedding dimensions per chart, then
+    its equations) check it once; a failing ideal raises on every call,
+    since exceptions are not cached.
+    """
     if not is_strongly_stable(Jsat):
         raise MathDomainError(f"{Jsat} is not strongly stable")
     if any(g.exps[0] for g in Jsat.gens):

@@ -509,16 +509,22 @@ class XPoly:
 
 
 @functools.lru_cache(maxsize=1)
-def _image_memo(rows):
+def _image_memo(g, n):
     """(D, G, images, successors) for the last invertible rational g seen.
 
-    g = G / D, G as rows of sparse (column, int) pairs.  images maps an
-    exponent tuple e to the image of x^e under G, a dict from exponent tuple
-    to nonzero int; successors maps an exponent tuple m to the tuples
-    m + e_j, j = 0..n, so that all images share one tuple per monomial.
-    `_image` fills both.  A new g frees the memo of the last; a singular g
-    raises on every call, since exceptions are not cached.
+    g is keyed as given, a tuple of row tuples, and its entries become
+    Fractions only here, on a miss; then come the checks that it is
+    (n+1) x (n+1) and invertible, in that order.  g = G / D, G as rows of
+    sparse (column, int) pairs.  images maps an exponent tuple e to the
+    image of x^e under G, a dict from exponent tuple to nonzero int;
+    successors maps an exponent tuple m to the tuples m + e_j, j = 0..n, so
+    that all images share one tuple per monomial.  `_image` fills both.  A
+    new g frees the memo of the last; a malformed or singular g raises on
+    every call, since exceptions are not cached.
     """
+    rows = tuple(tuple(map(Fraction, row)) for row in g)
+    if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
+        raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
     D = math.lcm(*(q.denominator for row in rows for q in row))
     G = tuple(tuple((j, int(q * D)) for j, q in enumerate(row) if q)
               for row in rows)
@@ -562,18 +568,17 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
     homogeneous form is homogeneous of the same degree.  With g = G / D for
     an integer matrix G, `_image_memo` checks g once and keeps the integer
     images of x^e under G for the last g, shared by every form transformed
-    under it in a row (a basis, say).  The coefficients c of f are scaled to
-    k = c * L, L the lcm of their Fraction denominators (ints for Fractions,
-    ParamPolys times an int otherwise), the terms k * image(x^e) are
-    accumulated per target exponent tuple, and the sums are divided by
-    L * D^d once, an int sum by the Fraction constructor's int path; that
-    dict is the image form as it stands, unsorted.
+    under it in a row (a basis, say); it is keyed on g's entries as given,
+    so a repeated g is neither converted nor checked again.  The
+    coefficients c of f are scaled to k = c * L, L the lcm of their Fraction
+    denominators (ints for Fractions, ParamPolys times an int otherwise),
+    the terms k * image(x^e) are accumulated per target exponent tuple, and
+    the sums are divided by L * D^d once, an int sum by the Fraction
+    constructor's int path; that dict is the image form as it stands,
+    unsorted.
     """
     n = f.n
-    rows = tuple(tuple(map(Fraction, row)) for row in g)
-    if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        raise MathDomainError(f"change of coordinates must be {n + 1}x{n + 1}")
-    D, G, images, successors = _image_memo(rows)
+    D, G, images, successors = _image_memo(tuple(map(tuple, g)), n)
     L = math.lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
     acc = {}
     for e, c in f._terms.items():

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from borelcover import chart as chart_module
 from borelcover.borel import (MonomialIdeal, borel_charts, enumerate_borel_in_g,
                               is_strongly_stable, truncate)
-from borelcover.chart import (_common_degree, _degree_basis, _draw_invertible,
+from borelcover.chart import (ChartPoint, _common_degree, _degree_basis, _draw_invertible,
                               _span_rows, all_charts, borel_open_set, chart_form,
                               degree_basis, dimension_in_degree,
                               hilbert_polynomial_of_forms, in_hilb,
@@ -737,20 +739,24 @@ class TestOneEliminationPerSpan:
     def test_locate_sequence_reduces_the_transformed_span_once(
             self, monkeypatch, n, degrees, seed):
         # the open-set search, the basis, the change of coordinates, the
-        # chart form and the membership test, as certify runs them
+        # chart form and the membership test, as the locate workload runs them
         gens = complete_intersection(n, degrees, seed)
         calls = []
         for name in ("rref", "det"):
             def counted(rows, name=name, real=getattr(linalg, name)):
-                calls.append((name, rows))
+                calls.append((stage, name, rows))
                 return real(rows)
             monkeypatch.setattr(linalg, name, counted)
         _degree_basis.cache_clear()
+        stage = "search"
         res = borel_open_set(gens, seed=seed)
         c = res.constants
+        stage = "basis"
         basis = degree_basis(gens, c.r)
         transformed = [apply_change_of_coords(f, res.g) for f in basis]
+        stage = "chart_form"
         chart_form(transformed, res.chart.chart)
+        stage = "in_hilb"
         assert in_hilb(transformed, c)
         monkeypatch.undo()
         assert res.tried == 1
@@ -758,9 +764,156 @@ class TestOneEliminationPerSpan:
         # N(r) - s columns of no pivot; the transformed forms are denser
         width = 1 + c.N_r - c.s
         assert min(len(f.terms) for f in transformed) > width
-        own = _span_rows(gens, c.r)[0]
-        dense = [(name, rows) for name, rows in calls
-                 if rows != own and any(len(row) > width for row in rows)]
-        assert dense == [("rref", _span_rows(transformed, c.r)[0])]
-        # the forms' basis, the transformed basis and the marked slice
-        assert [name for name, _ in calls].count("rref") == 3
+        moved = [apply_change_of_coords(f, res.g) for f in gens]
+        rrefs = [(stage, rows) for stage, name, rows in calls if name == "rref"]
+        # the search reduces the forms' own Macaulay rows (the dimension
+        # check) and the moved generators' Macaulay rows, whose entries are
+        # those of the moved generators; chart_form reduces the dense image
+        # of the basis, the only elimination on it; the marked rows are read
+        # off its degree basis with no further elimination
+        assert rrefs == [("search", _span_rows(gens, c.r)[0]),
+                         ("search", _span_rows(moved, c.r)[0]),
+                         ("chart_form", _span_rows(transformed, c.r)[0])]
+        assert all(len(row) <= max(len(f.terms) for f in moved)
+                   for row in rrefs[1][1])
+        # the search's Plucker minors see only sparse reduced rows
+        assert all(len(row) <= width for stage, name, rows in calls
+                   if name == "det" and stage == "search" for row in rows)
+        assert {stage for stage, _, _ in calls} == {"search", "chart_form"}
+
+
+def old_route_charts(gens, g, charts, r):
+    """The search's former route: the degree basis of the forms, transformed
+    and reduced densely, and the charts whose Plucker coordinate is nonzero
+    on it, in order."""
+    reduced = row_space_basis([apply_change_of_coords(f, g)
+                               for f in degree_basis(gens, r)])
+    return reduced, [ch for ch in charts if pluecker_coordinate(reduced, ch.chart) != 0]
+
+
+def old_route_open_set(gens, seed, bound=10, max_tries=64):
+    """(g, tried, chart, basis) as the former route's search draws and finds them."""
+    c = chart_constants(hilbert_polynomial_of_forms(gens), gens[0].n)
+    charts = borel_charts(c)
+    rng = random.Random(seed)
+    for tried in range(1, max_tries + 1):
+        g = _draw_invertible(rng, gens[0].n, bound)
+        reduced, found = old_route_charts(gens, g, charts, c.r)
+        if found:
+            return g, tried, found[0], reduced
+    raise IterationCapError("no chart")
+
+
+def perfbench_locate_inputs(seed):
+    """(forms, search seed) of each operation of the perfbench `locate`
+    workload, drawn as `workloads._locate_ops` draws them."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    rng = random.Random(seed)
+    return [(workloads.complete_intersection(rng, n, degrees), rng.randrange(1 << 30))
+            for n, degrees, count in workloads.LOCATE_FAMILIES for _ in range(count)]
+
+
+def _redundant(gens):
+    """The forms, a combination of the first and last, a scalar multiple, a
+    repeat and a multiple by x_0 of the first."""
+    first, last = gens[0], gens[-1]
+    x0 = parse_xpoly("x0", first.n)
+    lift = first
+    while lift.degree < last.degree:
+        lift = lift * x0
+    return gens + [last + lift, first.scale(3), first, first * x0]
+
+
+def _above_r(gens):
+    """The forms and a multiple of each above the Gotzmann number r."""
+    c = chart_constants(hilbert_polynomial_of_forms(gens), gens[0].n)
+    x = parse_xpoly(f"x{gens[0].n}", gens[0].n)
+    extra = []
+    for f in gens:
+        while f.degree <= c.r:
+            f = f * x
+        extra.append(f)
+    return gens + extra
+
+
+class TestSearchAgainstTheOldRoute:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_perfbench_locate_inputs(self, seed):
+        for gens, op_seed in perfbench_locate_inputs(seed):
+            g, tried, chart, basis = old_route_open_set(gens, op_seed)
+            res = borel_open_set(gens, seed=op_seed)
+            assert (res.g, res.tried, res.chart, list(res.basis)) == \
+                (g, tried, chart, basis)
+            c = res.constants
+            assert all_charts(gens, g) == old_route_charts(gens, g, borel_charts(c), c.r)[1]
+
+    @pytest.mark.parametrize("spanning", [_redundant, _above_r],
+                             ids=["redundant", "above-r"])
+    @pytest.mark.parametrize("n, degrees, seed", [
+        (2, (2, 2), 1), (2, (2, 3), 2), (3, (1, 2), 1), (3, (2, 2), 1)])
+    def test_other_generator_lists(self, spanning, n, degrees, seed):
+        gens = spanning(complete_intersection(n, degrees, seed))
+        g, tried, chart, basis = old_route_open_set(gens, seed)
+        res = borel_open_set(gens, seed=seed)
+        assert (res.g, res.tried, res.chart, list(res.basis)) == (g, tried, chart, basis)
+        c = res.constants
+        for h in (g, random_coordinate_change(n, seed + 10, bound=2)):
+            assert all_charts(gens, h) == \
+                old_route_charts(gens, h, borel_charts(c), c.r)[1]
+
+    def test_fixed_change_in_no_chart(self, two_quadrics):
+        ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        c = chart_constants(hilbert_polynomial_of_forms(two_quadrics), 2)
+        assert old_route_charts(two_quadrics, ident, borel_charts(c), c.r)[1] == []
+        assert all_charts(two_quadrics, ident) == []
+        with pytest.raises(NotInChartError, match="lands in no Borel chart"):
+            borel_open_set(two_quadrics, g=ident)
+
+
+class TestChartFormShortcut:
+    def test_every_containing_chart_against_marked_slice(self, monkeypatch):
+        fallbacks = []
+        real = chart_module.marked_slice
+        monkeypatch.setattr(chart_module, "marked_slice",
+                            lambda *args: fallbacks.append(args) or real(*args))
+        paths = set()
+        for n, degrees, seed in [(2, (2, 2), 1), (2, (2, 3), 1), (3, (1, 2), 1),
+                                 (3, (1, 3), 2), (3, (2, 2), 1)]:
+            gens = complete_intersection(n, degrees, seed)
+            g = random_coordinate_change(n, seed)
+            c = chart_constants(hilbert_polynomial_of_forms(gens), n)
+            moved = [apply_change_of_coords(f, g) for f in degree_basis(gens, c.r)]
+            pivots = initial_monomials(moved)
+            for ch in all_charts(gens, g):
+                J = ch.chart
+                want = real(moved, J, c.r)
+                before = len(fallbacks)
+                assert chart_form(moved, J) == ChartPoint(
+                    chart=J, marked_set=tuple(want[h] for h in J.gens))
+                # the rows are read as they stand exactly when their
+                # degrevlex pivots are B_J; any other chart falls back
+                fell_back = len(fallbacks) - before
+                assert fell_back == (0 if pivots == J else 1)
+                paths.add(fell_back)
+        assert paths == {0, 1}
+
+    @pytest.mark.parametrize("form, marked", [("x1 + 2*x0", "1/2*x1 + x0"),
+                                              ("x1 + x0", "x1 + x0")])
+    def test_a_row_meeting_b_j_off_its_pivot(self, form, marked):
+        # the row's pivot x1 lies outside J = (x0): it is the marked
+        # polynomial of x0 only when x0 has coefficient 1
+        J = MonomialIdeal.parse("x0", 1)
+        point = chart_form([parse_xpoly(form, 1)], J)
+        assert point.marked_set == (parse_xpoly(marked, 1),)
+        assert point.marked_set == (marked_slice([parse_xpoly(form, 1)], J, 1)[J.gens[0]],)
+
+    def test_fallback_keeps_its_errors(self, j1sat, j2sat):
+        forms = [XPoly.from_monomial(m) for m in truncate(j1sat, 4).gens]
+        with pytest.raises(NotInChartError):
+            chart_form(forms, truncate(j2sat, 4))
+        with pytest.raises(MathDomainError, match="span has dimension 10, chart expects 11"):
+            chart_form(forms[:-1], truncate(j1sat, 4))

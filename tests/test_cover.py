@@ -176,3 +176,28 @@ class TestAtlas:
         for entry in d1["charts"]:
             J = MonomialIdeal.from_json_dict(entry["saturation"])
             assert isinstance(J, MonomialIdeal)
+
+
+class TestAtlasValidation:
+    @pytest.mark.parametrize("n, p", [(3, "3*t+2"), (3, "2*t+4"), (4, "3*t")])
+    def test_each_saturation_checked_once(self, monkeypatch, n, p):
+        from borelcover import marked
+        seen = []
+        real = marked.is_strongly_stable
+        monkeypatch.setattr(marked, "is_strongly_stable",
+                            lambda J: seen.append(J) or real(J))
+        marked._validate_saturated_borel.cache_clear()
+        a = atlas(n, p)
+        assert seen == [entry.chart.saturation for entry in a.charts]
+        assert all(len(entry.dims) == 3 for entry in a.charts)
+
+    def test_a_failing_saturation_raises_on_every_call(self, j1sat):
+        from borelcover.marked import embedding_dimension
+        not_borel = MonomialIdeal.parse("x1", 2)
+        for _ in range(2):
+            assert embedding_dimension(j1sat, 2) == 12
+            with pytest.raises(MathDomainError, match=r"^\(x1\) is not strongly stable$"):
+                embedding_dimension(not_borel, 1)
+            # the level is checked on every call, the saturation once
+            with pytest.raises(MathDomainError, match="must be non-negative"):
+                embedding_dimension(j1sat, -1)

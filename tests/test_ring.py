@@ -142,6 +142,43 @@ class TestChangeOfCoords:
         assert len(calls) <= 1
         assert images == [naive_change_of_coords(f, g) for f in forms]
 
+    def test_ints_fractions_and_lists_give_the_same_images(self):
+        forms = [parse_xpoly(s, 2) for s in
+                 ["x2^2 - 3*x1*x0", "1/2*x2*x1 + x0^2", "x1^3 - 2/3*x2*x0^2"]]
+        g = ((2, -1, 0), (0, 3, 1), (1, 0, -2))
+        as_fractions = tuple(tuple(map(Fraction, row)) for row in g)
+        as_lists = [list(row) for row in g]
+        halves = ((1, Fraction(-1, 2), 0), (0, Fraction(3, 2), Fraction(1, 2)),
+                  (Fraction(1, 2), 0, -1))
+        for f in forms:
+            want = naive_change_of_coords(f, g)
+            images = [apply_change_of_coords(f, h) for h in (g, as_fractions, as_lists)]
+            assert images == [want] * 3
+            assert apply_change_of_coords(f, halves) == naive_change_of_coords(f, halves)
+            assert apply_change_of_coords(f, [list(row) for row in halves]) == \
+                naive_change_of_coords(f, halves)
+
+    def test_malformed_changes_raise_in_order_on_every_call(self):
+        f2, f1 = parse_xpoly("x2*x1", 2), parse_xpoly("x1", 1)
+        good = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+        cases = [
+            (5, TypeError, "not iterable"),                      # not a list of rows
+            ((1, 2, 3), TypeError, "not iterable"),              # rows not lists
+            (((1, 0), (0, "x")), ValueError, "Invalid literal"),  # entry before shape
+            (((1, 0, None), (0, 1)), TypeError, "Rational"),     # entry before shape
+            (((1, 1), (1, 1)), MathDomainError, "must be 3x3"),  # shape before det
+            ([[1, 1, 0], [1, 1, 0], [0, 0, 1]], MathDomainError, "singular"),
+        ]
+        for _ in range(2):
+            assert apply_change_of_coords(f2, good) == naive_change_of_coords(f2, good)
+            for g, error, match in cases:
+                with pytest.raises(error, match=match):
+                    apply_change_of_coords(f2, g)
+            # the memo of a 3x3 g is no licence for a form of P^1
+            apply_change_of_coords(f2, good)
+            with pytest.raises(MathDomainError, match="must be 2x2"):
+                apply_change_of_coords(f1, good)
+
     def test_ring_homomorphism_randomized(self):
         rng = random.Random(11)
         n = 2
