@@ -23,7 +23,6 @@ from .marked import (MarkedTemplate, SchemeIdeal, SPair, bounds, ek_spairs,
                      reduce, scheme_equations, template)
 from .oracle import greedy_linear_eliminate, groebner_basis, ideal_equal
 from .ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
-                   degrevlex_cmp, monomials_of_degree, parse_parampoly,
-                   parse_xpoly, specialize)
+                   monomials_of_degree, parse_parampoly, parse_xpoly)
 
 __version__ = "0.1.0"

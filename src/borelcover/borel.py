@@ -28,7 +28,6 @@ Eliahou-Kervaire histogram, the count a_k of generators with min variable k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import add, le
 
@@ -144,9 +143,6 @@ class MonomialIdeal:
 
     def to_json_dict(self):
         return {"n": self.n, "gens": [list(g.exps) for g in self.gens]}
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data):

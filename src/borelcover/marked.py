@@ -24,9 +24,11 @@ truncation levels.  The order of the rewrites does not change the normal
 form: each monomial of T has one star decomposition, hence one rewrite, and
 rewriting terminates, so the normal form of a sum is the sum of the normal
 forms of its monomials.  The reduction runs on exponent tuples, with each
-coefficient a plain dict from parameter multi-index to number.  A step
-multiplies the coefficient it rewrites by the factor of each tail: a
-parameter C[i,j] enters each multi-index, a number multiplies each value.
+coefficient a plain dict from parameter multi-index to number; `reduce`
+takes a form only in this shape, and caps its steps by a bound read off
+its input.  A step multiplies the coefficient it rewrites by the factor of
+each tail: a parameter C[i,j] enters each multi-index, a number multiplies
+each value.
 The S-polynomials start from the ints -1 and 1 times the factors, so the
 equations keep int coefficients, wrapped as ParamPolys once, at the end.
 
@@ -40,9 +42,7 @@ a basis exactly when each normal form is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import comb
 from operator import add
 
@@ -52,7 +52,7 @@ from .errors import MathDomainError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
-from .ring import Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times
+from .ring import Monomial, ParamPoly, XPoly, _cmon_times
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,6 @@ class MarkedTemplate:
     def head_index(self):
         """Position of each head in `heads`."""
         return {h: i for i, h in enumerate(self.heads)}
-
-    @cached_property
-    def polys(self):
-        """polys[i] = F_{heads[i]}, built from heads, tails and factors on first use."""
-        polys = []
-        for head, tail, factors in zip(self.heads, self.tails, self.factors):
-            terms = [(g, -(ParamPoly.var(f) if type(f) is tuple else f))
-                     for g, f in zip(tail, factors)]
-            polys.append(XPoly(self.ideal.n, [(head, 1)] + terms, head.degree()))
-        return tuple(polys)
 
     @cached_property
     def _tail_factors(self):
@@ -239,15 +229,6 @@ def _spair_terms(pair: SPair, tpl: MarkedTemplate):
     return acc
 
 
-def spair_polynomial(pair: SPair, tpl: MarkedTemplate) -> XPoly:
-    """x_j * F_a - x^eta * F_b as an XPoly, each coefficient a ParamPoly with
-    Fraction values, as XPoly arithmetic on `tpl.polys` gives it."""
-    return XPoly._from_dict(
-        tpl.ideal.n, {e: ParamPoly._from_dict({cm: Fraction(v) for cm, v in d.items()})
-                      for e, d in _spair_terms(pair, tpl).items()},
-        pair.alpha.degree() + 1)
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     poly: XPoly
@@ -255,51 +236,42 @@ class ReductionResult:
     max_chain: int
 
 
-def reduce(h, tpl: MarkedTemplate, step_cap=None) -> ReductionResult:
+def reduce(h, tpl: MarkedTemplate) -> ReductionResult:
     """Normal form of h against the template: support ends up outside T.
 
-    h is a form, or a form's terms as plain dicts {exponents: {multi-index:
-    number}}, as `_spair_terms` builds an S-polynomial; such a dict is
-    rewritten in place, and its degree is read off its monomials (0 when it
-    is empty).  `_rewrite` rewrites it; the step cap guards the
-    Noetherianity argument, and hitting it is an error, never a silent
-    truncation.  max_chain records the longest cascade of rewrites in which
-    each reduced monomial was introduced by the previous step.
+    h is a form's terms as plain dicts {exponents: {multi-index: number}},
+    as `_spair_terms` builds an S-polynomial.  `_rewrite` rewrites h in
+    place; its degree is read off its monomials (0 when it is empty).  The
+    step cap that `_rewrite` derives from h guards the Noetherianity
+    argument, and hitting it is an error, never a silent truncation.
+    max_chain records the longest cascade of rewrites in which each reduced
+    monomial was introduced by the previous step.
 
-    Each coefficient dict, one that a step touched or one given, is wrapped
-    as a ParamPoly, and the whole as an XPoly, as they stand, unsorted.
-    Untouched coefficients of a form come back as they went in, so for a
-    form the result and its types are those of repeated
-    ``h - c * x^e * F_b``.
+    Each coefficient dict is wrapped as a ParamPoly, and the whole as an
+    XPoly, as they stand, unsorted.
     """
-    if isinstance(h, XPoly):
-        if h.n != tpl.ideal.n:
-            raise MathDomainError("form and template live in different ambient rings")
-        acc, degree = dict(h._terms), h.degree
-    else:
-        acc, degree = h, sum(next(iter(h), ()))
-    steps, max_chain = _rewrite(acc, tpl, degree, step_cap)
-    poly = XPoly._from_dict(tpl.ideal.n, {e: ParamPoly._from_dict(c) if type(c) is dict
-                                          else c for e, c in acc.items()}, degree)
+    degree = sum(next(iter(h), ()))
+    steps, max_chain = _rewrite(h, tpl, degree)
+    poly = XPoly._from_dict(tpl.ideal.n, {e: ParamPoly._from_dict(c) for e, c in h.items()},
+                            degree)
     return ReductionResult(poly=poly, steps=steps, max_chain=max_chain)
 
 
-def _rewrite(acc, tpl: MarkedTemplate, degree, step_cap=None):
-    """Rewrite the form acc {exponents: coefficient} of the given degree in
-    place until its support lies outside T; returns (steps, max_chain).
+def _rewrite(acc, tpl: MarkedTemplate, degree):
+    """Rewrite the form acc {exponents: {multi-index: number}} of the given
+    degree in place until its support lies outside T; returns (steps, max_chain).
 
     Repeatedly takes the degrevlex-largest monomial of T in the support,
     star-decomposes it as x^e * x^b, and subtracts c * x^e * F_b; any other
     order gives the same normal form (see the module docstring).  The head
     cancels, so the step adds c times the factor of each tail to the
     coefficient of the shifted tail (`_add_times`).  Membership in T and
-    star decompositions are looked up on the template.  The default cap is
+    star decompositions are looked up on the template.  The cap is
     10 * (hp_degree + 2) steps per term of acc.
     """
     if not acc:  # nothing to rewrite, and no members of T to list
         return 0, 0
-    if step_cap is None:
-        step_cap = 10 * (tpl.hp_degree + 2) * len(acc)
+    cap = 10 * (tpl.hp_degree + 2) * len(acc)
     members = tpl.members_at(degree)
     inside = {e for e in acc if e in members}
     depth = dict.fromkeys(inside, 1)
@@ -308,14 +280,14 @@ def _rewrite(acc, tpl: MarkedTemplate, degree, step_cap=None):
     while inside:
         target = min(inside)
         steps += 1
-        if steps > step_cap:
+        if steps > cap:
             raise ReductionCapError(
-                f"reduction exceeded {step_cap} steps; precondition violated")
+                f"reduction exceeded {cap} steps; precondition violated")
         level = depth[target]
         max_chain = max(max_chain, level)
         inside.discard(target)
         tails, inner = tpl.rewrite(target)
-        _add_times(acc, _coefficient_dict(acc.pop(target)).items(), tails)
+        _add_times(acc, acc.pop(target).items(), tails)
         for mon in inner:
             if depth.get(mon, 0) <= level:
                 depth[mon] = level + 1
@@ -330,16 +302,15 @@ def _add_times(acc, c, tails):
     """acc += c * f * x^mon for each (mon, f) of tails, in place.
 
     c holds a coefficient's (multi-index, value) pairs.  acc maps exponent
-    tuples to coefficient dicts {multi-index: nonzero value}; another value
-    there, one of a form that no step has touched yet, is first copied into
-    such a dict.  A parameter factor, a key (i, j), enters each multi-index
+    tuples to coefficient dicts {multi-index: nonzero value}; a missing one
+    starts empty.  A parameter factor, a key (i, j), enters each multi-index
     of c through `ring._cmon_times`; a number multiplies each value.  Zero
     values and empty coefficients are dropped.
     """
     for mon, f in tails:
         d = acc.get(mon)
-        if type(d) is not dict:
-            d = acc[mon] = _coefficient_dict(d)
+        if d is None:
+            d = acc[mon] = {}
         param = type(f) is tuple
         for cm, v in c:
             if param:
@@ -355,15 +326,6 @@ def _add_times(acc, c, tails):
                 del d[cm]
         if not d:
             del acc[mon]
-
-
-def _coefficient_dict(c):
-    """c as a dict {multi-index: value} of its own; None is 0, a dict is kept."""
-    if c is None:
-        return {}
-    if type(c) is dict:
-        return c
-    return dict(c._terms) if isinstance(c, ParamPoly) else {(): c}
 
 
 @dataclass(frozen=True)
@@ -409,8 +371,7 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     return SchemeIdeal(
         ideal=tpl.ideal, saturation=Jsat, m=m, num_vars=tpl.num_vars,
         generators=tuple(gens),
-        max_degree=max(map(_cmon_degree, chain.from_iterable(g._terms for g in gens)),
-                       default=0),
+        max_degree=max((g.degree() for g in gens), default=0),
         bound_count=bound_count, bound_degree=bound_degree,
         spair_count=len(pairs), max_chain=max_chain)
 

@@ -96,12 +96,6 @@ class Monomial:
                 return i
         raise MathDomainError("min(x^a) is undefined for the monomial 1")
 
-    def max_var(self):
-        for i in range(len(self.exps) - 1, -1, -1):
-            if self.exps[i]:
-                return i
-        raise MathDomainError("max(x^a) is undefined for the monomial 1")
-
     def support(self):
         """Indices of the variables dividing the monomial."""
         return [i for i, e in enumerate(self.exps) if e]
@@ -136,18 +130,6 @@ class Monomial:
         return _power_product(_x_factors(self)) or "1"
 
     __repr__ = __str__
-
-
-def degrevlex_key(m: Monomial):
-    """Sort key for degrevlex: larger key means larger monomial."""
-    return (m.degree(), tuple(-e for e in m.exps))
-
-
-def degrevlex_cmp(a: Monomial, b: Monomial) -> int:
-    """-1, 0 or +1 as a is below, equal to, or above b in degrevlex."""
-    a._check_ambient(b)
-    ka, kb = degrevlex_key(a), degrevlex_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def canonical_key(m: Monomial):
@@ -275,9 +257,6 @@ class ParamPoly:
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         return max(map(_cmon_degree, self._terms), default=-1)
-
-    def constant_term(self):
-        return self._terms.get((), Fraction(0))
 
     def variables(self):
         return sorted({v for cm in self._terms for v, _ in cm})
@@ -473,13 +452,6 @@ class XPoly:
         return XPoly._from_dict(self.n, {e: k * c for e, k in self._terms.items()},
                                 self.degree)
 
-    def times_monomial(self, mon):
-        if mon.n != self.n:
-            raise MathDomainError("monomials live in different ambient rings")
-        return XPoly._from_dict(self.n, {tuple(map(add, e, mon.exps)): c
-                                         for e, c in self._terms.items()},
-                                self.degree + mon.degree())
-
     def is_scalar(self):
         return not any(isinstance(c, ParamPoly) for c in self._terms.values())
 
@@ -590,17 +562,6 @@ def apply_change_of_coords(f: XPoly, g) -> XPoly:
     return XPoly._from_dict(n, {m: Fraction(v, den) if type(v) is int
                                 else v * Fraction(1, den)
                                 for m, v in acc.items() if v}, f.degree)
-
-
-def specialize(f: XPoly, assignment) -> XPoly:
-    """Evaluate every ParamPoly coefficient of f at the given C-assignment."""
-    out = {}
-    for e, c in f._terms.items():
-        if isinstance(c, ParamPoly):
-            c = c.evaluate(assignment)
-        if c:
-            out[e] = c
-    return XPoly._from_dict(f.n, out, f.degree)
 
 
 # ---------------------------------------------------------------------------

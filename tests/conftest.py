@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from borelcover.errors import MathDomainError, NotInChartError, ScaleCapError
 from borelcover.hilbert import (HilbertPoly, borel_dim_at, chart_constants,
                                 hilbert_polynomial)
 from borelcover.marked import _heads_of_marked_set
-from borelcover.ring import Monomial, canonical_key, parse_xpoly
+from borelcover.ring import Monomial, ParamPoly, XPoly, canonical_key, parse_xpoly
 
 # Exact arithmetic makes example run times uneven, so no test has a deadline;
 # each property bounds its work through max_examples and its strategies.
@@ -204,6 +205,40 @@ def marked_set_from_ideal(gens, T):
             raise NotInChartError(f"ideal has no elements in degree {t}")
         out.update(marked_slice(gens, T, t))
     return [out[h] for h in T.gens]
+
+
+@functools.lru_cache(maxsize=4)
+def template_polys(tpl):
+    """The forms F_a = x^a - sum f * x^g of a marked template, one XPoly per
+    head in the template's order: -C[i,j] on each tail of the generic
+    template, minus the number for an explicit marked set's factors.  The
+    last few templates asked keep their forms, as the references ask again
+    for every S-pair and every rewrite."""
+    out = []
+    for head, tail, factors in zip(tpl.heads, tpl.tails, tpl.factors):
+        terms = [(g, -(ParamPoly.var(f) if type(f) is tuple else f))
+                 for g, f in zip(tail, factors)]
+        out.append(XPoly(tpl.ideal.n, [(head, 1)] + terms, head.degree()))
+    return tuple(out)
+
+
+def specialize(f, assignment):
+    """Evaluate every ParamPoly coefficient of the form f at the given
+    C-assignment, dropping the coefficients that vanish."""
+    out = {}
+    for e, c in f._terms.items():
+        if isinstance(c, ParamPoly):
+            c = c.evaluate(assignment)
+        if c:
+            out[e] = c
+    return XPoly._from_dict(f.n, out, f.degree)
+
+
+def form_terms(h):
+    """The terms of the form h as marked.reduce takes them: {exponents:
+    {multi-index: number}}, a number on the empty multi-index."""
+    return {e: dict(c._terms) if isinstance(c, ParamPoly) else {(): c}
+            for e, c in h._terms.items()}
 
 
 def reference_chart_records(c):

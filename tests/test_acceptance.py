@@ -24,9 +24,10 @@ from borelcover.hilbert import chart_constants, gotzmann_number
 from borelcover.marked import (assignment_from_marked_set, naive_minor_count,
                                scheme_equations, template)
 from borelcover.oracle import greedy_linear_eliminate, ideal_equal
-from borelcover.ring import apply_change_of_coords, parse_xpoly, specialize
+from borelcover.ring import apply_change_of_coords, parse_xpoly
 
-from conftest import _rank_is_marked_basis, marked_set_from_ideal, rational_sampler
+from conftest import (_rank_is_marked_basis, marked_set_from_ideal, rational_sampler,
+                      specialize, template_polys)
 
 
 def report(num, text):
@@ -167,7 +168,7 @@ def _positive_assignments(sat, m, count, seed):
     else:
         points = [{v: draw() for v in base.variables()} for _ in range(count)]
     for point in points:
-        G0 = [specialize(f, point) for f in base.polys]
+        G0 = [specialize(f, point) for f in template_polys(base)]
         G = marked_set_from_ideal(G0, tpl.ideal)
         out.append(assignment_from_marked_set(G, tpl))
     return out
@@ -186,7 +187,7 @@ def test_criterion_09_soundness_completeness(sat_text, n, levels):
         assert len(samples) >= 50
         for c in samples:
             vanishes = all(g.evaluate(c) == 0 for g in S.generators)
-            G = [specialize(f, c) for f in tpl.polys]
+            G = [specialize(f, c) for f in template_polys(tpl)]
             basis = _rank_is_marked_basis(G, tpl.ideal)
             assert vanishes == basis
     report(9, f"equations vanish iff marked basis over {sat} at m in {levels} "

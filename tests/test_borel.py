@@ -120,7 +120,7 @@ class TestMonomialIdeal:
         assert not j1sat.contains(mono("x1^2*x0", 2))
 
     def test_json_round_trip(self, j1sat):
-        data = json.loads(j1sat.to_json())
+        data = json.loads(json.dumps(j1sat.to_json_dict(), sort_keys=True))
         assert data == {"n": 2, "gens": [[0, 0, 2], [0, 1, 1], [0, 3, 0]]}
         assert MonomialIdeal.from_json_dict(data) == j1sat
 
@@ -393,7 +393,7 @@ class TestStarDecompose:
                 eta, alpha = star_decompose(m, j1sat)
                 assert eta * alpha == m
                 if not eta.is_one():
-                    assert eta.max_var() <= alpha.min_var()
+                    assert max(eta.support()) <= alpha.min_var()
 
     def test_non_member_rejected(self, j1sat):
         with pytest.raises(MathDomainError):
@@ -673,7 +673,7 @@ class TestStructuralProperties:
                 reg = regularity(sat)
                 for t in range(reg + 2):
                     for m in monomials_of_degree(n, t):
-                        if m.is_one() or m.max_var() <= d:
+                        if m.is_one() or max(m.support()) <= d:
                             assert not sat.contains(m)
                 for m in monomials_of_degree(n, reg):
                     if not m.is_one() and m.min_var() >= d + 1:

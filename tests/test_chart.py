@@ -496,7 +496,7 @@ class TestHilbertPolynomialOfForms:
 def old_span_in_degree(gens, t):
     """The degree-t multiples x^m * f as forms, one XPoly per multiple."""
     n = gens[0].n
-    return [f.times_monomial(m) for f in gens if f and f.degree <= t
+    return [XPoly.from_monomial(m) * f for f in gens if f and f.degree <= t
             for m in monomials_of_degree(n, t - f.degree)]
 
 
@@ -516,7 +516,7 @@ class TestSpanRowsAgainstFormMultiples:
         # zero forms included: each gives empty rows, one per multiplier
         t = max(f.degree for f in gens) + shift
         rows, columns = _span_rows(gens, t)
-        multiples = [f.times_monomial(m) for f in gens if f.degree <= t
+        multiples = [XPoly.from_monomial(m) * f for f in gens if f.degree <= t
                      for m in monomials_of_degree(gens[0].n, t - f.degree)]
         assert len(rows) == len(multiples)
         for row, h in zip(rows, multiples):

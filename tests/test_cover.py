@@ -160,7 +160,7 @@ class TestAtlas:
             eq = entry.equations
             assert eq.m == max(entry.chart.rho - 1, 0)
             assert eq.bound_count is None
-            assert all(g.constant_term() == 0 for g in eq.generators)
+            assert all(dict(g.terms).get((), 0) == 0 for g in eq.generators)
             assert eq.max_degree == 3 and eq.max_chain == 2
 
     def test_gluing_matrix_symmetric_zero_diagonal(self):

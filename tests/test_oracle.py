@@ -668,7 +668,7 @@ def _linear_rank(gens):
     cols = {}
     rows = []
     for g in gens:
-        assert not g.constant_term()  # the monomial ideal lies on the chart
+        assert not dict(g.terms).get((), 0)  # the monomial ideal lies on the chart
         rows.append({cols.setdefault(cm[0][0], len(cols)): c
                      for cm, c in g.terms if len(cm) == 1 and cm[0][1] == 1})
     return linalg.rank(rows)
