@@ -8,8 +8,10 @@ the Grassmannian and the saturated ones with a prescribed Hilbert
 polynomial, and the one test and order for the charts among them.
 
 Membership works on exponent tuples: a monomial lies in a monomial ideal when
-some generator's tuple is entrywise at most its own.  The degree-t listings
-build the set of member tuples from the multiples g * u, |u| = t - |g|, of the
+some generator's tuple is entrywise at most its own.  Only the generators of
+lower degree are scanned; one of the monomial's own degree divides it only
+by being it, which a set lookup answers.  The degree-t listings build the
+set of member tuples from the multiples g * u, |u| = t - |g|, of the
 generators and filter the degrevlex listing through it.  Minimal bases come
 from hilbert._minimal on exponent tuples; a truncation needs none.
 
@@ -28,7 +30,9 @@ Eliahou-Kervaire histogram, the count a_k of generators with min variable k.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, le
 
 from .errors import MathDomainError, ParseError, ScaleCapError
@@ -50,7 +54,7 @@ class MonomialIdeal:
     the multiples g * u of the generators.
     """
 
-    __slots__ = ("n", "gens", "_basis")
+    __slots__ = ("n", "gens", "_basis", "_degrees")
 
     def __init__(self, n, gens):
         exps = []
@@ -82,11 +86,16 @@ class MonomialIdeal:
         return bool(self.gens) and self.gens[0].is_one()
 
     def contains(self, mon):
+        """Is mon in the ideal?  Only generators of lower degree can divide
+        it properly, and one of its own degree only by being it."""
         if not isinstance(mon, Monomial):
             raise TypeError(f"expected Monomial, got {type(mon).__name__}")
-        if len(mon.exps) != self.n + 1:
+        exps = mon.exps
+        if len(exps) != self.n + 1:
             raise MathDomainError("monomials live in different ambient rings")
-        return _has_divisor(self.gens, mon.exps)
+        below = bisect_left(self._generator_degrees(), sum(exps))
+        return (exps in self._generator_exponents()
+                or _has_divisor(islice(self.gens, below), exps))
 
     def _generator_exponents(self):
         """The set of the generators' exponent tuples, built on first use."""
@@ -95,6 +104,14 @@ class MonomialIdeal:
         except AttributeError:
             self._basis = basis = frozenset(g.exps for g in self.gens)
             return basis
+
+    def _generator_degrees(self):
+        """The generators' degrees, ascending as gens are, built on first use."""
+        try:
+            return self._degrees
+        except AttributeError:
+            self._degrees = degrees = tuple(g.degree() for g in self.gens)
+            return degrees
 
     def _members_at(self, t):
         """Exponent tuples of the degree-t monomials of the ideal, as a set."""

@@ -52,7 +52,7 @@ from .errors import MathDomainError, ReductionCapError
 from .hilbert import (ChartConstants, ambient_dimension, borel_dim_at,
                       borel_hp_degree, hilbert_polynomial,
                       require_admissible_degree)
-from .ring import Monomial, ParamPoly, XPoly, _cmon_times
+from .ring import Monomial, ParamPoly, XPoly, _cmon_degree, _cmon_times
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,8 @@ def scheme_equations(Jsat: MonomialIdeal, m: int) -> SchemeIdeal:
     return SchemeIdeal(
         ideal=tpl.ideal, saturation=Jsat, m=m, num_vars=tpl.num_vars,
         generators=tuple(gens),
-        max_degree=max((g.degree() for g in gens), default=0),
+        max_degree=max(map(_cmon_degree, (cm for g in gens for cm in g._terms)),
+                       default=0),
         bound_count=bound_count, bound_degree=bound_degree,
         spair_count=len(pairs), max_chain=max_chain)
 

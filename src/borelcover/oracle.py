@@ -5,36 +5,50 @@ linear elimination, to certify the main pipeline's output; the pipeline calls
 only groebner_basis, for chart.hilbert_polynomial_of_forms.  Hard scale caps
 keep it honest about what it can do.
 
-Inside one call a polynomial is a dict from exponent tuples over the
-collected variables to coefficients, and `_sub_multiple` adds multiples of
-one to another.  Buchberger and normal forms reduce fraction-free on
-primitive integer dicts through `_reduce`; greedy elimination computes on
-Fractions, dividing by the Fraction constructor, since the inputs' values
-may be ints.  Results have Fraction coefficients.  Each term order is defined
-once, on exponent tuples (`_exponent_order`); `make_order` wraps it for
-C-multi-indices.  The order key and the support bitmask of each monomial are
-computed once and memoized.  `_reduce` keeps the monomials still to reduce in
-a list sorted by key, so each step pops the leading one instead of scanning
-them all, and tests a reducer's lead for divisibility only when its support
-mask lies inside the monomial's.
+Each term order is defined once, as a list of weight rows (`_weight_rows`):
+x^a lies above x^b when the first row whose dot products with a and b differ
+gives a the larger one.  `make_order` reads the rows as a key on
+C-multi-indices.
+
+Buchberger and normal forms store each monomial of a call as one int
+(`_Packing`, after Bachmann-Schoenemann, ISSAC 1998, and Monagan-Pearce's
+POLY, 2012).  The low n*W bits hold the exponents, one W-bit field per
+variable, whose top bit is a guard; above them each weight row's dot product
+with the exponents is one digit in a balanced base.  Packing is linear, so a
+product of monomials is `+`, a quotient `-`, and `<` on the ints is the term
+order; x^a divides x^b exactly when no field of ((b & L) | G) - (a & L) loses
+its guard bit (L masks the exponent bits, G the guard bits), since no field
+borrows from the next.  Every exponent packed and every shift of a reduction
+stays below 2^(W-2), checked with one AND, so no sum of two ever reaches a
+guard bit; past that cap they raise ScaleCapError, never a wrong answer.
+Polynomials are dicts from these ints to primitive integer coefficients, and
+`_reduce` reduces them fraction-free, popping the leading monomial from a
+sorted list of the ints.
+
+Greedy elimination has no variable cap, so it keeps exponent tuples, where a
+monomial costs its number of variables and not a packed int's width.  It
+computes on Fractions, dividing by the Fraction constructor, since the
+inputs' values may be ints.  Results have Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, mul
 
 from .errors import MathDomainError, ScaleCapError
 from .ring import ParamPoly
 
 DEFAULT_MAX_VARS = 16
 DEFAULT_MAX_PAIRS = 50_000
+W = 16  # bits per packed exponent field: one unsigned short for struct
+MAX_EXPONENT = (1 << W - 2) - 1  # the largest exponent packed or shifted
 
 
 def _collect_vars(gens):
@@ -44,74 +58,51 @@ def _collect_vars(gens):
     return sorted(seen)
 
 
-def _exponent_order(variables, kind="degrevlex", block=()):
-    """Key function on exponent tuples over `variables`; see make_order."""
+def _weight_rows(variables, kind="degrevlex", block=()):
+    """The term order on exponent tuples over `variables` as weight rows.
+
+    'degrevlex': all ones, then -e_0, -e_1, ..., so later variables (in the
+    sorted key order) are larger.  'lex-block': one row e_b per variable of
+    the block, in the listed order (a block variable outside `variables`
+    reads 0), then the sum of the other variables, then minus each of them.
+    """
+    n = len(variables)
     if kind == "degrevlex":
-        def key(e):
-            return (sum(e), tuple(map(neg, e)))
-        return key
+        rest = [1] * n
+        return [rest] + [[-(i == k) for i in range(n)] for k in range(n)]
     if kind == "lex-block":
         block = [tuple(v) for v in block]
-        pos = {v: i for i, v in enumerate(variables)}
-        # a block variable outside `variables` reads 0
-        head = [pos.get(v) for v in block]
-        rest = [i for i, v in enumerate(variables) if v not in set(block)]
-
-        def key(e):
-            tail = [e[i] for i in rest]
-            return (tuple(0 if i is None else e[i] for i in head), sum(tail),
-                    tuple(map(neg, tail)))
-        return key
+        rest = [int(v not in block) for v in variables]
+        return ([[int(v == b) for v in variables] for b in block] + [rest]
+                + [[-(i == k) for i in range(n)] for k in range(n) if rest[k]])
     raise MathDomainError(f"unknown term order {kind!r}")
 
 
 def make_order(variables, kind="degrevlex", block=()):
     """Key function on C-multi-indices; larger key means larger monomial.
 
-    'degrevlex' treats later variables (in the sorted key order) as larger.
-    'lex-block' eliminates the given block: block exponents compare first,
-    lexicographically in the listed order, then degrevlex on the rest.  The
-    key is that of _exponent_order on the multi-index's exponent tuple.
+    The key is the tuple of the order's weight rows (`_weight_rows`) dotted
+    with the multi-index's exponents.
     """
-    key = _exponent_order(variables, kind, block)
+    rows = _weight_rows(variables, kind, block)
     pos = {v: i for i, v in enumerate(variables)}
 
     def cm_key(cm):
-        out = [0] * len(variables)
-        for v, e in cm:
+        e = [0] * len(variables)
+        for v, x in cm:
             if v not in pos:
                 raise MathDomainError(f"variable C[{v[0]},{v[1]}] outside the order")
-            out[pos[v]] = e
-        return key(out)
+            e[pos[v]] = x
+        return tuple(sum(map(mul, row, e)) for row in rows)
     return cm_key
 
 
-class _Masks(dict):
-    """Memoized support bitmask of each exponent tuple: bit k set when x_k occurs."""
+class _Ring:
+    """Exponent tuples over fixed variables."""
 
-    def __init__(self, n):
-        super().__init__()
-        self.bits = [1 << k for k in range(n)]
-
-    def __missing__(self, e):
-        k = self[e] = sum(compress(self.bits, e))
-        return k
-
-
-class _Ring(dict):
-    """Exponent tuples over fixed variables; maps each to its memoized order
-    key, given on exponent tuples, and holds their memoized support masks."""
-
-    def __init__(self, variables, key):
-        super().__init__()
+    def __init__(self, variables):
         self.variables = variables
         self.pos = {v: i for i, v in enumerate(variables)}
-        self.key = key
-        self.masks = _Masks(len(variables))
-
-    def __missing__(self, e):
-        k = self[e] = self.key(e)
-        return k
 
     def from_param(self, p):
         """p as a dict from exponent tuples to its int or Fraction coefficients."""
@@ -124,15 +115,6 @@ class _Ring(dict):
             out[tuple(e)] = c
         return out
 
-    def primitive(self, p):
-        """(s, f): p = s * f, f a primitive integer dict (lcm of denominators
-        cleared, content divided out)."""
-        f = self.from_param(p)
-        den = lcm(*(c.denominator for c in f.values()))
-        f = {e: c.numerator * (den // c.denominator) for e, c in f.items()}
-        g = gcd(*f.values()) or 1
-        return Fraction(g, den), {e: c // g for e, c in f.items()}
-
     def to_param(self, f):
         """f, whose coefficients are nonzero ints or Fractions, as a ParamPoly
         with Fraction values; the variables are sorted, so each multi-index
@@ -142,19 +124,81 @@ class _Ring(dict):
              c if type(c) is Fraction else Fraction(c) for e, c in f.items()})
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
+class _Packing(_Ring):
+    """Monomials over fixed variables packed into ints for one term order.
+
+    `units[k]` is the packed x_k; a monomial packs to sum(e_k * units[k]).
+    `low` masks the exponent fields, `guards` their top bits and `headroom`
+    their top two bits, which no packed exponent and no shift may touch.
+    """
+
+    def __init__(self, variables, kind="degrevlex", block=()):
+        super().__init__(variables)
+        n = len(variables)
+        rows = _weight_rows(variables, kind, block)
+        # every digit lies within n * 2^(W-1) of 0, below half the base
+        base = 1 << W + n.bit_length()
+        self.units = [(1 << W * k)
+                      + (sum(row[k] * base ** d for d, row in enumerate(reversed(rows)))
+                         << W * n) for k in range(n)]
+        fields = sum(1 << W * k for k in range(n))
+        self.low = (1 << W * n) - 1
+        self.guards = fields << W - 1
+        self.headroom = fields * (3 << W - 2)
+        self._fields = struct.Struct(f"<{n}H").unpack
+
+    def pack(self, e):
+        """The packed int of the exponent tuple e."""
+        if max(e, default=0) > MAX_EXPONENT:
+            raise _past_cap()
+        return sum(map(mul, e, self.units))
+
+    def unpack(self, m):
+        """The exponent tuple of the packed int m."""
+        return self._fields((m & self.low).to_bytes(2 * len(self.variables), "little"))
+
+    def divides(self, a, b):
+        """Does the packed monomial a divide the packed monomial b?"""
+        low, guards = self.low, self.guards
+        return (((b & low) | guards) - (a & low)) & guards == guards
+
+    def primitive(self, p):
+        """(s, f): p = s * f, f a primitive integer dict on packed monomials
+        (lcm of denominators cleared, content divided out)."""
+        pos, units = self.pos, self.units
+        f = {}
+        for cm, c in p._terms.items():
+            m = over = 0
+            for v, x in cm:
+                m += x * units[pos[v]]
+                over |= x
+            if over > MAX_EXPONENT:
+                raise _past_cap()
+            f[m] = c
+        den = lcm(*(c.denominator for c in f.values()))
+        f = {m: c.numerator * (den // c.denominator) for m, c in f.items()}
+        g = gcd(*f.values()) or 1
+        return Fraction(g, den), {m: c // g for m, c in f.items()}
+
+    def to_param(self, f):
+        unpack = self.unpack
+        return super().to_param({unpack(m): c for m, c in f.items()})
+
+
+def _past_cap():
+    return ScaleCapError(
+        f"an exponent past {MAX_EXPONENT} exceeds the oracle's packing cap")
 
 
 def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _sub_multiple(work, c, shift, g):
-    """work -= c * x^shift * g, in place; returns the monomials it adds to work."""
+def _sub_multiple(work, c, monomials, coefficients):
+    """work -= c * sum(d * m), over m, d in zip(monomials, coefficients),
+    in place; returns the monomials it adds to work."""
     added = []
-    for e, d in g.items():
-        m = tuple(map(add, e, shift))
+    for m, d in zip(monomials, coefficients):
         v = work.get(m)
         if v is None:
             work[m] = -c * d
@@ -169,37 +213,43 @@ def _sub_multiple(work, c, shift, g):
 
 
 def _reduce(f, reducers, ring):
-    """Fully reduced remainder of the integer dict f against (lead, integer
-    dict) reducers, fraction-free (Becker-Weispfenning, Groebner Bases).
+    """Fully reduced remainder of the packed integer dict f against (lead,
+    packed integer dict) reducers, fraction-free (Becker-Weispfenning,
+    Groebner Bases).
 
     Each step takes the leading term a*x^m of what is left and the first
-    reducer g in listed order whose leading exponent divides x^m, with
+    reducer g in listed order whose leading monomial divides x^m, with
     leading coefficient b, and sets work <- (b/k)*work - (a/k)*x^(m-lead)*g
     for k = gcd(a, b), scaling the remainder so far by b/k too.  Returns
     (rem, n, d): rem, primitive with a positive leading coefficient, is n/d
-    times the remainder.  Its first key is its leading exponent.
+    times the remainder.  Its first key is its leading monomial.
 
-    The monomials of work wait in a list sorted by their memoized keys: a new
-    one is put in place by bisection, the largest is popped from the end, and
-    one popped after it cancelled is skipped.  Every monomial a step adds lies
-    below x^m, so none returns once popped.  A reducer's lead gets the full
-    divisibility test only when its support mask lies inside that of x^m
-    (Bachmann-Schoenemann, ISSAC 1998).
+    The packed monomials of work wait in a sorted list: a new one is put in
+    place by bisection, the largest is popped from the end, and one popped
+    after it cancelled is skipped.  Every monomial a step adds lies below
+    x^m, so none returns once popped.  The guard test of `ring` is the exact
+    divisibility test.  The reducers' monomials lie below the packing cap and
+    f's below the guard bits (an S-polynomial's are sums of two below the
+    cap); a shift m - lead, and a monomial kept in the remainder, past the
+    cap raise ScaleCapError, so every sum e + shift fits its fields.
     """
     work = dict(f)
     rem = {}
     n = 1
-    key, masks = ring, ring.masks
-    pending = sorted((key[e], e) for e in work)
-    reducers = [(masks[lead], lead, g) for lead, g in reducers]
+    low, guards, headroom = ring.low, ring.guards, ring.headroom
+    pending = sorted(work)
+    reducers = [(lead & low, lead, g) for lead, g in reducers]
     while pending:
-        m = pending.pop()[1]
+        m = pending.pop()
         a = work.get(m)
         if a is None:
             continue  # cancelled after it was listed
-        mask = masks[m]
-        for lead_mask, lead, g in reducers:
-            if lead_mask & mask == lead_mask and _divides(lead, m):
+        top = (m & low) | guards
+        for lead_low, lead, g in reducers:
+            if (top - lead_low) & guards == guards:
+                shift = m - lead
+                if shift & headroom:
+                    raise _past_cap()
                 b = g[lead]
                 k = gcd(a, b)
                 a, b = a // k, b // k
@@ -207,10 +257,12 @@ def _reduce(f, reducers, ring):
                     work = {e: b * c for e, c in work.items()}
                     rem = {e: b * c for e, c in rem.items()}
                     n *= b
-                for t in _sub_multiple(work, a, tuple(map(sub, m, lead)), g):
-                    insort(pending, (key[t], t))
+                for t in _sub_multiple(work, a, map(shift.__add__, g), g.values()):
+                    insort(pending, t)
                 break
         else:
+            if m & headroom:
+                raise _past_cap()
             rem[m] = work.pop(m)
     d = gcd(*rem.values()) or 1
     if rem and next(iter(rem.values())) < 0:
@@ -218,14 +270,12 @@ def _reduce(f, reducers, ring):
     return {e: c // d for e, c in rem.items()}, n, d
 
 
-def normal_form(p: ParamPoly, basis, key) -> ParamPoly:
-    """Fully reduced remainder of p against the marked leading terms of basis."""
+def normal_form(p: ParamPoly, basis, order="degrevlex", block=()) -> ParamPoly:
+    """Fully reduced remainder of p against the leading terms of basis in the
+    term order given as to groebner_basis."""
     basis = [b for b in basis if b]
-    variables = _collect_vars([p, *basis])
-    ring = _Ring(variables, lambda e: key(
-        tuple((v, x) for v, x in zip(variables, e) if x)))
-    reducers = [(max(g, key=ring.__getitem__), g)
-                for g in (ring.primitive(b)[1] for b in basis)]
+    ring = _Packing(_collect_vars([p, *basis]), order, block)
+    reducers = [(max(g), g) for g in (ring.primitive(b)[1] for b in basis)]
     s, f = ring.primitive(p)
     rem, n, d = _reduce(f, reducers, ring)
     scale = s * d / n  # the exact remainder, not a multiple of it
@@ -236,20 +286,21 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
                    max_pairs=DEFAULT_MAX_PAIRS):
     """Reduced Groebner basis by Buchberger, pairs taken by the normal selection.
 
-    Pending S-pairs sit in a heap keyed by (lcm in the term order, insertion
-    count); ranked by total degree alone, lex-block systems on three
-    parameters built intermediate elements of degree 25 with coefficients of
-    tens of thousands of bits.  Each new basis element passes through the
-    Gebauer-Moeller update (Becker-Weispfenning, Groebner Bases, 1993,
-    UPDATE): of the new pairs it keeps only those whose lcm no other new
-    pair's lcm divides, minus pairs with coprime leading terms; it drops the
-    pending pairs that the new leading term settles; and it retires basis
+    Pending S-pairs sit in a heap keyed by (packed lcm, insertion count): the
+    lcm in the term order; ranked by total degree alone, lex-block systems on
+    three parameters built intermediate elements of degree 25 with
+    coefficients of tens of thousands of bits.  Each new basis element passes
+    through the Gebauer-Moeller update (Becker-Weispfenning, Groebner Bases,
+    1993, UPDATE): of the new pairs it keeps only those whose lcm no other
+    new pair's lcm divides, minus pairs with coprime leading terms; it drops
+    the pending pairs that the new leading term settles; and it retires basis
     elements whose leading term the new one divides.  Raises ScaleCapError
     beyond the caps; `max_pairs` counts the pairs taken from the heap.  The
-    elements are primitive integer dicts; the result is monic and sorted by
-    leading term, smallest first.  Every S-polynomial and every tail goes
-    through `_reduce`, with its sorted pending list of monomials and its
-    support-mask divisor search, keyed by the order's key on exponent tuples.
+    elements are primitive integer dicts on packed monomials (see the module
+    docstring); each keeps its leading exponent tuple, unpacked once, and
+    each new pair's lcm is taken on those tuples and packed once.  Every
+    S-polynomial and every tail goes through `_reduce`.  The result is monic
+    and sorted by leading term, smallest first.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -258,36 +309,47 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
     if len(variables) > max_vars:
         raise ScaleCapError(
             f"{len(variables)} parameters exceed the oracle cap {max_vars}")
-    ring = _Ring(variables, _exponent_order(variables, order, block))
+    ring = _Packing(variables, order, block)
+    low, guards = ring.low, ring.guards
 
     polys = []     # every element ever added: (lead, primitive integer dict)
+    exps = []      # the leading exponent tuple of each
     active = []    # indices of the current basis, in insertion order
-    pending = {}   # (i, j) -> lcm of the leading exponents, i < j
+    pending = {}   # (i, j) -> packed lcm of the leading monomials, i < j
     heap = []
     counter = 0
 
     def add(f):
-        """Append the remainder f, then apply the Gebauer-Moeller update."""
+        """Append the remainder f, then apply the Gebauer-Moeller update; the
+        loops over pairs inline `ring.divides`."""
         nonlocal active, counter
-        polys.append((next(iter(f)), f))
-        h, lh = len(polys) - 1, polys[-1][0]
-        new = [(g, _lcm(polys[g][0], lh)) for g in active]
+        lh = next(iter(f))
+        eh = ring.unpack(lh)
+        h = len(polys)
+        polys.append((lh, f))
+        exps.append(eh)
+        new = [(g, ring.pack(_lcm(exps[g], eh))) for g in active]
+        lows = [l & low for _, l in new]
         kept = []
         for k, (g, l) in enumerate(new):
-            coprime = sum(l) == sum(lh) + sum(polys[g][0])
-            if coprime or not (any(_divides(l2, l) for _, l2 in new[k + 1:])
-                               or any(_divides(l2, l) for _, l2, _ in kept)):
-                kept.append((g, l, coprime))
+            coprime = l == lh + polys[g][0]
+            top = lows[k] | guards
+            if coprime or not (
+                    any((top - l2) & guards == guards for l2 in lows[k + 1:])
+                    or any((top - l2) & guards == guards for _, _, l2, _ in kept)):
+                kept.append((g, l, lows[k], coprime))
+        lh_low = lh & low
         for (i, j), l in list(pending.items()):
-            if (_divides(lh, l) and _lcm(polys[i][0], lh) != l
-                    and _lcm(polys[j][0], lh) != l):
-                del pending[(i, j)]
-        for g, l, coprime in kept:
+            if (((l & low) | guards) - lh_low) & guards == guards:
+                e = ring.unpack(l)
+                if _lcm(exps[i], eh) != e and _lcm(exps[j], eh) != e:
+                    del pending[(i, j)]
+        for g, l, _, coprime in kept:
             if not coprime:
                 pending[(g, h)] = l
-                heapq.heappush(heap, (ring[l], counter, g, h))
+                heapq.heappush(heap, (l, counter, g, h))
                 counter += 1
-        active = [g for g in active if not _divides(lh, polys[g][0])] + [h]
+        active = [g for g in active if not ring.divides(lh, polys[g][0])] + [h]
 
     for g in gens:
         nf = _reduce(ring.primitive(g)[1], [polys[h] for h in active], ring)[0]
@@ -307,14 +369,14 @@ def groebner_basis(gens, order="degrevlex", block=(), max_vars=DEFAULT_MAX_VARS,
         a, b = f_i[lead_i], f_j[lead_j]
         k = gcd(a, b)
         s = {}  # (b/k) * x^(l - lead_i) * f_i - (a/k) * x^(l - lead_j) * f_j
-        _sub_multiple(s, -(b // k), tuple(map(sub, l, lead_i)), f_i)
-        _sub_multiple(s, a // k, tuple(map(sub, l, lead_j)), f_j)
+        _sub_multiple(s, -(b // k), map((l - lead_i).__add__, f_i), f_i.values())
+        _sub_multiple(s, a // k, map((l - lead_j).__add__, f_j), f_j.values())
         nf = _reduce(s, [polys[h] for h in active], ring)[0]
         if nf:
             add(nf)
 
     # the active leading terms are minimal; reduce every tail, make it monic
-    basis = sorted((polys[k] for k in active), key=lambda lp: ring[lp[0]])
+    basis = sorted((polys[k] for k in active), key=lambda lp: lp[0])
     out = []
     for k, (lead, f) in enumerate(basis):
         f = _reduce(f, basis[:k] + basis[k + 1:], ring)[0]
@@ -374,15 +436,21 @@ def _linear_candidate(f):
                default=None)
 
 
+def _shifted(shift, g):
+    """The exponent tuples of g, each times x^shift."""
+    return (tuple(map(add, e, shift)) for e in g)
+
+
 def _substitute(f, k, powers):
     """f with x_k replaced by expr, in place; powers[j - 1] = expr^j, filled on demand."""
     for e in [e for e in f if e[k]]:
         while len(powers) < e[k]:
             power = {}
             for s, d in powers[0].items():
-                _sub_multiple(power, -d, s, powers[-1])
+                _sub_multiple(power, -d, _shifted(s, powers[-1]), powers[-1].values())
             powers.append(power)
-        _sub_multiple(f, -f.pop(e), e[:k] + (0,) + e[k + 1:], powers[e[k] - 1])
+        g = powers[e[k] - 1]
+        _sub_multiple(f, -f.pop(e), _shifted(e[:k] + (0,) + e[k + 1:], g), g.values())
     return f
 
 
@@ -395,7 +463,7 @@ def greedy_linear_eliminate(gens) -> EliminationResult:
     exponent dicts, building each power of a solved expression once.
     """
     gens = [g for g in gens if g]
-    ring = _Ring(_collect_vars(gens), None)
+    ring = _Ring(_collect_vars(gens))
     work = [ring.from_param(g) for g in gens]
     eliminated = []
     while True:

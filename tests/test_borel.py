@@ -214,6 +214,16 @@ class TestMembershipAgainstScan:
             assert J.sous_escalier_at(t) == [m for m in mons if not scan_contains(J, m)]
         assert is_strongly_stable(J) == scan_strongly_stable(J)
 
+    @settings(max_examples=150)
+    @given(built_ideals())
+    def test_degree_aware_membership_on_built_ideals(self, J):
+        # contains scans only the generators of lower degree and looks up the
+        # ones of the monomial's own degree; truncations and enumerated ideals
+        # come through _from_sorted, so their gens must ascend in degree too
+        for t in range(J.max_gen_degree() + 2):
+            for m in monomials_of_degree(J.n, t):
+                assert J.contains(m) == scan_contains(J, m)
+
     @settings(max_examples=100)
     @given(membership_ideals.filter(is_strongly_stable))
     def test_star_decompose(self, J):
@@ -247,6 +257,8 @@ class TestMembershipAgainstScan:
             J.contains(Monomial((1, 2)))
         with pytest.raises(TypeError, match="expected Monomial, got tuple"):
             J.contains((0, 1, 2))
+        with pytest.raises(TypeError, match="expected Monomial, got tuple"):
+            J.contains((1, 2))  # the type is checked before the ambient ring
 
 
 class TestStability:

@@ -1,7 +1,10 @@
 import functools
+import heapq
+from bisect import insort
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from operator import sub
+from operator import add, le, sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,9 +18,9 @@ from borelcover.fixtures import (A8_CHART, POINTS_ON_LINE_CHARTS,
                                  reference_equations, saturation_ideal)
 from borelcover.hilbert import parse_hilbert_poly
 from borelcover.marked import scheme_equations
-from borelcover.oracle import (EliminationResult, _divides, _exponent_order,
-                               _reduce, _Ring, _sub_multiple,
-                               greedy_linear_eliminate, groebner_basis,
+from borelcover import oracle
+from borelcover.oracle import (MAX_EXPONENT, EliminationResult, _lcm, _Packing,
+                               _reduce, greedy_linear_eliminate, groebner_basis,
                                ideal_equal, make_order, normal_form)
 from borelcover.ring import ParamPoly, _cmon_mul, parse_parampoly
 
@@ -40,11 +43,9 @@ class TestGroebner:
         # x^2 - y and x*y - 1 force y^3 = x^2 * y^2 * ... closure checks
         gens = [C11 * C11 - C12, C11 * C12 - ParamPoly.const(1)]
         gb = groebner_basis(gens)
-        variables = sorted({v for g in gens for v in g.variables()})
-        key = make_order(variables)
         member = C11 * (C11 * C11 - C12) + C12 * (C11 * C12 - ParamPoly.const(1))
-        assert not normal_form(member, gb, key)
-        assert normal_form(C11, gb, key)
+        assert not normal_form(member, gb)
+        assert normal_form(C11, gb)
 
     def test_lex_block_eliminates(self):
         # eliminating C11 from (C11 - C12^2, C11 - C21) exposes C12^2 - C21
@@ -361,7 +362,7 @@ class TestAgainstPlainBuchberger:
         block, key = _order_of(variables, order)
         assert groebner_basis(gens, order, block) == \
             _old_groebner_basis(gens, order, block)
-        assert normal_form(p, gens, key) == _old_normal_form(p, gens, key)
+        assert normal_form(p, gens, order, block) == _old_normal_form(p, gens, key)
 
     @settings(max_examples=60)
     @example(system=NON_PRIMITIVE_REMAINDER, order="degrevlex")
@@ -373,13 +374,13 @@ class TestAgainstPlainBuchberger:
         block, key = _order_of(variables, order)
         gb = groebner_basis(gens, order, block)
         assert gb == _old_groebner_basis(gens, order, block)
-        assert normal_form(p, gens, key) == _old_normal_form(p, gens, key)
-        assert normal_form(p, gb, key) == _old_normal_form(p, gb, key)
+        assert normal_form(p, gens, order, block) == _old_normal_form(p, gens, key)
+        assert normal_form(p, gb, order, block) == _old_normal_form(p, gb, key)
 
     @pytest.mark.parametrize("order", ["degrevlex", "lex-block"])
     def test_remainder_that_is_not_primitive(self, order):
         variables, gens, p = NON_PRIMITIVE_REMAINDER
-        nf = normal_form(p, gens, _order_of(variables, order)[1])
+        nf = normal_form(p, gens, order, _order_of(variables, order)[0])
         assert nf == parse_parampoly("3/2*C[1,1] + 3*C[1,2]")
 
     @settings(max_examples=40)
@@ -391,10 +392,13 @@ class TestAgainstPlainBuchberger:
         assert ideal_equal(gens + [p], gens) == _old_ideal_equal(gens + [p], gens)
 
 
-# The reduction loop that the pending list and the support masks replaced: a
-# max over the whole work dict per step and a divisibility test of every
-# reducer in turn.  Its keys come from the order as make_order once defined
-# it on C-multi-indices, so the comparison checks the exponent-tuple keys too.
+# A block variable, (9, 9), that occurs in no drawn system.
+ABSENT = (9, 9)
+
+
+# The term order as make_order once defined it on C-multi-indices, with
+# nested keys: the reference for the weight rows, the packed ints and the
+# tuple engine below.
 
 def _cm_order(variables, kind, block):
     pos = {v: i for i, v in enumerate(variables)}
@@ -421,16 +425,161 @@ def _cm_order(variables, kind, block):
     return key
 
 
+def _cm(variables, e):
+    return tuple((v, x) for v, x in zip(variables, e) if x)
+
+
+def _tuple_key(variables, kind, block):
+    """_cm_order on exponent tuples over variables."""
+    cm_key = _cm_order(variables, kind, block)
+    return lambda e: cm_key(_cm(variables, e))
+
+
+def _flat(key):
+    """A nested _cm_order key as one flat tuple."""
+    return tuple(x for part in key for x in (part if type(part) is tuple else (part,)))
+
+
+def _tuple_divides(a, b):
+    return all(map(le, a, b))
+
+
+def _tuple_sub_multiple(work, c, shift, g):
+    """work -= c * x^shift * g on exponent tuples; returns the monomials it adds."""
+    added = []
+    for e, d in g.items():
+        m = tuple(map(add, e, shift))
+        v = work.get(m)
+        if v is None:
+            work[m] = -c * d
+            added.append(m)
+        else:
+            v -= c * d
+            if v:
+                work[m] = v
+            else:
+                del work[m]
+    return added
+
+
+def _unpacked(ring, f):
+    return {ring.unpack(m): c for m, c in f.items()}
+
+
+PACKED_VARS = [(1, j) for j in range(1, 6)]
+
+
+@st.composite
+def packings(draw):
+    """(variables, order, block, three exponent tuples): n = 0 to 5 variables,
+    lex-block blocks that may hold a variable that does not occur, and
+    exponents from 0 up to the packing cap."""
+    variables = PACKED_VARS[:draw(st.integers(0, len(PACKED_VARS)))]
+    order = draw(st.sampled_from(["degrevlex", "lex-block"]))
+    block = (draw(st.lists(st.sampled_from(variables + [ABSENT]), max_size=3, unique=True))
+             if order == "lex-block" else [])
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))]
+                     * len(variables))
+    return variables, order, block, (draw(exps), draw(exps), draw(exps))
+
+
+class TestPacking:
+    @settings(max_examples=300)
+    @example(packing=([], "degrevlex", [], ((), (), ())))
+    @example(packing=([], "lex-block", [ABSENT], ((), (), ())))
+    @example(packing=(VARS[:2], "lex-block", [ABSENT, (1, 2)],
+                      ((0, MAX_EXPONENT), (MAX_EXPONENT, 0), (1, MAX_EXPONENT))))
+    # the product a * b has a tail sum of 6 * MAX_EXPONENT, as its digit must hold
+    @example(packing=(PACKED_VARS[:4], "lex-block", [(1, 1)],
+                      ((0,) + (MAX_EXPONENT,) * 3,) * 2 + ((1, 0, 0, 0),)))
+    @given(packing=packings())
+    def test_against_exponent_tuples(self, packing):
+        variables, order, block, (a, b, c) = packing
+        ring = _Packing(variables, order, block)
+        key = _tuple_key(variables, order, block)
+        public_key = make_order(variables, order, block)
+        pa, pb, pc = map(ring.pack, (a, b, c))
+        ab = tuple(map(add, a, b))
+        packed = {a: pa, b: pb, c: pc, ab: pa + pb}  # a product is a sum
+        for e, m in packed.items():
+            assert ring.unpack(m) == e
+            assert public_key(_cm(variables, e)) == _flat(key(e))
+        for (e, m), (f, q) in product(packed.items(), repeat=2):
+            assert (m < q) == (key(e) < key(f)) and (m == q) == (e == f)
+            assert ring.divides(m, q) == _tuple_divides(e, f)
+            if _tuple_divides(e, f):
+                assert ring.unpack(q - m) == tuple(map(sub, f, e))
+        lcm = ring.pack(_lcm(a, b))
+        assert ring.unpack(lcm) == tuple(map(max, a, b))
+        assert ring.divides(pa, lcm) and ring.divides(pb, lcm)
+        assert ring.divides(lcm, pc) == (ring.divides(pa, pc) and ring.divides(pb, pc))
+        assert (lcm == pa + pb) == (sum(map(min, a, b)) == 0)  # coprime leads
+
+    def test_cap(self):
+        ring = _Packing(VARS, "degrevlex")
+        assert ring.unpack(ring.pack((MAX_EXPONENT, 0, 1))) == (MAX_EXPONENT, 0, 1)
+        with pytest.raises(ScaleCapError, match=f"past {MAX_EXPONENT} "):
+            ring.pack((0, MAX_EXPONENT + 1, 0))
+
+
+def _power(v, e):
+    return ParamPoly([(((v, e),), 1)])
+
+
+class TestExponentCap:
+    def test_largest_exponent_packs(self):
+        gens = [_power((1, 1), MAX_EXPONENT) - C12]
+        assert groebner_basis(gens) == gens
+        assert normal_form(_power((1, 1), MAX_EXPONENT) * C21, gens) == C12 * C21
+
+    @pytest.mark.parametrize("call", [
+        lambda p: groebner_basis([p, C12]),
+        lambda p: normal_form(C12, [p]),
+        lambda p: normal_form(p, [C12]),
+        lambda p: ideal_equal([p], [C12])])
+    def test_input_exponent_past_the_cap(self, call):
+        with pytest.raises(ScaleCapError, match=f"past {MAX_EXPONENT} exceeds"):
+            call(_power((1, 1), MAX_EXPONENT + 1) + C21)
+
+    def test_remainder_past_the_cap(self):
+        # lex-block on C[1,1]: C[1,1]^2 reduces to C[1,2]^32000
+        g = C11 - _power((1, 2), 16000)
+        with pytest.raises(ScaleCapError, match=f"past {MAX_EXPONENT} exceeds"):
+            normal_form(C11 * C11, [g], "lex-block", [(1, 1)])
+        assert normal_form(C11 * C11, [C11 - _power((1, 2), 8000)], "lex-block",
+                           [(1, 1)]) == _power((1, 2), 16000)
+
+    def test_shift_past_the_cap(self):
+        # modulo C[1,1] - C[1,2]*C[2,1]^9000 and C[1,2] - C[2,1], lex-block on
+        # C[1,1], C[1,2], the member C[1,1]^2 - C[1,1]*C[2,1]^9001 reaches
+        # C[1,2]^2*C[2,1]^18000 - C[1,2]*C[2,1]^18001, whose next shift
+        # C[1,2]*C[2,1]^18000 passes the cap though the remainder is 0
+        block = [(1, 1), (1, 2)]
+        gens = [C11 - C12 * _power((2, 1), 9000), C12 - C21]
+        member = C11 * C11 - C11 * _power((2, 1), 9001)
+        with pytest.raises(ScaleCapError, match=f"past {MAX_EXPONENT} exceeds"):
+            normal_form(member, gens, "lex-block", block)
+        with pytest.raises(ScaleCapError, match=f"past {MAX_EXPONENT} exceeds"):
+            groebner_basis(gens + [member], "lex-block", block)
+        # half the exponents stay under the cap all the way
+        gens[0] = C11 - C12 * _power((2, 1), 4500)
+        assert not normal_form(C11 * C11 - C11 * _power((2, 1), 4501), gens,
+                               "lex-block", block)
+
+
+# The reduction loop that the pending list replaced: a max over the whole work
+# dict per step and a divisibility test of every reducer in turn, on exponent
+# tuples keyed by _cm_order.
+
 def _max_scan_reduce(f, reducers, key):
-    """(rem, n, d) as oracle._reduce computed them by scanning: key is on
-    exponent tuples."""
+    """(rem, n, d) as oracle._reduce computed them by scanning, on tuples."""
     work = dict(f)
     rem = {}
     n = 1
     while work:
         m = max(work, key=key)
         for lead, g in reducers:
-            if _divides(lead, m):
+            if _tuple_divides(lead, m):
                 a, b = work[m], g[lead]
                 k = gcd(a, b)
                 a, b = a // k, b // k
@@ -438,7 +587,7 @@ def _max_scan_reduce(f, reducers, key):
                     work = {e: b * c for e, c in work.items()}
                     rem = {e: b * c for e, c in rem.items()}
                     n *= b
-                _sub_multiple(work, a, tuple(map(sub, m, lead)), g)
+                _tuple_sub_multiple(work, a, tuple(map(sub, m, lead)), g)
                 break
         else:
             rem[m] = work.pop(m)
@@ -448,12 +597,9 @@ def _max_scan_reduce(f, reducers, key):
     return {e: c // d for e, c in rem.items()}, n, d
 
 
-# A block variable, (9, 9), that occurs in no drawn system.
-ABSENT = (9, 9)
-
 # The leads C[1,2]^2 and C[1,1] (in every order tested) have supports strictly
-# inside those of C[1,1]*C[1,2]^2 and C[1,1]*C[1,2]: the mask lets C[1,2]^2
-# through on both, and only the full test rejects it on the second.
+# inside those of C[1,1]*C[1,2]^2 and C[1,1]*C[1,2]: C[1,2]^2 divides the
+# first and not the second, which the guard test must tell apart.
 STRICT_SUBSET_SUPPORT = _system(
     VARS[:2], ["3*C[1,2]^2 + C[1,1]", "2*C[1,1] + 1"],
     "7*C[1,1]*C[1,2]^2 + 4*C[1,1]*C[1,2]")
@@ -472,21 +618,188 @@ class TestReduceAgainstMaxScan:
         variables = _variables(gens + [p])
         if order == "degrevlex":
             block = []
-        ring = _Ring(variables, _exponent_order(variables, order, block))
-        cm_key = _cm_order(variables, order, block)
-
-        def ref_key(e):
-            return cm_key(tuple((v, x) for v, x in zip(variables, e) if x))
-
-        reducers = [(max(g, key=ref_key), g)
-                    for g in (ring.primitive(b)[1] for b in gens if b)]
+        ring = _Packing(variables, order, block)
+        key = _tuple_key(variables, order, block)
+        reducers = [(max(g), g) for g in (ring.primitive(b)[1] for b in gens if b)]
+        tuple_reducers = [(ring.unpack(lead), _unpacked(ring, g)) for lead, g in reducers]
+        assert all(lead == max(g, key=key) for lead, g in tuple_reducers)
         for f in [ring.primitive(q)[1] for q in gens + [p] if q]:
-            assert _reduce(f, reducers, ring) == _max_scan_reduce(f, reducers, ref_key)
+            rem, n, d = _reduce(f, reducers, ring)
+            ref, ref_n, ref_d = _max_scan_reduce(_unpacked(ring, f), tuple_reducers, key)
+            assert (list(_unpacked(ring, rem).items()), n, d) == (list(ref.items()), ref_n, ref_d)
         public_key = make_order(variables, order, block)
-        for e in ring:
-            assert ring[e] == ref_key(e)
-            assert public_key(tuple((v, x) for v, x in zip(variables, e) if x)) \
-                == ref_key(e)
+        exps = {ring.unpack(m) for q in gens + [p] for m in ring.primitive(q)[1]}
+        for e in exps:
+            assert public_key(_cm(variables, e)) == _flat(key(e))
+        assert sorted(exps, key=ring.pack) == sorted(exps, key=key)
+
+
+# The engine as it stood on exponent tuples, kept as the reference for the
+# packed one: order keys memoized per tuple, a pending list of (key, tuple)
+# pairs, pairs keyed by the key of their lcm, and the Gebauer-Moeller update
+# on tuples.  `log` receives (input, reducers' leads, remainder, n, d) of every
+# reduction, the remainder as a list of items, leading term first.
+
+class _KeyMemo(dict):
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, e):
+        k = self[e] = self.key(e)
+        return k
+
+
+def _tuple_reduce(f, reducers, keys, log):
+    work = dict(f)
+    rem = {}
+    n = 1
+    pending = sorted((keys[e], e) for e in work)
+    while pending:
+        m = pending.pop()[1]
+        a = work.get(m)
+        if a is None:
+            continue
+        for lead, g in reducers:
+            if _tuple_divides(lead, m):
+                b = g[lead]
+                k = gcd(a, b)
+                a, b = a // k, b // k
+                if b != 1:
+                    work = {e: b * c for e, c in work.items()}
+                    rem = {e: b * c for e, c in rem.items()}
+                    n *= b
+                for t in _tuple_sub_multiple(work, a, tuple(map(sub, m, lead)), g):
+                    insort(pending, (keys[t], t))
+                break
+        else:
+            rem[m] = work.pop(m)
+    d = gcd(*rem.values()) or 1
+    if rem and next(iter(rem.values())) < 0:
+        d = -d
+    rem = {e: c // d for e, c in rem.items()}
+    log.append((dict(f), [lead for lead, _ in reducers], list(rem.items()), n, d))
+    return rem
+
+
+def _tuple_groebner_basis(gens, order="degrevlex", block=(), log=None):
+    log = [] if log is None else log
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    variables = _variables(gens)
+    ring = _Packing(variables, order, block)  # only to read the inputs
+    keys = _KeyMemo(_tuple_key(variables, order, block))
+    polys, active, pending, heap = [], [], {}, []
+    counter = 0
+
+    def add_element(f):
+        nonlocal active, counter
+        polys.append((next(iter(f)), f))
+        h, lh = len(polys) - 1, polys[-1][0]
+        new = [(g, _lcm(polys[g][0], lh)) for g in active]
+        kept = []
+        for k, (g, l) in enumerate(new):
+            coprime = sum(l) == sum(lh) + sum(polys[g][0])
+            if coprime or not (any(_tuple_divides(l2, l) for _, l2 in new[k + 1:])
+                               or any(_tuple_divides(l2, l) for _, l2, _ in kept)):
+                kept.append((g, l, coprime))
+        for (i, j), l in list(pending.items()):
+            if (_tuple_divides(lh, l) and _lcm(polys[i][0], lh) != l
+                    and _lcm(polys[j][0], lh) != l):
+                del pending[(i, j)]
+        for g, l, coprime in kept:
+            if not coprime:
+                pending[(g, h)] = l
+                heapq.heappush(heap, (keys[l], counter, g, h))
+                counter += 1
+        active = [g for g in active if not _tuple_divides(lh, polys[g][0])] + [h]
+
+    for g in gens:
+        nf = _tuple_reduce(_unpacked(ring, ring.primitive(g)[1]),
+                           [polys[h] for h in active], keys, log)
+        if nf:
+            add_element(nf)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        l = pending.pop((i, j), None)
+        if l is None:
+            continue
+        (lead_i, f_i), (lead_j, f_j) = polys[i], polys[j]
+        a, b = f_i[lead_i], f_j[lead_j]
+        k = gcd(a, b)
+        s = {}
+        _tuple_sub_multiple(s, -(b // k), tuple(map(sub, l, lead_i)), f_i)
+        _tuple_sub_multiple(s, a // k, tuple(map(sub, l, lead_j)), f_j)
+        nf = _tuple_reduce(s, [polys[h] for h in active], keys, log)
+        if nf:
+            add_element(nf)
+    basis = sorted((polys[k] for k in active), key=lambda lp: keys[lp[0]])
+    out = []
+    for k, (lead, f) in enumerate(basis):
+        f = _tuple_reduce(f, basis[:k] + basis[k + 1:], keys, log)
+        out.append(ring.to_param(
+            {ring.pack(e): Fraction(c, f[lead]) for e, c in f.items()}))
+    return out
+
+
+def _logged_reduce(log, f, reducers, ring):
+    """oracle._reduce, logging its call as _tuple_reduce does."""
+    rem, n, d = _reduce(f, reducers, ring)
+    log.append((_unpacked(ring, f), [ring.unpack(lead) for lead, _ in reducers],
+                list(_unpacked(ring, rem).items()), n, d))
+    return rem, n, d
+
+
+@pytest.fixture
+def packed_log(monkeypatch):
+    log = []
+    monkeypatch.setattr(oracle, "_reduce", functools.partial(_logged_reduce, log))
+    return log
+
+
+def _recombined(gens):
+    """The certify workload's second presentation: g_i + g_(i+1), last kept."""
+    return [g + h for g, h in zip(gens, gens[1:])] + gens[-1:]
+
+
+def _chart_gens(sat, m):
+    return list(scheme_equations(MonomialIdeal.parse(sat, 2), m).generators)
+
+
+class TestPackedAgainstTupleEngine:
+    def test_certify_groebner_chart(self, packed_log):
+        gens = _chart_gens("x2, x1^3", 2)
+        ref_log = []
+        assert groebner_basis(gens) == _tuple_groebner_basis(gens, log=ref_log)
+        assert packed_log == ref_log
+        # the counts of the engine on exponent tuples, pinned
+        assert (len(packed_log), sum(not rem for _, _, rem, _, _ in packed_log)) == (140, 86)
+
+    def test_certify_ideal_equal_chart(self, packed_log):
+        gens = _chart_gens("x2, x1^2", 2)
+        other = _recombined(gens)
+        ref_log = []
+        assert ideal_equal(gens, other)
+        assert (_tuple_groebner_basis(gens, log=ref_log)
+                == _tuple_groebner_basis(other, log=ref_log))
+        assert packed_log == ref_log
+        assert (len(packed_log), sum(not rem for _, _, rem, _, _ in packed_log)) == (84, 40)
+
+    @settings(max_examples=100)
+    @example(system=LCM_CASE_DEGREVLEX, order="degrevlex")
+    @example(system=LCM_CASE_LEX_BLOCK, order="lex-block")
+    @given(system=st.one_of(small_systems(), small_systems(wide_param_polys)),
+           order=st.sampled_from(["degrevlex", "lex-block"]))
+    def test_drawn_systems(self, system, order):
+        variables, gens, _ = system
+        block = variables[:1] if order == "lex-block" else []
+        log, ref_log = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_reduce", functools.partial(_logged_reduce, log))
+            gb = groebner_basis(gens, order, block)
+        assert gb == _tuple_groebner_basis(gens, order, block, ref_log)
+        assert log == ref_log
 
 
 def _assert_fraction_coefficients(polys):
@@ -504,7 +817,7 @@ class TestCoefficientType:
         gb = groebner_basis(gens, order, block)
         _assert_fraction_coefficients(gb)
         assert all(_old_leading_term(g, key)[1] == 1 for g in gb)
-        _assert_fraction_coefficients([normal_form(p, gens, key)])
+        _assert_fraction_coefficients([normal_form(p, gens, order, block)])
         res = greedy_linear_eliminate(gens + [p + ParamPoly.var(variables[0])])
         _assert_fraction_coefficients(res.residual)
         _assert_fraction_coefficients(expr for _, expr in res.eliminated)
