@@ -25,10 +25,12 @@ Polynomials are dicts from these ints to primitive integer coefficients, and
 `_reduce` reduces them fraction-free, popping the leading monomial from a
 sorted list of the ints.
 
-Greedy elimination has no variable cap, so it keeps exponent tuples, where a
-monomial costs its number of variables and not a packed int's width.  It
-computes on Fractions, dividing by the Fraction constructor, since the
-inputs' values may be ints.  Results have Fraction coefficients.
+Greedy elimination has no variable cap, so it packs nothing: it works on
+the generators' own dicts from C-multi-indices (sorted ((i, j), e) pairs, as
+in ParamPoly) to values, where a monomial costs its support and not one
+field per parameter.  It computes on Fractions, dividing by the Fraction
+constructor, since the inputs' values may be ints.  Results have Fraction
+coefficients.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import MathDomainError, ScaleCapError
-from .ring import ParamPoly
+from .ring import ParamPoly, _cmon_mul
 
 DEFAULT_MAX_VARS = 16
 DEFAULT_MAX_PAIRS = 50_000
@@ -97,34 +99,7 @@ def make_order(variables, kind="degrevlex", block=()):
     return cm_key
 
 
-class _Ring:
-    """Exponent tuples over fixed variables."""
-
-    def __init__(self, variables):
-        self.variables = variables
-        self.pos = {v: i for i, v in enumerate(variables)}
-
-    def from_param(self, p):
-        """p as a dict from exponent tuples to its int or Fraction coefficients."""
-        pos, n = self.pos, len(self.variables)
-        out = {}
-        for cm, c in p._terms.items():
-            e = [0] * n
-            for v, x in cm:
-                e[pos[v]] = x
-            out[tuple(e)] = c
-        return out
-
-    def to_param(self, f):
-        """f, whose coefficients are nonzero ints or Fractions, as a ParamPoly
-        with Fraction values; the variables are sorted, so each multi-index
-        comes out canonical."""
-        return ParamPoly._from_dict(
-            {tuple((v, x) for v, x in zip(self.variables, e) if x):
-             c if type(c) is Fraction else Fraction(c) for e, c in f.items()})
-
-
-class _Packing(_Ring):
+class _Packing:
     """Monomials over fixed variables packed into ints for one term order.
 
     `units[k]` is the packed x_k; a monomial packs to sum(e_k * units[k]).
@@ -133,7 +108,8 @@ class _Packing(_Ring):
     """
 
     def __init__(self, variables, kind="degrevlex", block=()):
-        super().__init__(variables)
+        self.variables = variables
+        self.pos = {v: i for i, v in enumerate(variables)}
         n = len(variables)
         rows = _weight_rows(variables, kind, block)
         # every digit lies within n * 2^(W-1) of 0, below half the base
@@ -181,8 +157,19 @@ class _Packing(_Ring):
         return Fraction(g, den), {m: c // g for m, c in f.items()}
 
     def to_param(self, f):
-        unpack = self.unpack
-        return super().to_param({unpack(m): c for m, c in f.items()})
+        """f, whose values are nonzero ints or Fractions, as a ParamPoly with
+        Fraction values; the variables are sorted, so each multi-index comes
+        out canonical."""
+        unpack, variables = self.unpack, self.variables
+        return _fraction_param(
+            {tuple((v, x) for v, x in zip(variables, unpack(m)) if x): c
+             for m, c in f.items()})
+
+
+def _fraction_param(terms):
+    """The ParamPoly of the canonical dict terms, int values made Fractions."""
+    return ParamPoly._from_dict(
+        {cm: c if type(c) is Fraction else Fraction(c) for cm, c in terms.items()})
 
 
 def _past_cap():
@@ -430,54 +417,51 @@ class EliminationResult:
 
 
 def _linear_candidate(f):
-    """Least k such that x_k occurs in f in exactly one term, and that is c * x_k."""
-    count = Counter(k for e in f for k, x in enumerate(e) if x)
-    return min((e.index(1) for e in f if sum(e) == 1 and count[e.index(1)] == 1),
+    """Least variable that occurs in f in exactly one term, and that is c * C[v]."""
+    count = Counter(v for cm in f for v, _ in cm)
+    return min((cm[0][0] for cm in f
+                if len(cm) == 1 and cm[0][1] == 1 and count[cm[0][0]] == 1),
                default=None)
 
 
-def _shifted(shift, g):
-    """The exponent tuples of g, each times x^shift."""
-    return (tuple(map(add, e, shift)) for e in g)
-
-
-def _substitute(f, k, powers):
-    """f with x_k replaced by expr, in place; powers[j - 1] = expr^j, filled on demand."""
-    for e in [e for e in f if e[k]]:
-        while len(powers) < e[k]:
+def _substitute(f, v, powers):
+    """f with C[v] replaced by expr, in place; powers[j - 1] = expr^j, filled on demand."""
+    for cm, x in [(cm, x) for cm in f for w, x in cm if w == v]:
+        while len(powers) < x:
             power = {}
             for s, d in powers[0].items():
-                _sub_multiple(power, -d, _shifted(s, powers[-1]), powers[-1].values())
+                _sub_multiple(power, -d, [_cmon_mul(s, m) for m in powers[-1]],
+                              powers[-1].values())
             powers.append(power)
-        g = powers[e[k] - 1]
-        _sub_multiple(f, -f.pop(e), _shifted(e[:k] + (0,) + e[k + 1:], g), g.values())
+        g = powers[x - 1]
+        rest = tuple(p for p in cm if p[0] != v)
+        _sub_multiple(f, -f.pop(cm), [_cmon_mul(rest, m) for m in g], g.values())
     return f
 
 
 def greedy_linear_eliminate(gens) -> EliminationResult:
     """Repeatedly solve a variable that appears linearly with constant coefficient.
 
-    Scans generators in listed order and variables in index order, substitutes
-    the solved variable everywhere, removes the solving generator, and stops
-    when no generator qualifies.  Zero generators are dropped.  Works on
-    exponent dicts, building each power of a solved expression once.
+    Scans generators in listed order and variables in sorted order,
+    substitutes the solved variable everywhere, removes the solving
+    generator, and stops when no generator qualifies.  Zero generators are
+    dropped.  Works on the generators' own {multi-index: value} dicts,
+    building each power of a solved expression once.
     """
-    gens = [g for g in gens if g]
-    ring = _Ring(_collect_vars(gens))
-    work = [ring.from_param(g) for g in gens]
+    work = [dict(g._terms) for g in gens if g]
     eliminated = []
     while True:
         for idx, f in enumerate(work):
-            k = _linear_candidate(f)
-            if k is not None:
+            v = _linear_candidate(f)
+            if v is not None:
                 break
         else:
             break
         f = work.pop(idx)
-        c = f.pop(tuple(int(i == k) for i in range(len(ring.variables))))
-        powers = [{e: Fraction(-d, c) for e, d in f.items()}]
-        eliminated.append((ring.variables[k], powers[0]))
-        work = [w for w in work if _substitute(w, k, powers)]
+        c = f.pop(((v, 1),))
+        powers = [{cm: Fraction(-d, c) for cm, d in f.items()}]
+        eliminated.append((v, powers[0]))
+        work = [w for w in work if _substitute(w, v, powers)]
     return EliminationResult(
-        residual=tuple(map(ring.to_param, work)),
-        eliminated=tuple((v, ring.to_param(x)) for v, x in eliminated))
+        residual=tuple(map(_fraction_param, work)),
+        eliminated=tuple((v, _fraction_param(x)) for v, x in eliminated))

@@ -1,6 +1,7 @@
 import functools
 import heapq
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -974,6 +975,91 @@ class TestEliminationAgainstSubstitution:
         for _, S in _plane_charts(points):
             if S.num_vars <= 30:
                 _assert_same_elimination(list(S.generators))
+
+
+# ---------------------------------------------------------------------------
+# Greedy elimination against the same loop on dense exponent tuples
+# ---------------------------------------------------------------------------
+
+def _tuple_linear_candidate(f):
+    """Least k such that x_k occurs in f in exactly one term, and that is c * x_k."""
+    count = Counter(k for e in f for k, x in enumerate(e) if x)
+    return min((e.index(1) for e in f if sum(e) == 1 and count[e.index(1)] == 1),
+               default=None)
+
+
+def _tuple_substitute(f, k, powers):
+    """f with x_k replaced by expr, in place; powers[j - 1] = expr^j, filled on demand."""
+    for e in [e for e in f if e[k]]:
+        while len(powers) < e[k]:
+            power = {}
+            for s, d in powers[0].items():
+                _tuple_sub_multiple(power, -d, s, powers[-1])
+            powers.append(power)
+        _tuple_sub_multiple(f, -f.pop(e), e[:k] + (0,) + e[k + 1:], powers[e[k] - 1])
+    return f
+
+
+def _tuple_greedy_linear_eliminate(gens):
+    """greedy_linear_eliminate with every generator a dict from exponent
+    tuples over all the sorted variables, as the oracle once computed it."""
+    gens = [g for g in gens if g]
+    variables = _variables(gens)
+    pos = {v: i for i, v in enumerate(variables)}
+
+    def from_param(p):
+        out = {}
+        for cm, c in p._terms.items():
+            e = [0] * len(variables)
+            for v, x in cm:
+                e[pos[v]] = x
+            out[tuple(e)] = c
+        return out
+
+    def to_param(f):
+        return ParamPoly._from_dict(
+            {tuple((v, x) for v, x in zip(variables, e) if x): Fraction(c)
+             for e, c in f.items()})
+
+    work = [from_param(g) for g in gens]
+    eliminated = []
+    while True:
+        for idx, f in enumerate(work):
+            k = _tuple_linear_candidate(f)
+            if k is not None:
+                break
+        else:
+            break
+        f = work.pop(idx)
+        c = f.pop(tuple(int(i == k) for i in range(len(variables))))
+        powers = [{e: Fraction(-d, c) for e, d in f.items()}]
+        eliminated.append((variables[k], powers[0]))
+        work = [w for w in work if _tuple_substitute(w, k, powers)]
+    return EliminationResult(
+        residual=tuple(map(to_param, work)),
+        eliminated=tuple((v, to_param(x)) for v, x in eliminated))
+
+
+def _assert_same_as_tuples(gens):
+    res, ref = greedy_linear_eliminate(gens), _tuple_greedy_linear_eliminate(gens)
+    assert res == ref
+    assert str(res.residual) == str(ref.residual)
+    assert [str(e) for _, e in res.eliminated] == [str(e) for _, e in ref.eliminated]
+
+
+class TestEliminationAgainstTuples:
+    @settings(max_examples=100)
+    @given(system=small_systems())
+    def test_small_systems(self, system):
+        variables, gens, p = system
+        _assert_same_as_tuples(gens + [p])
+        _assert_same_as_tuples([g + ParamPoly.var(variables[0]) for g in gens] + [p])
+
+    # charts past the num_vars <= 30 cut of test_plane_charts below
+    @pytest.mark.parametrize("sat, m", [("x2, x1^3", 3), ("x2^2, x2*x1, x1^3", 3),
+                                        ("x2, x1^4", 4)])
+    def test_charts(self, sat, m):
+        _assert_same_as_tuples(_chart_gens(sat, m))
 
 
 def _linear_rank(gens):
