@@ -75,10 +75,6 @@ class MonomialIdeal:
         out.gens = tuple(gens)
         return out
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, ())
-
     def is_zero(self):
         return not self.gens
 

@@ -66,14 +66,6 @@ class HilbertPoly:
             coords.pop()
         self.coords = tuple(coords)
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
     def is_zero(self):
         return not self.coords
 
@@ -88,9 +80,6 @@ class HilbertPoly:
 
     def evaluate(self, t):
         return sum(c * binom(t + k, k) for k, c in enumerate(self.coords))
-
-    def __call__(self, t):
-        return self.evaluate(t)
 
     def __add__(self, other):
         a, b = self.coords, other.coords
@@ -207,7 +196,7 @@ def coerce_hilbert_poly(p) -> HilbertPoly:
     if isinstance(p, HilbertPoly):
         return p
     if isinstance(p, int):
-        return HilbertPoly.constant(p)
+        return HilbertPoly((p,))
     if isinstance(p, str):
         return parse_hilbert_poly(p)
     raise TypeError(f"cannot interpret {p!r} as a Hilbert polynomial")
@@ -267,12 +256,6 @@ class ChartConstants:
     s: int          # q(r) = N(r) - p(r)
     s_prime: int    # q(r+1)
     D: int          # p(r) * q(r)
-
-    def N(self, t):
-        return ambient_dimension(self.n, t)
-
-    def q(self, t):
-        return self.N(t) - self.p.evaluate(t)
 
 
 def chart_constants(p, n) -> ChartConstants:

@@ -75,13 +75,6 @@ class MarkedTemplate:
     def num_vars(self):
         return sum(len(t) for t in self.tails)
 
-    def variables(self):
-        """Parameter keys (i, j) in canonical order."""
-        out = []
-        for i, tail in enumerate(self.tails, start=1):
-            out.extend((i, j) for j in range(1, len(tail) + 1))
-        return out
-
     @cached_property
     def head_index(self):
         """Position of each head in `heads`."""

@@ -10,9 +10,11 @@ Three layers, all immutable and hashable:
   ``ParamPoly(...)`` normalises outside input once; ``+``, ``-`` and ``*``
   merge the dicts of their operands and drop zeros.  The canonical term
   order is computed only where it can be seen: in ``.terms`` and in text;
-* ``XPoly`` -- a homogeneous form in the x-variables whose coefficients are
-  either ``int`` or ``Fraction`` scalars or ``ParamPoly`` values, kept in the
-  same way as a dict from exponent tuple to nonzero coefficient.
+* ``XPoly`` -- a homogeneous form in the x-variables, a record with no
+  arithmetic of its own: a dict from exponent tuple to nonzero coefficient,
+  an ``int`` or ``Fraction`` scalar or a ``ParamPoly``.  The algorithms (the
+  marked reduction, the change of coordinates below, the Macaulay rows, the
+  oracle) compute on that dict, ``_terms``, and wrap what they build.
 
 The fixed term order on x-monomials is degree-reverse-lexicographic with
 x_n > ... > x_0; it is the column order of every coefficient matrix in the
@@ -34,7 +36,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 from . import linalg
 from .errors import MathDomainError, ParseError, ScaleCapError
@@ -70,10 +72,6 @@ class Monomial:
         return out
 
     @classmethod
-    def one(cls, n):
-        return cls((0,) * (n + 1))
-
-    @classmethod
     def variable(cls, n, i):
         if not 0 <= i <= n:
             raise ValueError(f"variable index {i} out of range for n={n}")
@@ -107,12 +105,6 @@ class Monomial:
     def divides(self, other):
         self._check_ambient(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __truediv__(self, other):
-        self._check_ambient(other)
-        if not other.divides(self):
-            raise MathDomainError(f"{other} does not divide {self}")
-        return Monomial._from_exps(tuple(map(sub, self.exps, other.exps)))
 
     def _check_ambient(self, other):
         if not isinstance(other, Monomial):
@@ -240,10 +232,6 @@ class ParamPoly:
         return tuple(sorted(self._terms.items(), key=_term_sort_key))
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def const(cls, q):
         return cls([((), Fraction(q))])
 
@@ -253,10 +241,6 @@ class ParamPoly:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(_cmon_degree, self._terms), default=-1)
 
     def variables(self):
         return sorted({v for cm in self._terms for v, _ in cm})
@@ -283,13 +267,10 @@ class ParamPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return ParamPoly.zero()
+                return ParamPoly._from_dict({})
             return ParamPoly._from_dict({cm: c * other for cm, c in self._terms.items()})
         if not isinstance(other, ParamPoly):
             return NotImplemented
@@ -344,13 +325,15 @@ def _coerce_param(x):
 # ---------------------------------------------------------------------------
 
 class XPoly:
-    """Homogeneous form in x_0..x_n.
+    """Homogeneous form in x_0..x_n, an immutable record.
 
     Coefficients are ints, Fractions or ParamPolys.  The terms live in a
     dict from exponent tuple to nonzero coefficient, like a ParamPoly's, so
-    equality and hash do not depend on the order in which terms were added;
+    equality and hash do not depend on the order in which terms were given;
     ``.terms`` lists them in degrevlex-descending order of their monomials.
-    The zero form keeps an explicit degree tag.
+    The zero form keeps an explicit degree tag.  A form has no arithmetic:
+    ``__init__`` merges the terms it is given, and algorithms compute on
+    ``_terms`` and wrap their result with ``_from_dict``.
     """
 
     __slots__ = ("n", "degree", "_terms")
@@ -390,67 +373,14 @@ class XPoly:
         return tuple((Monomial._from_exps(e), self._terms[e]) for e in sorted(self._terms))
 
     @classmethod
-    def zero(cls, n, degree=0):
-        return cls(n, (), degree)
-
-    @classmethod
-    def from_monomial(cls, mon, coeff=1):
-        return cls(mon.n, [(mon, coeff)], mon.degree())
+    def from_monomial(cls, mon):
+        return cls(mon.n, [(mon, 1)], mon.degree())
 
     def __bool__(self):
         return bool(self._terms)
 
-    def support(self):
-        return [m for m, _ in self.terms]
-
     def coefficient(self, mon):
         return self._terms.get(mon.exps, Fraction(0))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise MathDomainError("forms live in different ambient rings")
-        if self._terms and other._terms and self.degree != other.degree:
-            raise MathDomainError("inhomogeneous sum of forms")
-
-    def __add__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            prev = acc.pop(e, None)
-            c = c if prev is None else prev + c
-            if c:
-                acc[e] = c
-        return XPoly._from_dict(self.n, acc, self.degree if self._terms else other.degree)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return self.scale(other)
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise MathDomainError("forms live in different ambient rings")
-        return XPoly(self.n, [(tuple(map(add, e1, e2)), c1 * c2)
-                              for e1, c1 in self._terms.items()
-                              for e2, c2 in other._terms.items()],
-                     self.degree + other.degree)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        if not c:
-            return XPoly.zero(self.n, self.degree)
-        return XPoly._from_dict(self.n, {e: k * c for e, k in self._terms.items()},
-                                self.degree)
 
     def is_scalar(self):
         return not any(isinstance(c, ParamPoly) for c in self._terms.values())

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import settings
@@ -74,7 +75,7 @@ def rational_sampler(seed, num_bound=4, den_bound=3):
 def up_moves(mon):
     """Reference increasing elementary moves x_i -> x_j, j > i, on Monomials."""
     n = mon.n
-    return [mon / Monomial.variable(n, i) * Monomial.variable(n, j)
+    return [Monomial(tuple(e - (k == i) + (k == j) for k, e in enumerate(mon.exps)))
             for i in mon.support() for j in range(i + 1, n + 1)]
 
 
@@ -100,12 +101,12 @@ def scan_star_decompose(gamma, J):
     if not scan_contains(J, gamma):
         raise MathDomainError(f"{gamma} is not a member of {J}")
     n = J.n
-    eta = Monomial.one(n)
+    eta = Monomial((0,) * (n + 1))
     cur = gamma
     while cur not in J.gens:
         v = Monomial.variable(n, cur.min_var())
         eta = eta * v
-        cur = cur / v
+        cur = Monomial(tuple(map(sub, cur.exps, v.exps)))
         if not scan_contains(J, cur):
             raise MathDomainError(
                 f"star decomposition escaped {J}; ideal is not strongly stable")
@@ -185,7 +186,7 @@ def certified_hilbert_polynomial(hf, t0, max_shift):
         rep = macaulay_representation(cur, t)
         if nxt == sum(math.comb(k + 1, i + 1) for i, k in rep):
             return sum((HilbertPoly.binomial_shift(k - i, k - t) for i, k in rep),
-                       HilbertPoly.zero())
+                       HilbertPoly())
         t, cur = t + 1, nxt
     raise ScaleCapError(
         f"Hilbert function reached no maximal growth within {max_shift} degrees")
@@ -220,6 +221,21 @@ def template_polys(tpl):
                  for g, f in zip(tail, factors)]
         out.append(XPoly(tpl.ideal.n, [(head, 1)] + terms, head.degree()))
     return tuple(out)
+
+
+def form_sum(*forms):
+    """The sum of forms of one ambient and degree, through XPoly, which
+    merges the terms it is given."""
+    return XPoly(forms[0].n, [t for f in forms for t in f._terms.items()],
+                 forms[0].degree)
+
+
+def form_multiple(f, mon=None, c=1):
+    """c * mon * f for a Monomial mon (None for 1) and a number or ParamPoly c,
+    through XPoly."""
+    shift = (0,) * (f.n + 1) if mon is None else mon.exps
+    return XPoly(f.n, [(tuple(map(add, e, shift)), k * c) for e, k in f._terms.items()],
+                 f.degree + sum(shift))
 
 
 def specialize(f, assignment):

@@ -162,11 +162,12 @@ def _positive_assignments(sat, m, count, seed):
     if base_eqs.generators:
         elim = greedy_linear_eliminate(list(base_eqs.generators))
         assert not elim.residual
-        free = [v for v in base.variables()
+        free = [v for keys in base.factors for v in keys
                 if v not in set(elim.eliminated_variables())]
         points = [elim.lift_point({v: draw() for v in free}) for _ in range(count)]
     else:
-        points = [{v: draw() for v in base.variables()} for _ in range(count)]
+        points = [{v: draw() for keys in base.factors for v in keys}
+                  for _ in range(count)]
     for point in points:
         G0 = [specialize(f, point) for f in template_polys(base)]
         G = marked_set_from_ideal(G0, tpl.ideal)
@@ -181,9 +182,9 @@ def test_criterion_09_soundness_completeness(sat_text, n, levels):
         tpl = template(sat, m)
         S = scheme_equations(sat, m)
         draw = rational_sampler(seed=1000 + 31 * m + len(sat_text))
-        samples = [{v: draw() for v in tpl.variables()} for _ in range(37)]
+        samples = [{v: draw() for keys in tpl.factors for v in keys} for _ in range(37)]
         samples += _positive_assignments(sat, m, 12, seed=m + 2)
-        samples.append({v: Fraction(0) for v in tpl.variables()})
+        samples.append({v: Fraction(0) for keys in tpl.factors for v in keys})
         assert len(samples) >= 50
         for c in samples:
             vanishes = all(g.evaluate(c) == 0 for g in S.generators)

@@ -68,7 +68,7 @@ def colon_variable_power(J, i):
 
 def intersect(A, B):
     if A.is_zero() or B.is_zero():
-        return MonomialIdeal.zero(A.n)
+        return MonomialIdeal(A.n, ())
     return MonomialIdeal(A.n, [Monomial(map(max, a.exps, b.exps))
                                for a in A.gens for b in B.gens])
 
@@ -165,13 +165,13 @@ def built_ideals(draw):
         return saturate(borel_closure(draw(monomial_ideals())))
     n, r = draw(st.sampled_from([(n, r) for n, r in small_slices(15)]))
     found = enumerate_borel_in_g(n, r, draw(st.integers(0, ambient_dimension(n, r))))
-    return draw(st.sampled_from(found)) if found else MonomialIdeal.zero(n)
+    return draw(st.sampled_from(found)) if found else MonomialIdeal(n, ())
 
 
 class TestGeneratorDegrees:
     @settings(max_examples=200)
     @given(built_ideals())
-    @example(MonomialIdeal.zero(2))
+    @example(MonomialIdeal(2, ()))
     @example(MonomialIdeal(2, [(0, 0, 0)]))
     @example(MonomialIdeal.parse("x1^3, x2*x1, x2^2, x2^2*x1", 2))
     def test_ends_of_gens_against_the_set(self, J):
@@ -197,8 +197,8 @@ def scan_strongly_stable(J):
 membership_ideals = st.one_of(
     monomial_ideals(max_n=4, max_gens=4, max_degree=3),
     monomial_ideals(max_n=4, max_gens=3, max_degree=3).map(borel_closure),
-    st.integers(1, 4).map(MonomialIdeal.zero),
-    st.integers(1, 4).map(lambda n: MonomialIdeal(n, [Monomial.one(n)])))
+    st.integers(1, 4).map(lambda n: MonomialIdeal(n, ())),
+    st.integers(1, 4).map(lambda n: MonomialIdeal(n, [Monomial((0,) * (n + 1))])))
 
 
 class TestMembershipAgainstScan:
@@ -243,14 +243,14 @@ class TestMembershipAgainstScan:
         # the strip of a non-member reaches 1; the membership test made then
         # picks this message, not the escape one
         J = MonomialIdeal.parse("x2, x1^3", 2)
-        for gamma in (mono("x1^2*x0", 2), Monomial.one(2)):
+        for gamma in (mono("x1^2*x0", 2), Monomial((0, 0, 0))):
             got = outcome(star_decompose, gamma, J)
             assert got == outcome(scan_star_decompose, gamma, J)
             assert got == (MathDomainError, f"{gamma} is not a member of {J}")
         with pytest.raises(TypeError, match="^expected Monomial, got tuple$"):
             star_decompose((0, 1, 0), J)
 
-    @pytest.mark.parametrize("J", [MonomialIdeal.zero(2), MonomialIdeal.parse("x2, x1^3", 2)],
+    @pytest.mark.parametrize("J", [MonomialIdeal(2, ()), MonomialIdeal.parse("x2, x1^3", 2)],
                              ids=["zero", "nonzero"])
     def test_monomial_of_another_ambient_is_refused(self, J):
         with pytest.raises(MathDomainError, match="different ambient rings"):
@@ -446,7 +446,7 @@ class TestEnumerateInG:
 
     def test_negative_degree_has_no_monomials(self):
         # C(n + r, n) is 1 at n = 2, r = -3, but S_-3 is empty
-        assert enumerate_borel_in_g(2, -3, 0) == [MonomialIdeal.zero(2)]
+        assert enumerate_borel_in_g(2, -3, 0) == [MonomialIdeal(2, ())]
         with pytest.raises(MathDomainError):
             enumerate_borel_in_g(2, -3, 1)
 
@@ -457,7 +457,7 @@ def reference_down_moves(mon):
     n = mon.n
     for j in mon.support():
         for i in range(j):
-            out.append(mon / Monomial.variable(n, j) * Monomial.variable(n, i))
+            out.append(Monomial(tuple(e - (k == j) + (k == i) for k, e in enumerate(mon.exps))))
     return out
 
 
@@ -566,7 +566,7 @@ def single_degree_borel(I):
 
 class TestHistogram:
     def test_unit_generator_counts_at_n(self):
-        assert ek_histogram(MonomialIdeal(2, [Monomial.one(2)])) == (0, 0, 1)
+        assert ek_histogram(MonomialIdeal(2, [Monomial((0, 0, 0))])) == (0, 0, 1)
 
     def test_counts_min_variables(self, j1sat):
         # x2^2 has min variable 2; x2*x1 and x1^3 have min variable 1
@@ -662,7 +662,9 @@ class TestStructuralProperties:
         for t in range(2, 6):
             for m in j1sat.monomials_at(t):
                 if m not in j1sat.gens:
-                    assert j1sat.contains(m / Monomial.variable(2, m.min_var()))
+                    i = m.min_var()
+                    below = m.exps[:i] + (m.exps[i] - 1,) + m.exps[i + 1:]
+                    assert j1sat.contains(Monomial(below))
 
     def test_boundary_products(self, j1sat):
         # x_i * (outside monomial) landing inside is either a generator or

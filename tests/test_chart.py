@@ -21,12 +21,12 @@ from borelcover.errors import (IterationCapError, MathDomainError,
 from borelcover.hilbert import (ambient_dimension, chart_constants, hilbert_polynomial,
                                 parse_hilbert_poly)
 from borelcover import linalg
-from borelcover.ring import (XPoly, apply_change_of_coords, monomials_of_degree,
-                             parse_xpoly)
+from borelcover.ring import (Monomial, XPoly, apply_change_of_coords,
+                             monomials_of_degree, parse_xpoly)
 
 from conftest import (borel_closure, certified_hilbert_polynomial, dict_rows,
-                      marked_set_from_ideal, monomial_ideals, record_fields,
-                      reference_chart_records)
+                      form_multiple, form_sum, marked_set_from_ideal, monomial_ideals,
+                      record_fields, reference_chart_records)
 
 TWO_POINTS = [
     "x0^2 - x0*x2", "x1^2 - x1*x2", "x2^2 - x0*x2 - x1*x2", "x0*x1",
@@ -74,7 +74,7 @@ class TestPluecker:
         assert pluecker_coordinate(row_space_basis(transformed), J) != 0
 
     def test_zero_form_gives_a_zero_row(self):
-        forms = [parse_xpoly("x2^2 + x1*x0", 2), XPoly.zero(2, 2)]
+        forms = [parse_xpoly("x2^2 + x1*x0", 2), XPoly(2, (), 2)]
         J = MonomialIdeal.parse("x2^2, x2*x1", 2)
         assert pluecker_coordinate(forms, J) == 0
 
@@ -449,7 +449,7 @@ class TestHilbertPolynomialOfForms:
         assert hilbert_polynomial_of_forms(forms).is_zero()
 
     def test_zero_ideal_rejected(self):
-        for gens in ([], [XPoly.zero(2, 2)], [XPoly.zero(2, 1), XPoly.zero(2, 3)]):
+        for gens in ([], [XPoly(2, (), 2)], [XPoly(2, (), 1), XPoly(2, (), 3)]):
             with pytest.raises(MathDomainError, match="zero ideal"):
                 hilbert_polynomial_of_forms(gens)
 
@@ -496,7 +496,7 @@ class TestHilbertPolynomialOfForms:
 def old_span_in_degree(gens, t):
     """The degree-t multiples x^m * f as forms, one XPoly per multiple."""
     n = gens[0].n
-    return [XPoly.from_monomial(m) * f for f in gens if f and f.degree <= t
+    return [form_multiple(f, m) for f in gens if f and f.degree <= t
             for m in monomials_of_degree(n, t - f.degree)]
 
 
@@ -516,7 +516,7 @@ class TestSpanRowsAgainstFormMultiples:
         # zero forms included: each gives empty rows, one per multiplier
         t = max(f.degree for f in gens) + shift
         rows, columns = _span_rows(gens, t)
-        multiples = [XPoly.from_monomial(m) * f for f in gens if f.degree <= t
+        multiples = [form_multiple(f, m) for f in gens if f.degree <= t
                      for m in monomials_of_degree(gens[0].n, t - f.degree)]
         assert len(rows) == len(multiples)
         for row, h in zip(rows, multiples):
@@ -706,7 +706,7 @@ class TestDegreeBasisMemo:
         basis = degree_basis(gens, r)
         want = list(basis)
         basis.append(basis[0])
-        basis[0] = XPoly.zero(2, r)
+        basis[0] = XPoly(2, (), r)
         assert degree_basis(gens, r) == want
 
     def test_errors_are_raised_again(self):
@@ -723,8 +723,8 @@ class TestDegreeBasisMemo:
     def test_redundant_spanning_set(self, located):
         _, res, transformed = located
         J, r = res.chart.chart, res.constants.r
-        redundant = transformed + [transformed[0] + transformed[1],
-                                   transformed[2].scale(3), transformed[-1]]
+        redundant = transformed + [form_sum(transformed[0], transformed[1]),
+                                   form_multiple(transformed[2], c=3), transformed[-1]]
         point = chart_form(redundant, J)
         assert point == chart_form(degree_basis(redundant, r), J) == \
             chart_form(transformed, J)
@@ -821,21 +821,22 @@ def _redundant(gens):
     """The forms, a combination of the first and last, a scalar multiple, a
     repeat and a multiple by x_0 of the first."""
     first, last = gens[0], gens[-1]
-    x0 = parse_xpoly("x0", first.n)
+    x0 = Monomial.variable(first.n, 0)
     lift = first
     while lift.degree < last.degree:
-        lift = lift * x0
-    return gens + [last + lift, first.scale(3), first, first * x0]
+        lift = form_multiple(lift, x0)
+    return gens + [form_sum(last, lift), form_multiple(first, c=3), first,
+                   form_multiple(first, x0)]
 
 
 def _above_r(gens):
     """The forms and a multiple of each above the Gotzmann number r."""
     c = chart_constants(hilbert_polynomial_of_forms(gens), gens[0].n)
-    x = parse_xpoly(f"x{gens[0].n}", gens[0].n)
+    x = Monomial.variable(gens[0].n, gens[0].n)
     extra = []
     for f in gens:
         while f.degree <= c.r:
-            f = f * x
+            f = form_multiple(f, x)
         extra.append(f)
     return gens + extra
 

@@ -18,7 +18,7 @@ from borelcover.chart import (_degree_basis, borel_open_set, chart_form, degree_
 from borelcover.cover import classify_grassmannian_borel
 from borelcover.errors import (InadmissiblePolynomialError, MathDomainError,
                                NotInChartError, ReductionCapError, ScaleCapError)
-from borelcover.hilbert import chart_constants, hilbert_polynomial
+from borelcover.hilbert import ambient_dimension, chart_constants, hilbert_polynomial
 from borelcover.marked import (assignment_from_marked_set, bounds, ek_spairs,
                                embedding_dimension, is_marked_basis,
                                naive_minor_count, reduce, scheme_equations,
@@ -27,9 +27,9 @@ from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly)
 
 from conftest import (CHART_FAMILIES, _rank_is_marked_basis, borel_closure,
-                      form_terms, marked_set_from_ideal, mono, monomial_ideals,
-                      rational_sampler, scan_contains, scan_star_decompose,
-                      specialize, template_polys)
+                      form_multiple, form_sum, form_terms, marked_set_from_ideal, mono,
+                      monomial_ideals, rational_sampler, scan_contains,
+                      scan_star_decompose, specialize, template_polys)
 
 
 class TestTemplate:
@@ -55,7 +55,7 @@ class TestTemplate:
     def test_single_head_monomial_in_ideal(self, j1sat):
         tpl = template(j1sat, 3)
         for f in template_polys(tpl):
-            inside = [m for m in f.support() if tpl.ideal.contains(m)]
+            inside = [m for m, _ in f.terms if tpl.ideal.contains(m)]
             assert len(inside) == 1
 
     def test_rejects_level_below_range(self):
@@ -129,8 +129,8 @@ class TestEKSPairs:
         c = chart_constants(4, 2)
         T3 = truncate(j1sat, 3)
         pairs = ek_spairs(T3)
-        q3 = c.q(3)
-        q4 = c.q(4)
+        q3 = ambient_dimension(2, 3) - c.p.evaluate(3)
+        q4 = ambient_dimension(2, 4) - c.p.evaluate(4)
         assert len(pairs) == q3 * (2 + 1) - q4 == 7
 
     def test_top_variable_power_has_none(self):
@@ -162,7 +162,7 @@ class TestReduce:
 
     def test_member_of_generated_set_reduces_to_zero(self, j1sat):
         tpl = template(j1sat, 2)
-        h = XPoly.from_monomial(mono("x0", 2)) * template_polys(tpl)[1]
+        h = form_multiple(template_polys(tpl)[1], mono("x0", 2))
         res = reduce(form_terms(h), tpl)
         assert not res.poly
 
@@ -170,7 +170,7 @@ class TestReduce:
         tpl = template(j1sat, 2)
         for pair in ek_spairs(tpl.ideal):
             res = reduce(marked._spair_terms(pair, tpl), tpl)
-            assert all(not tpl.ideal.contains(m) for m in res.poly.support())
+            assert all(not tpl.ideal.contains(m) for m, _ in res.poly.terms)
 
     def test_step_cap_is_a_hard_error(self):
         # a template that puts each head into its own tail, with a parameter
@@ -187,7 +187,7 @@ class TestReduce:
 
 
 def reference_reduce(h, tpl, strategy="largest"):
-    """The rewriting loop on whole XPolys: rescan h, reduce, subtract.
+    """The rewriting loop on whole forms: rescan h, reduce, subtract.
 
     Rewrites the degrevlex-largest monomial of T first, or with
     strategy="smallest" the smallest one.  Membership in T and the star
@@ -212,7 +212,7 @@ def reference_reduce(h, tpl, strategy="largest"):
         max_chain = max(max_chain, level)
         eta, beta = scan_star_decompose(target, T)
         i = tpl.head_index[beta]
-        h = h - (XPoly.from_monomial(eta) * polys[i]).scale(c)
+        h = form_sum(h, form_multiple(polys[i], eta, -c))
         for tail in tpl.tails[i]:
             new_mon = tail * eta
             if scan_contains(T, new_mon):
@@ -220,11 +220,11 @@ def reference_reduce(h, tpl, strategy="largest"):
 
 
 def reference_spair_polynomial(pair, tpl):
-    """x_j * F_a - x^eta * F_b in XPoly arithmetic."""
+    """x_j * F_a - x^eta * F_b as a sum of monomial multiples of forms."""
     polys = template_polys(tpl)
     x_j = Monomial.variable(tpl.ideal.n, pair.var)
-    return (XPoly.from_monomial(x_j) * polys[tpl.head_index[pair.alpha]]
-            - XPoly.from_monomial(pair.eta) * polys[tpl.head_index[pair.beta]])
+    return form_sum(form_multiple(polys[tpl.head_index[pair.alpha]], x_j),
+                    form_multiple(polys[tpl.head_index[pair.beta]], pair.eta, -1))
 
 
 def eager_template_polys(sat, m):
@@ -273,7 +273,12 @@ def reference_scheme_equations(sat, m, strategy):
                 seen.add(coeff)
                 gens.append(coeff)
     return (gens, tpl.num_vars, len(pairs), max_chain,
-            max((g.degree() for g in gens), default=0))
+            max(map(_param_degree, gens), default=0))
+
+
+def _param_degree(p):
+    """The total degree of a nonzero ParamPoly."""
+    return max(sum(e for _, e in cm) for cm, _ in p.terms)
 
 
 def _scheme_fingerprint(gens, *rest):
@@ -284,7 +289,7 @@ def _scheme_fingerprint(gens, *rest):
 # order, so it must equal the reference's in both: the equations with their
 # text, and max_chain.  The equations are reduced from S-polynomials with the
 # int coefficients -1 and 1, so their values are ints, where the reference's
-# XPoly arithmetic gives Fractions of the same values and text.
+# forms hold Fractions of the same values and text.
 
 def assert_scheme_equations_as_reference(sat, m):
     S = scheme_equations(sat, m)
@@ -539,7 +544,7 @@ class TestSchemeEquations:
         assert len(charts) == 4
         for S in found:
             assert S.generators
-            assert S.max_degree == max(g.degree() for g in S.generators)
+            assert S.max_degree == max(map(_param_degree, S.generators))
 
 
 def hilbert_polynomial_degree(p):
@@ -694,7 +699,7 @@ def _zero_moved_perturbed(T):
     moved = marked_set_from_ideal([apply_change_of_coords(f, g) for f in zero], T)
     last = moved[-1]
     bump = XPoly.from_monomial(T.sous_escalier_at(last.degree)[0])
-    return zero, moved, moved[:-1] + [last + bump]
+    return zero, moved, moved[:-1] + [form_sum(last, bump)]
 
 
 class TestIsMarkedBasisOnSpecializedSPairs:
@@ -708,8 +713,8 @@ class TestIsMarkedBasisOnSpecializedSPairs:
         for pair in ek_spairs(T):
             g_a = G[tpl.head_index[pair.alpha]]
             g_b = G[tpl.head_index[pair.beta]]
-            want = (XPoly.from_monomial(Monomial.variable(T.n, pair.var)) * g_a
-                    - XPoly.from_monomial(pair.eta) * g_b)
+            want = form_sum(form_multiple(g_a, Monomial.variable(T.n, pair.var)),
+                            form_multiple(g_b, pair.eta, -1))
             got = specialize(reference_spair_polynomial(pair, tpl), values)
             assert got == want
             assert (got.degree, str(got)) == (want.degree, str(want))
@@ -738,8 +743,8 @@ class TestIsMarkedBasisOnSpecializedSPairs:
         for pair in ek_spairs(T):
             g_a = G[tpl.head_index[pair.alpha]]
             g_b = G[tpl.head_index[pair.beta]]
-            want = (XPoly.from_monomial(Monomial.variable(T.n, pair.var)) * g_a
-                    - XPoly.from_monomial(pair.eta) * g_b)
+            want = form_sum(form_multiple(g_a, Monomial.variable(T.n, pair.var)),
+                            form_multiple(g_b, pair.eta, -1))
             got = marked._spair_terms(pair, tpl)
             assert all(list(d) == [()] for d in got.values())
             assert {e: d[()] for e, d in got.items()} == want._terms
@@ -773,9 +778,10 @@ class TestIsMarkedBasisOnSpecializedSPairs:
             for head in {pair.alpha, pair.beta}:
                 spolys_of_head.setdefault(tpl.head_index[head] + 1, []).append(h)
         rng = random.Random(6)
-        values = dict.fromkeys(tpl.variables(), Fraction(0))
+        params = [v for keys in tpl.factors for v in keys]
+        values = dict.fromkeys(params, Fraction(0))
         worst = 0
-        for v in rng.sample(tpl.variables(), 300):
+        for v in rng.sample(params, 300):
             values[v] = Fraction(rng.choice([-3, -1, 1, 2]))
             for h in spolys_of_head.get(v[0], ()):
                 h = specialize(h, values)
@@ -836,8 +842,8 @@ class TestMarkedSchemeIsHilbertSchemeOnTheChart:
             copies = [forms]
             for _ in range(2):
                 k = rng.randrange(len(forms))
-                bump = XPoly.from_monomial(rng.choice(outside), rng.randint(1, 3))
-                copies.append(forms[:k] + [forms[k] + bump] + forms[k + 1:])
+                bump = XPoly(n, [(rng.choice(outside), rng.randint(1, 3))], constants.r)
+                copies.append(forms[:k] + [form_sum(forms[k], bump)] + forms[k + 1:])
             for fs in copies:
                 verdict = in_hilb(fs, constants)
                 assert verdict == is_marked_basis(chart_form(fs, J).marked_set, J)
@@ -855,7 +861,8 @@ class TestDimensionsAndBounds:
     def test_points_on_a_line(self):
         L = MonomialIdeal.parse("x2, x1^3", 2)
         c = chart_constants(3, 2)
-        assert embedding_dimension(L, 3) == c.q(3) * c.p.evaluate(3) == 21
+        q3 = ambient_dimension(2, 3) - c.p.evaluate(3)
+        assert embedding_dimension(L, 3) == q3 * c.p.evaluate(3) == 21
 
     def test_bounds_values(self, j1sat):
         assert bounds(j1sat, 3) == (28, 2)
@@ -904,7 +911,7 @@ class TestDimensionsAndBounds:
 
 
 def _random_assignment(tpl, draw):
-    return {v: draw() for v in tpl.variables()}
+    return {v: draw() for keys in tpl.factors for v in keys}
 
 
 def _positive_samples(sat, m, count, seed):
@@ -925,7 +932,7 @@ def _positive_samples(sat, m, count, seed):
         return out
     elim = greedy_linear_eliminate(list(base_eqs.generators))
     assert not elim.residual
-    free_vars = [v for v in base.variables()
+    free_vars = [v for keys in base.factors for v in keys
                  if v not in set(elim.eliminated_variables())]
     for _ in range(count):
         point = elim.lift_point({v: draw() for v in free_vars})
@@ -953,7 +960,7 @@ class TestSoundnessCompleteness:
             draw = rational_sampler(seed=zlib.crc32(f"{sat_text}|{m}".encode()) % 10_000)
             samples = [_random_assignment(tpl, draw) for _ in range(8)]
             samples += _positive_samples(sat, m, 4, seed=m + 1)
-            samples.append({v: Fraction(0) for v in tpl.variables()})
+            samples.append({v: Fraction(0) for keys in tpl.factors for v in keys})
             for c in samples:
                 vanishes = all(g.evaluate(c) == 0 for g in S.generators)
                 G = [specialize(f, c) for f in template_polys(tpl)]

@@ -217,7 +217,7 @@ def _old_lcm(a, b):
 
 def _old_normal_form(p, basis, key):
     lts = [(_old_leading_term(b, key), b) for b in basis if b]
-    remainder = ParamPoly.zero()
+    remainder = ParamPoly()
     work = p
     while work:
         cm, c = _old_leading_term(work, key)
@@ -874,7 +874,7 @@ class TestPairCap:
 # ---------------------------------------------------------------------------
 
 def _old_substitute(p, key, value):
-    out = ParamPoly.zero()
+    out = ParamPoly()
     for cm, c in p.terms:
         e_key = 0
         rest = []

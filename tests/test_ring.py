@@ -16,12 +16,13 @@ from borelcover.errors import MathDomainError, ParseError, ScaleCapError
 from borelcover.ring import (Monomial, ParamPoly, XPoly, apply_change_of_coords,
                              monomials_of_degree, parse_parampoly, parse_xpoly)
 
-from conftest import dict_rows, mono, rational_sampler, up_moves
+from conftest import (dict_rows, form_multiple, form_sum, mono, rational_sampler,
+                      up_moves)
 
 
 class TestMonomial:
     def test_degree_and_one(self):
-        assert Monomial.one(2).degree() == 0
+        assert Monomial((0, 0, 0)).degree() == 0
         assert mono("x2^2*x0", 2).degree() == 3
 
     def test_min_max(self):
@@ -29,13 +30,7 @@ class TestMonomial:
         assert m.min_var() == 1
         assert max(m.support()) == 2
         with pytest.raises(MathDomainError):
-            Monomial.one(2).min_var()
-
-    def test_division(self):
-        m = mono("x2*x1^2", 2)
-        assert m / mono("x1", 2) == mono("x2*x1", 2)
-        with pytest.raises(MathDomainError):
-            m / mono("x0", 2)
+            Monomial((0, 0, 0)).min_var()
 
     def test_str_round_trip(self):
         for text in ["x2^2*x1", "x0^3", "1"]:
@@ -189,30 +184,35 @@ class TestChangeOfCoords:
                     g = [tuple(r) for r in cand]
             f, h = rand_poly(mons2), rand_poly(mons2)
             k = rand_poly(mons3)
-            assert apply_change_of_coords(f + h, g) == \
-                apply_change_of_coords(f, g) + apply_change_of_coords(h, g)
-            assert apply_change_of_coords(f * k, g) == \
-                apply_change_of_coords(f, g) * apply_change_of_coords(k, g)
+            assert apply_change_of_coords(form_sum(f, h), g) == \
+                form_sum(apply_change_of_coords(f, g), apply_change_of_coords(h, g))
+            assert apply_change_of_coords(_product(f, k), g) == \
+                _product(apply_change_of_coords(f, g), apply_change_of_coords(k, g))
             det = linalg.det(dict_rows(g))
             inv = [[linalg.det(dict_rows(_minor(g, j, i))) * (-1) ** (i + j) / det
                     for j in range(3)] for i in range(3)]
             assert apply_change_of_coords(apply_change_of_coords(f, g), inv) == f
 
 
+def _product(f, h):
+    """The product of two nonzero forms, as a sum of monomial multiples of f."""
+    return form_sum(*(form_multiple(f, m, c) for m, c in h.terms))
+
+
 def naive_change_of_coords(f, g):
-    """Substitution by one XPoly product per variable power, as a test oracle."""
+    """Substitution by one form product per variable power, as a test oracle."""
     n = f.n
     images = [XPoly(n, [(Monomial.variable(n, j), Fraction(g[i][j]))
                         for j in range(n + 1) if g[i][j]], 1)
               for i in range(n + 1)]
-    out = XPoly.zero(n, f.degree)
+    out = [XPoly(n, (), f.degree)]
     for mon, c in f.terms:
-        prod = XPoly(n, [(Monomial.one(n), Fraction(1))], 0)
+        prod = XPoly(n, [((0,) * (n + 1), c)], 0)
         for i, e in enumerate(mon.exps):
             for _ in range(e):
-                prod = prod * images[i]
-        out = out + prod.scale(c)
-    return out
+                prod = _product(prod, images[i])
+        out.append(prod)
+    return form_sum(*out)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -381,7 +381,7 @@ def _assert_canonical(p):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
-class TestParamPolyHashAndDegree:
+class TestParamPolyHash:
     @given(param_polys())
     def test_equal_polynomials_hash_equal(self, p):
         # integral coefficients as ints, the others as Fractions: still equal
@@ -408,10 +408,6 @@ class TestParamPolyHashAndDegree:
         for p in from_ints:
             for q in from_fractions:
                 assert p == q and hash(p) == hash(q)
-
-    @given(param_polys())
-    def test_degree_is_the_largest_term_degree(self, p):
-        assert p.degree() == max((sum(e for _, e in cm) for cm, _ in p.terms), default=-1)
 
     @given(st.tuples(st.integers(1, 5), st.integers(1, 5)))
     def test_var_is_canonical(self, key):
@@ -486,7 +482,7 @@ class TestParamPolyArithmeticIsCanonical:
             _assert_canonical(got)
         assert a + b == b + a and hash(a + b) == hash(b + a)
         assert a * b == b * a and hash(a * b) == hash(b * a)
-        assert not (a + (-a)) and (a + (-a)) == ParamPoly.zero()
+        assert not (a + (-a)) and (a + (-a)) == ParamPoly()
         assert (a - a).terms == ()
 
 
@@ -506,12 +502,12 @@ class TestParamPolyTermOrderIsInvisible:
             return [p.terms[k] for k in order]
 
         def summed(terms):
-            return sum((ParamPoly([t]) for t in terms), ParamPoly.zero())
+            return sum((ParamPoly([t]) for t in terms), ParamPoly())
 
         _assert_same(ParamPoly(shuffled(a)), a)
         _assert_same(summed(shuffled(a)), a)
         _assert_same(-summed((cm, -c) for cm, c in shuffled(a)), a)
-        _assert_same(ParamPoly.zero() - summed((cm, -c) for cm, c in shuffled(a)), a)
+        _assert_same(ParamPoly() - summed((cm, -c) for cm, c in shuffled(a)), a)
         _assert_same(ParamPoly(shuffled(a)) * ParamPoly(shuffled(b)), a * b)
         _assert_same(b * a, a * b)
         _assert_same(summed(shuffled(b)) + ParamPoly(shuffled(a)), a + b)
@@ -541,23 +537,20 @@ def forms_and_orders(draw):
 
 class TestXPolyTermOrderIsInvisible:
     @settings(max_examples=60)
-    @given(forms_and_orders(), forms_and_orders())
-    def test_same_terms_in_any_order(self, fs, gs):
-        (f, shuffled), (g, _) = fs, gs
+    @given(forms_and_orders())
+    def test_same_terms_in_any_order(self, fs):
+        f, shuffled = fs
         n, d = f.n, f.degree
 
         def summed(terms):
-            return sum((XPoly(n, [t], d) for t in terms), XPoly.zero(n, d))
+            return form_sum(XPoly(n, (), d), *(XPoly(n, [t], d) for t in terms))
 
         halves = [(m, c * Fraction(1, 2)) for m, c in shuffled(f) for _ in range(2)]
         _assert_same_form(XPoly(n, shuffled(f), d), f)
         _assert_same_form(XPoly(n, halves, d), f)
         _assert_same_form(summed(shuffled(f)), f)
-        _assert_same_form(-summed((m, -c) for m, c in shuffled(f)), f)
-        _assert_same_form(XPoly.zero(n, d) - summed((m, -c) for m, c in shuffled(f)), f)
-        _assert_same_form(f - XPoly(n, shuffled(f), d), XPoly.zero(n, d))
-        if g.n == n:
-            _assert_same_form(XPoly(n, shuffled(f), d) * g, g * f)
+        _assert_same_form(XPoly(n, f.terms + tuple((m, -c) for m, c in shuffled(f)), d),
+                          XPoly(n, (), d))
 
     @settings(max_examples=40)
     @given(forms_and_orders(), st.integers(0, 2 ** 32))
@@ -634,7 +627,7 @@ class TestXPoly:
 
     def test_terms_sorted_descending(self):
         f = parse_xpoly("x0^2 + x2*x0 + x1^2", 2)
-        assert [str(m) for m in f.support()] == ["x1^2", "x2*x0", "x0^2"]
+        assert [str(m) for m, _ in f.terms] == ["x1^2", "x2*x0", "x0^2"]
 
     def test_parse_round_trip(self):
         for text in ["x2*x1 + 1/2*x1^2", "x2^4", "2*x1^3 - x0^3"]:
@@ -979,7 +972,7 @@ def reference_parse_xpoly(text, n):
             exps[i] = e
         mon = Monomial(exps)
         coeff = ParamPoly([(cm, q)]) if has_params else q
-        acc[mon] = acc.get(mon, (ParamPoly.zero() if has_params else Fraction(0))) + coeff
+        acc[mon] = acc.get(mon, (ParamPoly() if has_params else Fraction(0))) + coeff
     try:
         return XPoly(n, acc.items())
     except MathDomainError as exc:
