@@ -32,6 +32,13 @@ class TestMonomial:
         with pytest.raises(MathDomainError):
             Monomial((0, 0, 0)).min_var()
 
+    def test_exponents_must_be_nonnegative(self):
+        # the reference exponent subtractions in conftest lean on this check
+        with pytest.raises(ValueError):
+            Monomial((1, -1, 0))
+        with pytest.raises(ValueError):
+            Monomial(())
+
     def test_str_round_trip(self):
         for text in ["x2^2*x1", "x0^3", "1"]:
             assert str(mono(text, 2)) == text
@@ -628,6 +635,19 @@ class TestXPoly:
     def test_terms_sorted_descending(self):
         f = parse_xpoly("x0^2 + x2*x0 + x1^2", 2)
         assert [str(m) for m, _ in f.terms] == ["x1^2", "x2*x0", "x0^2"]
+
+    def test_form_sum_merges_and_cancels(self):
+        f = parse_xpoly("x1^2 + x2*x0", 2)
+        g = parse_xpoly("-x1^2 + 1/2*x0^2", 2)
+        assert form_sum(f, g) == parse_xpoly("x2*x0 + 1/2*x0^2", 2)
+        zero = form_sum(f, form_multiple(f, c=-1))
+        assert zero.terms == () and zero.degree == 2
+
+    def test_form_multiple_shifts_the_degree(self):
+        f = parse_xpoly("x1 - x0", 2)
+        assert form_multiple(f) == f
+        g = form_multiple(f, mono("x2", 2), 3)
+        assert g == parse_xpoly("3*x2*x1 - 3*x2*x0", 2) and g.degree == 2
 
     def test_parse_round_trip(self):
         for text in ["x2*x1 + 1/2*x1^2", "x2^4", "2*x1^3 - x0^3"]:
